@@ -46,8 +46,6 @@ from .harness import (
 from .hashing import (
     HashFamily,
     HashFunction,
-    cm_parameters,
-    evaluate,
     evaluate_batch,
     induced_partition,
     new_family,
@@ -85,7 +83,7 @@ __all__ = [
     "DistributionFamily", "pmf", "read_stream", "sample_stream", "write_stream",
     "ExperimentPlan", "ResultRow", "StreamSource", "load_plan", "parse_plan",
     "run_plan", "run_plan_to_dir", "sweep_summary",
-    "HashFamily", "HashFunction", "cm_parameters", "evaluate", "evaluate_batch",
+    "HashFamily", "HashFunction", "evaluate_batch",
     "induced_partition", "new_family",
     "EmpiricalDistribution", "Partition", "PartitionBudgetError", "aggregate",
     "as_distribution", "enumerate_partitions", "from_stream", "normalize", "stirling",

@@ -7,17 +7,19 @@ cells contribute nothing (the 0*f(0/0) = 0 convention), which is what makes
 these functions directly applicable to partition-aggregated vectors and raw
 sketch rows containing zeros.
 
-Every divergence is wrapped in a :class:`DivergenceSpec` carrying honesty
-flags (symmetric? triangle? f-divergence? Bregman?); the property-test suite
-derives which axioms to enforce from those flags.  Specs are selectable by
-name through a registry ("kl", "js", "bhattacharyya", "hellinger", "tv"), and
-custom divergences enter the same machinery through :class:`FGenerator` /
+Every divergence is one row kernel over stacks of distributions, wrapped in
+a :class:`DivergenceSpec` carrying honesty flags (symmetric? triangle?
+f-divergence? Bregman?); the property-test suite derives which axioms to
+enforce from those flags.  Specs are selectable by name through a registry
+("kl", "js", "bhattacharyya", "hellinger", "tv"), and custom divergences
+enter the same machinery through :class:`FGenerator` /
 :class:`BregmanGenerator`.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -87,44 +89,44 @@ def _tv_rows(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
 
 # --- scalar entry points ----------------------------------------------------
 
+def _one_row(rows: Callable[[np.ndarray, np.ndarray], np.ndarray], p, q) -> float:
+    """A row kernel applied to one validated pair of distributions."""
+    p, q = _pair(p, q)
+    return float(rows(p[None, :], q[None, :])[0])
+
+
 def kl(p, q) -> float:
     """Kullback-Leibler divergence, bits: sum p_i log2(p_i / q_i).
 
     0 log(0/q) = 0; +inf as soon as some p_i > 0 has q_i = 0.  Equals the
     cross entropy of (p, q) minus the entropy of p whenever finite.
     """
-    p, q = _pair(p, q)
-    return float(_kl_rows(p[None, :], q[None, :])[0])
+    return _one_row(_kl_rows, p, q)
 
 
 def js(p, q) -> float:
     """Jensen-Shannon divergence, bits; always finite, in [0, 1]."""
-    p, q = _pair(p, q)
-    return float(_js_rows(p[None, :], q[None, :])[0])
+    return _one_row(_js_rows, p, q)
 
 
 def bhattacharyya_coefficient(p, q) -> float:
     """Similarity sum sqrt(p_i q_i), in [0, 1]."""
-    p, q = _pair(p, q)
-    return float(_bc_rows(p[None, :], q[None, :])[0])
+    return _one_row(_bc_rows, p, q)
 
 
 def bhattacharyya(p, q) -> float:
     """-log2 of the coefficient; +inf on disjoint supports."""
-    p, q = _pair(p, q)
-    return float(_bhattacharyya_rows(p[None, :], q[None, :])[0])
+    return _one_row(_bhattacharyya_rows, p, q)
 
 
 def hellinger(p, q) -> float:
     """Hellinger distance sqrt(1 - BC); a genuine metric, in [0, 1]."""
-    p, q = _pair(p, q)
-    return float(_hellinger_rows(p[None, :], q[None, :])[0])
+    return _one_row(_hellinger_rows, p, q)
 
 
 def tv(p, q) -> float:
     """Total variation distance, half the L1 difference."""
-    p, q = _pair(p, q)
-    return float(_tv_rows(p[None, :], q[None, :])[0])
+    return _one_row(_tv_rows, p, q)
 
 
 def entropy(p) -> float:
@@ -204,8 +206,7 @@ def _f_div_rows(gen: FGenerator, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
 
 def f_divergence(gen: FGenerator, p, q) -> float:
     """sum q_i f(p_i / q_i) under the three zero conventions."""
-    p, q = _pair(p, q)
-    return float(_f_div_rows(gen, p[None, :], q[None, :])[0])
+    return _one_row(partial(_f_div_rows, gen), p, q)
 
 
 # --- decomposable Bregman divergences ---------------------------------------
@@ -276,8 +277,7 @@ def _bregman_rows(gen: BregmanGenerator, P: np.ndarray, Q: np.ndarray) -> np.nda
 
 def bregman(gen: BregmanGenerator, p, q) -> float:
     """Decomposable sum of F(p_i) - F(q_i) - (p_i - q_i) F'(q_i)."""
-    p, q = _pair(p, q)
-    return float(_bregman_rows(gen, p[None, :], q[None, :])[0])
+    return _one_row(partial(_bregman_rows, gen), p, q)
 
 
 def combine_bregman(g1: BregmanGenerator, g2: BregmanGenerator, lam: float) -> BregmanGenerator:
@@ -344,12 +344,22 @@ class DivergenceFlags:
 
 @dataclass(frozen=True)
 class DivergenceSpec:
-    """A named divergence: scalar eval, optional row-batched eval, flags."""
+    """A named divergence: one row kernel plus its flags.
+
+    ``eval_rows`` maps two (t, k) stacks of distributions to the t row
+    values.  ``eval`` is the scalar form, that kernel on one validated pair;
+    it is derived from ``eval_rows`` unless given (a wrapper that times the
+    kernel passes both).
+    """
 
     name: str
-    eval: Callable[[np.ndarray, np.ndarray], float]
+    eval_rows: Callable[[np.ndarray, np.ndarray], np.ndarray]
     flags: DivergenceFlags = field(default_factory=DivergenceFlags)
-    eval_rows: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    eval: Callable[..., float] | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.eval is None:
+            object.__setattr__(self, "eval", partial(_one_row, self.eval_rows))
 
     def __call__(self, p, q) -> float:
         return float(self.eval(p, q))
@@ -357,9 +367,7 @@ class DivergenceSpec:
     def batch(self, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
         """Evaluate on matching rows of two stacks of distributions."""
         P, Q = _rows(P, Q)
-        if self.eval_rows is not None:
-            return np.asarray(self.eval_rows(P, Q), dtype=np.float64)
-        return np.array([self.eval(P[i], Q[i]) for i in range(P.shape[0])])
+        return np.asarray(self.eval_rows(P, Q), dtype=np.float64)
 
 
 _REGISTRY: dict[str, DivergenceSpec] = {}
@@ -385,46 +393,24 @@ def available() -> tuple[str, ...]:
 
 def from_f_generator(name: str, gen: FGenerator, **flag_overrides) -> DivergenceSpec:
     """Wrap an FGenerator as a registrable spec (f_div flag set)."""
-    flags = DivergenceFlags(f_div=True, **flag_overrides)
-    return DivergenceSpec(
-        name,
-        eval=lambda p, q: f_divergence(gen, p, q),
-        flags=flags,
-        eval_rows=lambda P, Q: _f_div_rows(gen, P, Q),
-    )
+    return DivergenceSpec(name, partial(_f_div_rows, gen),
+                          DivergenceFlags(f_div=True, **flag_overrides))
 
 
 def from_bregman_generator(name: str, gen: BregmanGenerator, **flag_overrides) -> DivergenceSpec:
     """Wrap a BregmanGenerator as a registrable spec (bregman flag set)."""
-    flags = DivergenceFlags(bregman=True, **flag_overrides)
-    return DivergenceSpec(
-        name,
-        eval=lambda p, q: bregman(gen, p, q),
-        flags=flags,
-        eval_rows=lambda P, Q: _bregman_rows(gen, P, Q),
-    )
+    return DivergenceSpec(name, partial(_bregman_rows, gen),
+                          DivergenceFlags(bregman=True, **flag_overrides))
 
 
-KL = register(DivergenceSpec(
-    "kl", eval=kl, eval_rows=_kl_rows,
-    flags=DivergenceFlags(f_div=True, bregman=True),
-))
-JS = register(DivergenceSpec(
-    "js", eval=js, eval_rows=_js_rows,
-    flags=DivergenceFlags(symmetric=True, f_div=True),
-))
-BHATTACHARYYA = register(DivergenceSpec(
-    "bhattacharyya", eval=bhattacharyya, eval_rows=_bhattacharyya_rows,
-    flags=DivergenceFlags(symmetric=True),
-))
-HELLINGER = register(DivergenceSpec(
-    "hellinger", eval=hellinger, eval_rows=_hellinger_rows,
-    flags=DivergenceFlags(symmetric=True, triangle=True),
-))
-TV = register(DivergenceSpec(
-    "tv", eval=tv, eval_rows=_tv_rows,
-    flags=DivergenceFlags(symmetric=True, triangle=True, f_div=True),
-))
+KL = register(DivergenceSpec("kl", _kl_rows, DivergenceFlags(f_div=True, bregman=True)))
+JS = register(DivergenceSpec("js", _js_rows, DivergenceFlags(symmetric=True, f_div=True)))
+BHATTACHARYYA = register(DivergenceSpec("bhattacharyya", _bhattacharyya_rows,
+                                        DivergenceFlags(symmetric=True)))
+HELLINGER = register(DivergenceSpec("hellinger", _hellinger_rows,
+                                    DivergenceFlags(symmetric=True, triangle=True)))
+TV = register(DivergenceSpec("tv", _tv_rows,
+                             DivergenceFlags(symmetric=True, triangle=True, f_div=True)))
 
 
 def smoothed(spec: DivergenceSpec, alpha: float) -> DivergenceSpec:
@@ -446,8 +432,4 @@ def smoothed(spec: DivergenceSpec, alpha: float) -> DivergenceSpec:
     def eval_rows(P, Q):
         return spec.batch(smooth_rows(P), smooth_rows(Q))
 
-    def eval_one(p, q):
-        p, q = _pair(p, q)
-        return float(eval_rows(p[None, :], q[None, :])[0])
-
-    return replace(spec, eval=eval_one, eval_rows=eval_rows)
+    return DivergenceSpec(spec.name, eval_rows, spec.flags)

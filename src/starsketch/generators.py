@@ -14,12 +14,12 @@ poisson (rate n/2) on the same point.
 from __future__ import annotations
 
 import io
+import math
 import re
 import struct
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 STREAM_MAGIC = b"SSTR"
 STREAM_VERSION = 1
@@ -92,8 +92,23 @@ class DistributionFamily:
         return f"poisson(lam={self.lam:g})"
 
 
+_lgamma = np.vectorize(math.lgamma, otypes=[np.float64])
+
+
+def _xlogy(x: np.ndarray, y: float) -> np.ndarray:
+    """x * log(y), with 0 * log(0) = 0 so degenerate parameters stay exact."""
+    if y > 0:
+        return x * math.log(y)
+    return np.where(x > 0, -np.inf, 0.0)
+
+
 def pmf(d: DistributionFamily) -> np.ndarray:
-    """Probability vector over items 1..n; always sums to 1."""
+    """Probability vector over items 1..n; always sums to 1.
+
+    The pascal, binomial and poisson weights are computed in log space from
+    log-gamma coefficients, since the coefficients themselves overflow
+    float64 at the shipped universe size n = 4000.
+    """
     n = d.n
     if d.kind == "uniform":
         w = np.full(n, 1.0 / n)
@@ -101,12 +116,19 @@ def pmf(d: DistributionFamily) -> np.ndarray:
         w = np.arange(1, n + 1, dtype=np.float64) ** (-d.alpha)
     elif d.kind == "pascal":
         # Failure-counting negative binomial, success weight 1 - p.
-        w = stats.nbinom.pmf(np.arange(1, n + 1), d.r, 1.0 - d.p)
+        x = np.arange(1, n + 1, dtype=np.float64)
+        success = 1.0 - d.p
+        w = np.exp(_lgamma(x + d.r) - _lgamma(x + 1.0) - math.lgamma(d.r)
+                   + d.r * math.log(success) + x * math.log1p(-success))
     elif d.kind == "binomial":
         # n - 1 trials shifted by one so the support is exactly 1..n.
-        w = stats.binom.pmf(np.arange(0, n), n - 1, d.p)
+        x = np.arange(0, n, dtype=np.float64)
+        log_fact = _lgamma(x + 1.0)  # log x!, so log_fact[::-1] is log (n - 1 - x)!
+        w = np.exp(log_fact[-1] - log_fact - log_fact[::-1]
+                   + _xlogy(x, d.p) + _xlogy(x[::-1], 1.0 - d.p))
     else:
-        w = stats.poisson.pmf(np.arange(1, n + 1), d.lam)
+        x = np.arange(1, n + 1, dtype=np.float64)
+        w = np.exp(x * math.log(d.lam) - _lgamma(x + 1.0) - d.lam)
     total = w.sum()
     if total <= 0:
         raise ValueError(f"{d.label()}: no probability mass inside 1..{n}")

@@ -178,6 +178,7 @@ class ResultRow:
     sketch: float
     build_seconds: float
     query_seconds: float
+    build_items: int = 0  # items absorbed by the build, both streams together
 
     @property
     def infinite(self) -> bool:
@@ -239,6 +240,7 @@ def run_plan(plan: ExperimentPlan) -> list[ResultRow]:
                             pair=pair_label, phi=name, k=k, t=t, trial=trial,
                             family_seed=family_seed, ref=refs[name], sketch=est.value,
                             build_seconds=build_s, query_seconds=query_s,
+                            build_items=int(items1.size + items2.size),
                         )
                         if plan.alpha == 0.0 and get_divergence(name).flags.f_div:
                             _check_sandwich(spec, row)
@@ -276,14 +278,18 @@ def read_results(path: str) -> list[ResultRow]:
     return rows
 
 
-def write_timings(rows: list[ResultRow], path: str, m: int) -> None:
-    """Per-row wall-clock accounting (not byte-reproducible across runs)."""
+def write_timings(rows: list[ResultRow], path: str) -> None:
+    """Per-row wall-clock accounting (not byte-reproducible across runs).
+
+    ``updates_per_second`` counts the items the two sketches absorbed, which
+    for ``file:`` sources is the files' lengths, not the plan's ``m``.
+    """
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["pair", "phi", "k", "t", "trial",
                          "build_seconds", "query_seconds", "updates_per_second"])
         for r in rows:
-            rate = (2 * m) / r.build_seconds if r.build_seconds > 0 else math.inf
+            rate = r.build_items / r.build_seconds if r.build_seconds > 0 else math.inf
             writer.writerow([r.pair, r.phi, r.k, r.t, r.trial,
                              f"{r.build_seconds:.6f}", f"{r.query_seconds:.6f}", f"{rate:.0f}"])
 
@@ -346,7 +352,7 @@ def run_plan_to_dir(plan: ExperimentPlan, out_dir: str, plan_text: str = "") -> 
     rows = run_plan(plan)
     write_results(rows, os.path.join(out_dir, "results.csv"))
     write_summary(sweep_summary(rows), os.path.join(out_dir, "summary.csv"))
-    write_timings(rows, os.path.join(out_dir, "timings.csv"), plan.m)
+    write_timings(rows, os.path.join(out_dir, "timings.csv"))
     with open(os.path.join(out_dir, "manifest.txt"), "w") as fh:
         fh.write(f"starsketch_version = {__version__}\n")
         fh.write(f"master_seed = {plan.master_seed}\n")

@@ -14,7 +14,6 @@ can be shared and evaluated concurrently without coordination.
 from __future__ import annotations
 
 import hashlib
-import math
 import random
 from dataclasses import dataclass
 
@@ -65,14 +64,8 @@ class HashFunction:
             raise ValueError("require k >= 1")
 
     def evaluate(self, x: int) -> int:
+        """Cell index of item x; deterministic, always in [0, k)."""
         return ((self.a * (x % self.p) + self.b) % self.p) % self.k
-
-    __call__ = evaluate
-
-
-def evaluate(h: HashFunction, x: int) -> int:
-    """Cell index of item x under h; deterministic, always in [0, k)."""
-    return h.evaluate(x)
 
 
 def _fold_m61(z: np.ndarray) -> np.ndarray:
@@ -96,7 +89,7 @@ def _mulmod_m61(a: int, x: np.ndarray) -> np.ndarray:
 
 
 def evaluate_batch(h: HashFunction, xs: np.ndarray) -> np.ndarray:
-    """Vectorized evaluate over an array of item ids; agrees with evaluate()."""
+    """Vectorized evaluate over an array of item ids; agrees with HashFunction.evaluate."""
     xs = np.asarray(xs, dtype=np.uint64)
     if h.p == MERSENNE61:
         r = _mulmod_m61(h.a, _fold_m61(xs))
@@ -143,6 +136,8 @@ class HashFamily:
     @classmethod
     def from_header(cls, text: str) -> "HashFamily":
         lines = text.strip().splitlines()
+        if not lines:
+            raise ValueError("empty family header")
         t, k, p, seed = (int(v) for v in lines[0].split())
         if len(lines) != t + 1:
             raise ValueError(f"family header announces {t} functions, found {len(lines) - 1}")
@@ -194,15 +189,3 @@ def induced_partition(h: HashFunction, universe) -> Partition:
         cells.setdefault(h.evaluate(item), set()).add(item)
     return Partition(tuple(frozenset(cells[j]) for j in sorted(cells)))
 
-
-def cm_parameters(eps: float, delta: float) -> tuple[int, int]:
-    """Count-Min style (k, t) = (ceil(2/eps), ceil(log2(1/delta))).
-
-    Convenience conversion only: no accuracy guarantee is claimed for the
-    partition-maximized metric computed from a (k, t) sketch.
-    """
-    if not 0 < eps:
-        raise ValueError("eps must be positive")
-    if not 0 < delta < 1:
-        raise ValueError("delta must be in (0, 1)")
-    return math.ceil(2.0 / eps), max(1, math.ceil(math.log2(1.0 / delta)))

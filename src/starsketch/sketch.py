@@ -9,7 +9,6 @@ per-worker matrices and merging; counters themselves are never shared.
 """
 from __future__ import annotations
 
-import io
 import struct
 from dataclasses import dataclass
 
@@ -21,6 +20,9 @@ MAX_TOTAL = 2 ** 64 - 1
 
 _MAGIC = b"SKMX"
 _VERSION = 1
+# File layout: prefix, family header text, dimensions, t*k little-endian u64.
+_PREFIX = struct.Struct("<4sBI")  # magic, version, header length
+_DIMS = struct.Struct("<IIQ")  # t, k, total
 
 
 class FamilyMismatchError(ValueError):
@@ -85,15 +87,9 @@ class SketchMatrix:
 
     def to_bytes(self) -> bytes:
         header = self.family.header().encode()
-        out = io.BytesIO()
-        out.write(_MAGIC)
-        out.write(struct.pack("<B", _VERSION))
-        out.write(struct.pack("<I", len(header)))
-        out.write(header)
-        out.write(struct.pack("<II", self.t, self.k))
-        out.write(struct.pack("<Q", self.total))
-        out.write(self.counts.astype("<u8").tobytes())
-        return out.getvalue()
+        return b"".join((_PREFIX.pack(_MAGIC, _VERSION, len(header)), header,
+                         _DIMS.pack(self.t, self.k, self.total),
+                         self.counts.astype("<u8").tobytes()))
 
 
 def new_sketch(family: HashFamily) -> SketchMatrix:
@@ -107,19 +103,30 @@ def load_sketch(path: str) -> SketchMatrix:
 
 
 def sketch_from_bytes(data: bytes) -> SketchMatrix:
-    buf = io.BytesIO(data)
-    if buf.read(4) != _MAGIC:
+    """Parse the file form; the length must be exactly what the header implies."""
+    if data[:4] != _MAGIC:
         raise ValueError("not a sketch file")
-    (version,) = struct.unpack("<B", buf.read(1))
+    if len(data) < _PREFIX.size:
+        raise ValueError(f"truncated sketch file: {len(data)} bytes")
+    _, version, header_len = _PREFIX.unpack_from(data)
     if version != _VERSION:
         raise ValueError(f"unsupported sketch file version {version}")
-    (header_len,) = struct.unpack("<I", buf.read(4))
-    family = HashFamily.from_header(buf.read(header_len).decode())
-    t, k = struct.unpack("<II", buf.read(8))
+    dims_at = _PREFIX.size + header_len
+    if len(data) < dims_at + _DIMS.size:
+        raise ValueError(f"truncated sketch file: {len(data)} bytes, header ends past the data")
+    t, k, total = _DIMS.unpack_from(data, dims_at)
+    counts_at = dims_at + _DIMS.size
+    expected = counts_at + 8 * t * k
+    if len(data) < expected:
+        raise ValueError(f"truncated sketch file: {len(data)} bytes, a {t} x {k} sketch "
+                         f"needs {expected}")
+    if len(data) > expected:
+        raise ValueError(f"sketch file has {len(data) - expected} trailing bytes "
+                         f"after its {t} x {k} counters")
+    family = HashFamily.from_header(data[_PREFIX.size:dims_at].decode())
     if (t, k) != (family.t, family.k):
         raise ValueError("sketch file dimensions disagree with the family header")
-    (total,) = struct.unpack("<Q", buf.read(8))
-    counts = np.frombuffer(buf.read(t * k * 8), dtype="<u8").reshape(t, k)
+    counts = np.frombuffer(data, dtype="<u8", count=t * k, offset=counts_at).reshape(t, k)
     sk = SketchMatrix(family, counts.astype(np.uint64), total)
     row_sums = sk.counts.sum(axis=1, dtype=np.uint64)
     if np.any(row_sums != np.uint64(total)):

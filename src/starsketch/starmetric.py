@@ -148,14 +148,9 @@ def sketch_star_metric(phi: DivergenceSpec, a: SketchMatrix, b: SketchMatrix) ->
         raise FamilyMismatchError("sketches were built with different hash families")
     if a.total == 0 or b.total == 0:
         raise ValueError("cannot compare empty sketches")
-    best = -math.inf
-    best_row = 0
-    for i in range(a.t):
-        v = phi(a.row_distribution(i), b.row_distribution(i))
-        if v > best:
-            best = v
-            best_row = i
-    return StarMetricResult(best, best_row, "approximate", a.k, a.t)
+    vals = phi.batch(a.counts / a.total, b.counts / b.total)
+    best_row = int(np.argmax(vals))
+    return StarMetricResult(float(vals[best_row]), best_row, "approximate", a.k, a.t)
 
 
 def reference_distance(

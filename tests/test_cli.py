@@ -1,8 +1,12 @@
 import csv
 import io
+import os
+import subprocess
+import sys
 
 import pytest
 
+import starsketch
 from starsketch.cli import main
 
 
@@ -114,3 +118,14 @@ def test_version(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "starsketch" in capsys.readouterr().out
+
+
+def test_cli_import_needs_no_scipy():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(starsketch.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, starsketch.cli; print('scipy' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=60, check=True,
+    )
+    assert proc.stdout.strip() == "False"

@@ -327,11 +327,17 @@ class TestRegistry:
         with pytest.raises(ValueError):
             register(get_divergence("kl"))
 
-    def test_batch_fallback_without_eval_rows(self):
-        spec = DivergenceSpec("plain-tv", eval=tv)
+    def test_spec_from_row_kernel_alone(self):
+        spec = DivergenceSpec("rows-tv", eval_rows=lambda P, Q: 0.5 * np.abs(P - Q).sum(axis=1))
         P = np.array([[0.5, 0.5], [1.0, 0.0]])
         Q = np.array([[0.25, 0.75], [0.5, 0.5]])
-        assert np.allclose(spec.batch(P, Q), [tv(P[0], Q[0]), 0.5])
+        assert spec.batch(P, Q).tolist() == [tv(P[0], Q[0]), 0.5]
+        # the scalar form is the same kernel on one validated row
+        assert spec(P[0], Q[0]) == spec.batch(P, Q)[0]
+        with pytest.raises(ValueError):
+            spec([0.5, 0.6], [0.5, 0.5])
+        with pytest.raises(ValueError):
+            spec([1.0], [0.5, 0.5])
 
 
 class TestSmoothing:

@@ -1,6 +1,7 @@
+import hashlib
+
 import numpy as np
 import pytest
-from scipy import stats
 
 from starsketch.generators import (
     DistributionFamily,
@@ -43,7 +44,8 @@ class TestPmf:
         for r in (1, 3, 5, 10, 20):
             fam = DistributionFamily.pascal(n, r)
             assert fam.p == pytest.approx(n / (2 * r + n))
-            assert stats.nbinom.mean(r, 1.0 - fam.p) == pytest.approx(n / 2, rel=1e-12)
+            # failure-counting negative binomial: mean r * p / (1 - p)
+            assert r * fam.p / (1.0 - fam.p) == pytest.approx(n / 2, rel=1e-12)
 
     def test_poisson_default_rate(self):
         fam = DistributionFamily.poisson(4000)
@@ -71,6 +73,60 @@ class TestPmf:
             DistributionFamily.poisson(10, -1.0)
         with pytest.raises(ValueError):
             DistributionFamily("weibull", 10)
+
+
+LOG_SPACE_FAMILIES = [
+    DistributionFamily.pascal(4000, 1),
+    DistributionFamily.pascal(4000, 3),
+    DistributionFamily.pascal(4000, 10),
+    DistributionFamily.pascal(100, 3, 0.3),
+    DistributionFamily.binomial(4000),
+    DistributionFamily.binomial(4000, 0.3),
+    DistributionFamily.binomial(100, 1e-3),
+    DistributionFamily.poisson(4000),
+    DistributionFamily.poisson(100, 3.0),
+]
+
+
+class TestLogSpacePmf:
+    @pytest.mark.parametrize("fam", LOG_SPACE_FAMILIES, ids=lambda f: f"{f.label()}-n{f.n}")
+    def test_matches_scipy(self, fam):
+        stats = pytest.importorskip("scipy.stats")
+        n = fam.n
+        if fam.kind == "pascal":
+            w = stats.nbinom.pmf(np.arange(1, n + 1), fam.r, 1.0 - fam.p)
+        elif fam.kind == "binomial":
+            w = stats.binom.pmf(np.arange(0, n), n - 1, fam.p)
+        else:
+            w = stats.poisson.pmf(np.arange(1, n + 1), fam.lam)
+        expected = w / w.sum()
+        got = pmf(fam)
+        big = expected > 1e-300
+        assert np.all(np.abs(got[big] - expected[big]) <= 1e-10 * expected[big])
+        assert np.all(got[~big] <= 1e-299)
+
+    def test_binomial_edges_exact(self):
+        # 0 * log 0 = 0: a certain outcome keeps all of the mass, exactly.
+        assert pmf(DistributionFamily.binomial(5, 0.0)).tolist() == [1.0, 0.0, 0.0, 0.0, 0.0]
+        assert pmf(DistributionFamily.binomial(5, 1.0)).tolist() == [0.0, 0.0, 0.0, 0.0, 1.0]
+        assert pmf(DistributionFamily.binomial(1, 0.5)).tolist() == [1.0]
+        assert set(sample_stream(DistributionFamily.binomial(5, 0.0), 1000, 1).tolist()) == {1}
+        assert set(sample_stream(DistributionFamily.binomial(5, 1.0), 1000, 1).tolist()) == {5}
+
+    # Draws pinned while the pmfs still came from scipy.stats: identical bytes
+    # show that the log-space pmfs move no inverse-CDF sample at the shipped
+    # plans' scale.
+    @pytest.mark.parametrize("fam,digest", [
+        (DistributionFamily.pascal(4000, 3),
+         "569cd95d6bf2a95df4f029e327fc6b9bc4aeaad66571d2f47a05caa732b572f0"),
+        (DistributionFamily.binomial(4000),
+         "a589aa9ed9f4e63bbefe2c003628b4fcb4f9f3cacb45f61fdc4c8510707c4899"),
+        (DistributionFamily.poisson(4000),
+         "0d549fb151070b76a69b6eb2072d95d5b752382854f04012d10625b0a6909991"),
+    ], ids=["pascal", "binomial", "poisson"])
+    def test_pinned_streams(self, fam, digest):
+        items = sample_stream(fam, 200_000, seed=1)
+        assert hashlib.sha256(items.tobytes()).hexdigest() == digest
 
 
 class TestSampling:
@@ -113,6 +169,7 @@ class TestSampling:
         if tail_exp >= 5:
             chi2 += (tail - tail_exp) ** 2 / tail_exp
         dof = int(keep.sum()) - 1 + (1 if tail_exp >= 5 else 0)
+        stats = pytest.importorskip("scipy.stats")
         assert chi2 < stats.chi2.ppf(0.999, dof)
 
     def test_default_experiment_scale(self):

@@ -1,3 +1,4 @@
+import csv
 import math
 
 import pytest
@@ -212,6 +213,25 @@ def test_run_plan_to_dir(tmp_path):
     timings = (out / "timings.csv").read_text().splitlines()
     assert timings[0].startswith("pair,phi,k,t,trial,build_seconds")
     assert len(timings) == len(rows) + 1
+
+
+def test_timings_rate_counts_materialized_file_items(tmp_path):
+    # file: streams are 500 and 700 items long, whatever the plan's m says
+    write_stream(str(tmp_path / "one.stream"),
+                 sample_stream(DistributionFamily.uniform(64), 500, 1), 64, "u")
+    write_stream(str(tmp_path / "two.stream"),
+                 sample_stream(DistributionFamily.zipf(64, 1.0), 700, 2), 64, "z")
+    plan_text = "pair = file:one.stream | file:two.stream\ndivergences = js, tv\nk = 8\nt = 2\n"
+    plan = parse_plan(plan_text, base_dir=str(tmp_path))
+    assert plan.m == 200_000
+    out = tmp_path / "results"
+    rows = run_plan_to_dir(plan, str(out), plan_text)
+    with open(out / "timings.csv", newline="") as fh:
+        records = list(csv.DictReader(fh))
+    assert len(records) == len(rows) == 2
+    for row, rec in zip(rows, records):
+        assert row.build_items == 1200
+        assert int(rec["updates_per_second"]) == round(1200 / row.build_seconds)
 
 
 def test_plan_validation():

@@ -8,8 +8,6 @@ from starsketch.hashing import (
     PRIME_TABLE,
     HashFamily,
     HashFunction,
-    cm_parameters,
-    evaluate,
     evaluate_batch,
     induced_partition,
     new_family,
@@ -66,7 +64,7 @@ class TestNewFamily:
 class TestEvaluate:
     def test_repeated_calls_agree(self):
         h = new_family(1, 7, 1000, seed=2).functions[0]
-        assert evaluate(h, 123) == evaluate(h, 123)
+        assert h.evaluate(123) == h.evaluate(123)
 
     def test_extensional_equality(self):
         h1 = HashFunction(17, 5, 131, 4)
@@ -179,14 +177,5 @@ class TestHeaderSerialization:
         broken = "\n".join(fam.header().splitlines()[:-1])
         with pytest.raises(ValueError):
             HashFamily.from_header(broken)
-
-
-def test_cm_parameters():
-    k, t = cm_parameters(0.01, 0.01)
-    assert k == 200
-    assert t == math.ceil(math.log2(100))
-    assert cm_parameters(2.0, 0.5) == (1, 1)
-    with pytest.raises(ValueError):
-        cm_parameters(0.0, 0.1)
-    with pytest.raises(ValueError):
-        cm_parameters(0.1, 1.5)
+        with pytest.raises(ValueError, match="empty"):
+            HashFamily.from_header("\n")

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -147,6 +149,27 @@ class TestSerialization:
         blob = bytearray(s.to_bytes())
         blob[-1] ^= 0xFF
         with pytest.raises(ValueError, match="row sums"):
+            sketch_from_bytes(bytes(blob))
+
+    def test_rejects_truncation(self, family):
+        blob = sketch_stream(family, [1, 2, 3]).to_bytes()
+        for cut in range(4, len(blob)):
+            with pytest.raises(ValueError, match="truncated"):
+                sketch_from_bytes(blob[:cut])
+
+    def test_rejects_trailing_bytes(self, family):
+        blob = sketch_stream(family, [1, 2, 3]).to_bytes()
+        with pytest.raises(ValueError, match="1 trailing bytes"):
+            sketch_from_bytes(blob + b"\0")
+
+    def test_length_checked_against_header_dimensions(self, family):
+        # Dimensions announcing far more counters than the data holds are
+        # rejected from the header alone, before any counter is read.
+        s = sketch_stream(family, [1, 2, 3])
+        blob = bytearray(s.to_bytes())
+        dims_at = len(blob) - 8 * s.t * s.k - 16
+        blob[dims_at:dims_at + 8] = struct.pack("<II", 1 << 20, 1 << 20)
+        with pytest.raises(ValueError, match="truncated sketch file: .* needs"):
             sketch_from_bytes(bytes(blob))
 
     def test_size_bound(self, tmp_path):

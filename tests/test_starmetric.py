@@ -7,10 +7,8 @@ from starsketch.divergence import (
     DivergenceFlags,
     DivergenceSpec,
     SQEUCLID_BREGMAN,
-    bregman,
+    from_bregman_generator,
     get_divergence,
-    js,
-    kl,
 )
 from starsketch.generators import DistributionFamily, sample_stream
 from starsketch.hashing import evaluate_batch, induced_partition, new_family
@@ -85,7 +83,8 @@ class TestExactStarMetric:
             assert values[2] <= spec(p, q) + 1e-12
 
     def test_first_maximizer_tie_break(self):
-        flat = DivergenceSpec("flat", eval=lambda p, q: 0.0, flags=DivergenceFlags())
+        flat = DivergenceSpec("flat", eval_rows=lambda P, Q: np.zeros(P.shape[0]),
+                              flags=DivergenceFlags())
         r = exact_star_metric(flat, [0.2, 0.3, 0.5], [0.5, 0.3, 0.2], 2)
         assert str(r.argmax) == "{1,2}|{3}"  # first partition in RGS order
 
@@ -134,15 +133,17 @@ class TestSketchStarMetric:
         for name in ("kl", "js", "hellinger"):
             assert sketch_star_metric(get_divergence(name), a, b).value == 0.0
 
-    def test_result_shape(self):
+    @pytest.mark.parametrize("name", ["kl", "js", "bhattacharyya", "hellinger", "tv"])
+    def test_result_shape(self, name):
         fam, s1, s2 = self._paired_sketches()
-        r = sketch_star_metric(get_divergence("js"), s1, s2)
+        spec = get_divergence(name)
+        r = sketch_star_metric(spec, s1, s2)
         assert r.mode == "approximate"
         assert r.k == 16
         assert r.evaluated_partitions == 4
         assert isinstance(r.argmax, int) and 0 <= r.argmax < 4
-        # the argmax row really attains the max
-        rows = [js(s1.row_distribution(i), s2.row_distribution(i)) for i in range(4)]
+        # the batched query equals the per-row scalar values, argmax included
+        rows = [spec(s1.row_distribution(i), s2.row_distribution(i)) for i in range(4)]
         assert r.value == max(rows)
         assert r.argmax == rows.index(max(rows))
 
@@ -165,7 +166,7 @@ class TestSketchStarMetric:
         fam = new_family(3, 4, 100, seed=6)
         a = sketch_stream(fam, [1, 1, 1])
         b = sketch_stream(fam, [2, 2])
-        always_inf = DivergenceSpec("inf", eval=lambda p, q: math.inf)
+        always_inf = DivergenceSpec("inf", eval_rows=lambda P, Q: np.full(P.shape[0], math.inf))
         r = sketch_star_metric(always_inf, a, b)
         assert r.value == math.inf
         assert r.argmax == 0
@@ -276,7 +277,7 @@ def test_bregman_transitivity_on_orthogonal_triples():
     # generator on triples whose increments are orthogonal; with k = n the
     # maximizing partition is shared (only the singleton partition exists), so
     # the equality survives at the partition-max level.
-    spec_sq = DivergenceSpec("sq", eval=lambda p, q: bregman(SQEUCLID_BREGMAN, p, q))
+    spec_sq = from_bregman_generator("sq", SQEUCLID_BREGMAN)
     eps = 0.03
     r = np.array([0.25, 0.25, 0.25, 0.25])
     u = eps * np.array([1.0, -1.0, 1.0, -1.0])
