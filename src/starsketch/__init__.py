@@ -47,16 +47,14 @@ from .hashing import (
     HashFamily,
     HashFunction,
     evaluate_batch,
-    induced_partition,
     new_family,
 )
 from .histogram import (
     EmpiricalDistribution,
-    Partition,
     PartitionBudgetError,
     aggregate,
     as_distribution,
-    enumerate_partitions,
+    assignment_blocks,
     from_stream,
     normalize,
     stirling,
@@ -83,10 +81,9 @@ __all__ = [
     "DistributionFamily", "pmf", "read_stream", "sample_stream", "write_stream",
     "ExperimentPlan", "ResultRow", "StreamSource", "load_plan", "parse_plan",
     "run_plan", "run_plan_to_dir", "sweep_summary",
-    "HashFamily", "HashFunction", "evaluate_batch",
-    "induced_partition", "new_family",
-    "EmpiricalDistribution", "Partition", "PartitionBudgetError", "aggregate",
-    "as_distribution", "enumerate_partitions", "from_stream", "normalize", "stirling",
+    "HashFamily", "HashFunction", "evaluate_batch", "new_family",
+    "EmpiricalDistribution", "PartitionBudgetError", "aggregate",
+    "as_distribution", "assignment_blocks", "from_stream", "normalize", "stirling",
     "LogRecord", "TraceStats", "parse_clf_line", "target_to_item", "trace_stats",
     "FamilyMismatchError", "SketchMatrix", "load_sketch", "new_sketch", "sketch_stream",
     "PreservationReport", "StarMetricResult", "exact_star_metric",

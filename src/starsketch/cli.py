@@ -17,7 +17,7 @@ from .generators import DistributionFamily, read_stream, sample_stream, write_st
 from .harness import load_plan, read_results, run_plan_to_dir, sweep_summary, write_summary
 from .hashing import new_family
 from .histogram import dump_histogram, from_stream
-from .ingest import frequency_ranks, iter_records, records_to_items, trace_stats
+from .ingest import frequency_ranks, iter_records, trace_stats
 from .sketch import load_sketch, sketch_stream
 from .starmetric import RESULT_FIELDS, result_record, sketch_star_metric
 
@@ -41,9 +41,9 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_ingest(args) -> int:
-    items = list(records_to_items(iter_records(args.infile)))
-    stats = trace_stats(iter_records(args.infile))
-    write_stream(args.out, np.array(items, dtype=np.uint64), 0, f"clf:{args.infile}")
+    ids: list[int] = []
+    stats = trace_stats(iter_records(args.infile), ids)
+    write_stream(args.out, np.array(ids, dtype=np.uint64), 0, f"clf:{args.infile}")
     if args.stats:
         with open(args.stats, "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")

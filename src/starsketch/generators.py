@@ -13,7 +13,6 @@ poisson (rate n/2) on the same point.
 """
 from __future__ import annotations
 
-import io
 import math
 import re
 import struct
@@ -191,6 +190,11 @@ def parse_family(text: str, n: int) -> DistributionFamily:
     raise ValueError(f"unknown family kind {kind!r}")
 
 
+# Stream file layout: prefix, descriptor text, dimensions, m little-endian u64 ids.
+_STREAM_PREFIX = struct.Struct("<4sBI")  # magic, version, descriptor length
+_STREAM_DIMS = struct.Struct("<QQ")  # universe size n, item count m
+
+
 def write_stream(path: str, items: np.ndarray, n: int, descriptor: str) -> None:
     """Stream file: magic, version, descriptor, universe size, fixed-width ids.
 
@@ -200,27 +204,40 @@ def write_stream(path: str, items: np.ndarray, n: int, descriptor: str) -> None:
     items = np.asarray(items, dtype=np.uint64)
     desc = descriptor.encode()
     with open(path, "wb") as fh:
-        fh.write(STREAM_MAGIC)
-        fh.write(struct.pack("<B", STREAM_VERSION))
-        fh.write(struct.pack("<I", len(desc)))
+        fh.write(_STREAM_PREFIX.pack(STREAM_MAGIC, STREAM_VERSION, len(desc)))
         fh.write(desc)
-        fh.write(struct.pack("<QQ", n, items.size))
+        fh.write(_STREAM_DIMS.pack(n, items.size))
         fh.write(items.astype("<u8").tobytes())
 
 
 def read_stream(path: str) -> tuple[np.ndarray, int, str]:
-    """Returns (items, universe size, descriptor)."""
+    """Returns (items, universe size, descriptor).
+
+    The file length must be exactly what its header implies; truncation and
+    trailing bytes raise ``ValueError``.
+    """
     with open(path, "rb") as fh:
-        buf = io.BytesIO(fh.read())
-    if buf.read(4) != STREAM_MAGIC:
+        data = fh.read()
+    if data[:4] != STREAM_MAGIC:
         raise ValueError(f"{path}: not a stream file")
-    (version,) = struct.unpack("<B", buf.read(1))
+    if len(data) < _STREAM_PREFIX.size:
+        raise ValueError(f"{path}: truncated stream file: {len(data)} bytes")
+    _, version, desc_len = _STREAM_PREFIX.unpack_from(data)
     if version != STREAM_VERSION:
         raise ValueError(f"{path}: unsupported stream file version {version}")
-    (desc_len,) = struct.unpack("<I", buf.read(4))
-    descriptor = buf.read(desc_len).decode()
-    n, m = struct.unpack("<QQ", buf.read(16))
-    items = np.frombuffer(buf.read(m * 8), dtype="<u8").astype(np.uint64)
-    if items.size != m:
-        raise ValueError(f"{path}: truncated stream file")
+    dims_at = _STREAM_PREFIX.size + desc_len
+    if len(data) < dims_at + _STREAM_DIMS.size:
+        raise ValueError(f"{path}: truncated stream file: {len(data)} bytes, "
+                         f"header ends past the data")
+    n, m = _STREAM_DIMS.unpack_from(data, dims_at)
+    items_at = dims_at + _STREAM_DIMS.size
+    expected = items_at + 8 * m
+    if len(data) < expected:
+        raise ValueError(f"{path}: truncated stream file: {len(data)} bytes, "
+                         f"{m} items need {expected}")
+    if len(data) > expected:
+        raise ValueError(f"{path}: stream file has {len(data) - expected} trailing bytes "
+                         f"after its {m} items")
+    descriptor = data[_STREAM_PREFIX.size:dims_at].decode()
+    items = np.frombuffer(data, dtype="<u8", count=m, offset=items_at).astype(np.uint64)
     return items, n, descriptor

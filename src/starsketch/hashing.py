@@ -19,8 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .histogram import Partition
-
 MERSENNE61 = (1 << 61) - 1
 
 # Smallest prime >= 2^i for i = 1..31, then the 61-bit Mersenne prime.
@@ -173,19 +171,3 @@ def new_family(t: int, k: int, universe_bound: int, seed: int) -> HashFamily:
         b = rng.randrange(0, p)
         functions.append(HashFunction(a, b, p, k))
     return HashFamily(tuple(functions), seed)
-
-
-def induced_partition(h: HashFunction, universe) -> Partition:
-    """Group ``universe`` items by hash cell, dropping empty cells.
-
-    Cells are ordered by ascending cell index; the effective cell count
-    k' <= k is the partition's k.
-    """
-    items = list(universe)
-    if not items:
-        raise ValueError("universe must be nonempty")
-    cells: dict[int, set[int]] = {}
-    for item in items:
-        cells.setdefault(h.evaluate(item), set()).add(item)
-    return Partition(tuple(frozenset(cells[j]) for j in sorted(cells)))
-

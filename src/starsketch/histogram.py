@@ -2,10 +2,12 @@
 
 A stream is summarized exactly by an :class:`EmpiricalDistribution` (item ->
 occurrence count).  Probability vectors are plain float64 numpy arrays over an
-explicitly ordered universe; :func:`aggregate` collapses such a vector along a
-:class:`Partition`.  The enumeration side (:func:`enumerate_partitions`,
-:func:`stirling`) is the brute-force oracle used to maximize a divergence over
-every k-cell partition of a small universe.
+explicitly ordered universe.  A partition of that universe into k cells is a
+label array: entry i is the cell (0..k-1) of item i, and :func:`aggregate`
+collapses a vector along one label array or a block of them.  The
+enumeration side (:func:`assignment_blocks`, :func:`stirling`) is the
+brute-force oracle used to maximize a divergence over every k-cell partition
+of a small universe.
 """
 from __future__ import annotations
 
@@ -91,72 +93,26 @@ def as_distribution(weights: Sequence[float] | np.ndarray) -> np.ndarray:
     return v
 
 
-@dataclass(frozen=True)
-class Partition:
-    """Disjoint nonempty cells covering a finite item universe."""
+def aggregate(p: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Sum vector entries cell by cell; item i of ``p`` lands in cell ``labels[i]``.
 
-    cells: tuple[frozenset[int], ...]
-
-    def __post_init__(self) -> None:
-        if not self.cells or any(not c for c in self.cells):
-            raise ValueError("every cell must be nonempty")
-
-    @property
-    def k(self) -> int:
-        return len(self.cells)
-
-    def universe(self) -> frozenset[int]:
-        out: set[int] = set()
-        for c in self.cells:
-            out.update(c)
-        return frozenset(out)
-
-    def validate(self, universe: Iterable[int] | None = None) -> None:
-        """Check disjointness and, when given, exact cover of ``universe``."""
-        seen: set[int] = set()
-        for c in self.cells:
-            if seen & c:
-                raise ValueError("cells are not disjoint")
-            seen.update(c)
-        if universe is not None and seen != set(universe):
-            raise ValueError("cells do not cover the declared universe")
-
-    @classmethod
-    def from_cells(cls, cells: Iterable[Iterable[int]]) -> "Partition":
-        return cls(tuple(frozenset(c) for c in cells))
-
-    @classmethod
-    def singletons(cls, items: Iterable[int]) -> "Partition":
-        return cls(tuple(frozenset((i,)) for i in items))
-
-    def __str__(self) -> str:
-        return "|".join("{" + ",".join(map(str, sorted(c))) + "}" for c in self.cells)
-
-
-def aggregate(
-    p: np.ndarray,
-    partition: Partition,
-    universe: Sequence[int] | None = None,
-) -> np.ndarray:
-    """Sum vector entries cell by cell.
-
-    By default the vector is read over items ``1..len(p)``; pass ``universe``
-    when entries correspond to arbitrary item ids.  The output preserves total
-    mass and follows the partition's cell order.
+    ``labels`` is one label array of length ``len(p)`` or a (rows, len(p))
+    block of them, giving a (k,) or (rows, k) result with k the largest
+    label plus one.  Each cell adds its items in index order, so a row of a
+    block aggregates to the same bits as that row given alone.
     """
     p = np.asarray(p, dtype=np.float64)
-    if universe is None:
-        index = {i + 1: i for i in range(p.size)}
-    else:
-        if len(universe) != p.size:
-            raise ValueError("universe length does not match vector length")
-        index = {item: pos for pos, item in enumerate(universe)}
-    if partition.universe() != set(index):
-        raise ValueError("partition does not cover the vector's universe")
-    out = np.zeros(partition.k, dtype=np.float64)
-    for j, cell in enumerate(partition.cells):
-        out[j] = sum(p[index[item]] for item in cell)
-    return out
+    labels = np.asarray(labels)
+    if p.ndim != 1 or p.size == 0 or labels.ndim not in (1, 2) or labels.shape[-1] != p.size:
+        raise ValueError(f"labels of shape {labels.shape} do not match a vector of shape {p.shape}")
+    if labels.dtype.kind not in "iu" or labels.min() < 0:
+        raise ValueError("cell labels must be nonnegative integers")
+    k = int(labels.max()) + 1
+    rows = labels.reshape(-1, p.size)
+    cells = rows + (np.arange(rows.shape[0]) * k)[:, None]
+    out = np.bincount(cells.ravel(), weights=np.broadcast_to(p, rows.shape).ravel(),
+                      minlength=rows.shape[0] * k)
+    return out.reshape(labels.shape[:-1] + (k,))
 
 
 @lru_cache(maxsize=None)
@@ -180,87 +136,39 @@ def stirling(n: int, k: int) -> int:
     return k * stirling(n - 1, k) + stirling(n - 1, k - 1)
 
 
-def restricted_growth_strings(n: int, k: int) -> Iterator[tuple[int, ...]]:
-    """All length-n restricted growth strings using exactly k labels.
-
-    Lexicographic order; label values are 0..k-1 and appear in first-use
-    order, so each string canonically encodes one k-cell partition of [n].
-    """
-    if not 1 <= k <= n:
-        raise ValueError(f"require 1 <= k <= n, got n={n} k={k}")
-    a = [0] * n
-
-    def rec(i: int, used: int) -> Iterator[tuple[int, ...]]:
-        if k - used > n - i:
-            return
-        if i == n:
-            yield tuple(a)
-            return
-        for label in range(min(used + 1, k)):
-            a[i] = label
-            yield from rec(i + 1, used + (1 if label == used else 0))
-
-    return rec(0, 0)
-
-
-def partition_from_assignment(
-    assignment: Sequence[int],
-    items: Sequence[int] | None = None,
-) -> Partition:
-    """Build a Partition from a cell-label array (labels in first-use order)."""
-    if items is None:
-        items = range(1, len(assignment) + 1)
-    cells: dict[int, set[int]] = {}
-    for item, label in zip(items, assignment):
-        cells.setdefault(int(label), set()).add(item)
-    return Partition(tuple(frozenset(cells[label]) for label in sorted(cells)))
-
-
-def enumerate_partitions(
-    n: int,
-    k: int,
-    budget: int = DEFAULT_PARTITION_BUDGET,
-) -> Iterator[Partition]:
-    """Yield every partition of {1..n} into exactly k nonempty cells once.
-
-    The count equals S(n, k); a count above ``budget`` raises
-    :class:`PartitionBudgetError` before any work is done, signalling that the
-    caller must fall back to the sketch approximation.
-    """
-    if not 1 <= k <= n:
-        raise ValueError(f"require 1 <= k <= n, got n={n} k={k}")
-    if k != 1 and k != n:
-        total = stirling(n, k)
-        if total > budget:
-            raise PartitionBudgetError(
-                f"S({n},{k}) = {total} exceeds the budget of {budget}"
-            )
-
-    def gen() -> Iterator[Partition]:
-        for rgs in restricted_growth_strings(n, k):
-            yield partition_from_assignment(rgs)
-
-    return gen()
-
-
 def assignment_blocks(
     n: int,
     k: int,
     block_size: int = 4096,
 ) -> Iterator[np.ndarray]:
-    """Chunked RGS enumeration as (rows, n) int8 arrays, lexicographic.
+    """Every k-cell partition of n items as (rows, n) int8 label blocks.
 
-    Feed for the vectorized partition-maximization path; one row per
-    partition, entries are cell labels.
+    Rows are the length-n restricted growth strings with exactly k labels, in
+    lexicographic order: labels appear in first-use order, so each row is the
+    one canonical label array of its partition.  Blocks hold at most
+    ``block_size`` rows.  Rows are grown depth-first from a stack of prefix
+    blocks; a prefix using ``used`` labels takes any next label <= ``used``
+    while the remaining positions can still introduce the missing labels.
     """
-    buf: list[tuple[int, ...]] = []
-    for rgs in restricted_growth_strings(n, k):
-        buf.append(rgs)
-        if len(buf) == block_size:
-            yield np.array(buf, dtype=np.int8)
-            buf.clear()
-    if buf:
-        yield np.array(buf, dtype=np.int8)
+    if not 1 <= k <= n:
+        raise ValueError(f"require 1 <= k <= n, got n={n} k={k}")
+    labels = np.arange(k, dtype=np.int8)
+    stack = [(np.zeros((1, 1), dtype=np.int8), np.ones(1, dtype=np.int8))]
+    while stack:
+        prefix, used = stack.pop()
+        d = prefix.shape[1]
+        if d == n:
+            yield prefix
+            continue
+        u = used[:, None]
+        fresh = labels == u
+        src, label = np.nonzero((labels <= u) & (k - u - fresh <= n - d - 1))
+        child = np.empty((src.size, d + 1), dtype=np.int8)
+        child[:, :d] = prefix[src]
+        child[:, d] = label
+        child_used = used[src] + fresh[src, label]
+        for start in reversed(range(0, src.size, block_size)):
+            stack.append((child[start:start + block_size], child_used[start:start + block_size]))
 
 
 def dump_histogram(dist: EmpiricalDistribution, path: str) -> None:

@@ -73,19 +73,20 @@ def iter_records(path: str) -> Iterator[LogRecord]:
             yield parse_clf_line(line)
 
 
-def records_to_items(records: Iterable[LogRecord]) -> Iterator[int]:
-    for rec in records:
-        if rec.valid:
-            yield target_to_item(rec.request_target)
+def trace_stats(records: Iterable[LogRecord], ids: list[int] | None = None) -> TraceStats:
+    """Stream size, distinct targets, and peak frequency over valid records.
 
-
-def trace_stats(records: Iterable[LogRecord]) -> TraceStats:
-    """Stream size, distinct targets, and peak frequency over valid records."""
+    When ``ids`` is given, the item id of each valid record is appended to it
+    in stream order, so one pass over a log yields both the stream and its
+    stats.
+    """
     counts: Counter[str] = Counter()
     malformed = 0
     for rec in records:
         if rec.valid:
             counts[rec.request_target] += 1
+            if ids is not None:
+                ids.append(target_to_item(rec.request_target))
         else:
             malformed += 1
     items = sum(counts.values())

@@ -49,15 +49,17 @@ class SketchMatrix:
 
     def update(self, v: int) -> None:
         """Absorb one item: one increment per row."""
+        if not isinstance(v, (int, np.integer)) or not 0 <= v < 2 ** 64:
+            raise ValueError(f"item id must be an integer in [0, 2^64), got {v!r}")
         if self.total + 1 > MAX_TOTAL:
             raise OverflowError("counter capacity exhausted")
         for i, h in enumerate(self.family.functions):
-            self.counts[i, h.evaluate(v)] += np.uint64(1)
+            self.counts[i, h.evaluate(int(v))] += np.uint64(1)
         self.total += 1
 
     def update_many(self, items) -> None:
         """Absorb a batch of items (vectorized hot path)."""
-        items = np.asarray(items, dtype=np.uint64)
+        items = _item_ids(items)
         if self.total + items.size > MAX_TOTAL:
             raise OverflowError("counter capacity exhausted")
         for i, h in enumerate(self.family.functions):
@@ -90,6 +92,30 @@ class SketchMatrix:
         return b"".join((_PREFIX.pack(_MAGIC, _VERSION, len(header)), header,
                          _DIMS.pack(self.t, self.k, self.total),
                          self.counts.astype("<u8").tobytes()))
+
+
+def _item_ids(items) -> np.ndarray:
+    """``items`` as a uint64 array, rejecting negative and non-integer ids.
+
+    A uint64 array is returned as it is, with no pass over its data.
+    """
+    ids = np.asarray(items)
+    if ids.dtype == np.uint64:
+        return ids
+    if ids.size == 0:
+        return ids.astype(np.uint64)
+    if ids.dtype.kind in "iu":
+        if ids.dtype.kind == "i" and ids.min() < 0:
+            raise ValueError(f"item ids must be nonnegative, found {ids.min()}")
+        return ids.astype(np.uint64)
+    # A list mixing Python ints below and above 2^63 is inferred as float64
+    # or object; convert it exactly once every element is known to be an int.
+    if not isinstance(items, np.ndarray) and all(isinstance(v, int) for v in items):
+        try:
+            return np.asarray(items, dtype=np.uint64)
+        except OverflowError:
+            raise ValueError("item ids must lie in [0, 2^64)") from None
+    raise ValueError(f"item ids must be integers, got dtype {ids.dtype}")
 
 
 def new_sketch(family: HashFamily) -> SketchMatrix:
@@ -137,7 +163,5 @@ def sketch_from_bytes(data: bytes) -> SketchMatrix:
 def sketch_stream(family: HashFamily, items) -> SketchMatrix:
     """Build the sketch of a whole stream in one call."""
     sk = new_sketch(family)
-    items = np.asarray(items, dtype=np.uint64)
-    if items.size:
-        sk.update_many(items)
+    sk.update_many(items)
     return sk

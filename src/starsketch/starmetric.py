@@ -8,8 +8,11 @@ divergence on the t matching counter rows of two sketches (each row is one
 hash-induced partition) and takes the row maximum, which lower-bounds the
 exact value for aggregation-monotone divergences.
 
-Enumeration is chunked so memory stays bounded and a parallel reduction with
-the same first-maximizer tie-break would reproduce the serial result exactly.
+The oracle reads partitions as blocks of label arrays from
+:func:`assignment_blocks` and aggregates each block with one
+:func:`aggregate` call per distribution.  Enumeration is chunked so memory
+stays bounded, and a parallel reduction with the same first-maximizer
+tie-break would reproduce the serial result exactly.
 """
 from __future__ import annotations
 
@@ -30,13 +33,11 @@ from .histogram import (
     DEFAULT_PARTITION_BUDGET,
     MAX_STIRLING_N,
     EmpiricalDistribution,
-    Partition,
     PartitionBudgetError,
     aggregate,
     as_distribution,
     assignment_blocks,
     normalize,
-    partition_from_assignment,
     stirling,
 )
 from .sketch import FamilyMismatchError, SketchMatrix
@@ -44,19 +45,28 @@ from .sketch import FamilyMismatchError, SketchMatrix
 
 @dataclass
 class StarMetricResult:
-    """Value, maximizing partition (or row), and search-size accounting."""
+    """Value, maximizing partition (or row), and search-size accounting.
+
+    An exact result's ``argmax`` is the maximizing partition's label array
+    (entry i is the cell of item i + 1); an approximate one's is the row index.
+    """
 
     value: float
-    argmax: Partition | int | None
+    argmax: np.ndarray | int | None
     mode: str  # "exact" or "approximate"
     k: int
     evaluated_partitions: int
 
     def argmax_label(self) -> str:
+        """``{1,2}|{3}`` for a partition: cells in label order, 1-based items
+        ascending in each; ``row<i>`` for a sketch row; empty for neither."""
         if self.argmax is None:
             return ""
-        if isinstance(self.argmax, Partition):
-            return str(self.argmax)
+        if isinstance(self.argmax, np.ndarray):
+            cells: list[list[str]] = [[] for _ in range(int(self.argmax.max()) + 1)]
+            for item, label in enumerate(self.argmax.tolist(), start=1):
+                cells[label].append(str(item))
+            return "|".join("{" + ",".join(c) + "}" for c in cells)
         return f"row{self.argmax}"
 
 
@@ -78,17 +88,6 @@ def result_record(phi: str, result: StarMetricResult, t: int | None = None,
 RESULT_FIELDS = ("phi", "mode", "k", "t", "value", "argmax", "seed", "alpha_smoothing")
 
 
-def _aggregate_blocks(block: np.ndarray, k: int, p: np.ndarray, q: np.ndarray):
-    rows = np.arange(block.shape[0])
-    pa = np.zeros((block.shape[0], k), dtype=np.float64)
-    qa = np.zeros((block.shape[0], k), dtype=np.float64)
-    for j in range(p.size):
-        labels = block[:, j]
-        pa[rows, labels] += p[j]
-        qa[rows, labels] += q[j]
-    return pa, qa
-
-
 def exact_star_metric(
     phi: DivergenceSpec,
     p,
@@ -100,8 +99,9 @@ def exact_star_metric(
 
     For k above the universe size no k-cell partition exists and the plain
     phi(p || q) is returned.  Ties break to the first maximizer in
-    lexicographic restricted-growth-string order.  Enumerations larger than
-    ``budget`` raise :class:`PartitionBudgetError`.
+    lexicographic restricted-growth-string order, and the maximizing label
+    array is the result's ``argmax``.  Enumerations larger than ``budget``
+    raise :class:`PartitionBudgetError`.
     """
     p = as_distribution(p)
     q = as_distribution(q)
@@ -128,14 +128,13 @@ def exact_star_metric(
     best = -math.inf
     best_assignment: np.ndarray | None = None
     for block in assignment_blocks(n, k):
-        pa, qa = _aggregate_blocks(block, k, p, q)
-        vals = phi.batch(pa, qa)
+        vals = phi.batch(aggregate(p, block), aggregate(q, block))
         i = int(np.argmax(vals))
         if float(vals[i]) > best:
             best = float(vals[i])
             best_assignment = block[i].copy()
     assert best_assignment is not None
-    return StarMetricResult(best, partition_from_assignment(best_assignment), "exact", k, total)
+    return StarMetricResult(best, best_assignment, "exact", k, total)
 
 
 def sketch_star_metric(phi: DivergenceSpec, a: SketchMatrix, b: SketchMatrix) -> StarMetricResult:
@@ -232,12 +231,12 @@ def _positive_distribution(rng: np.random.Generator, n: int) -> np.ndarray:
     return v / v.sum()
 
 
-def _random_coarsening(rng: np.random.Generator, n: int, c: int) -> Partition:
+def _random_coarsening(rng: np.random.Generator, n: int, c: int) -> np.ndarray:
     # Surjective random labeling: first c items pin one cell each, the rest
     # land uniformly, then positions are shuffled.
     labels = np.concatenate([np.arange(c), rng.integers(0, c, n - c)])
     rng.shuffle(labels)
-    return partition_from_assignment(labels)
+    return labels
 
 
 _TOL_AXIOM = 1e-9
@@ -311,7 +310,7 @@ def preservation_suite(
                 pm, qm = aggregate(p, mu), aggregate(q, mu)
                 v = exact_star_metric(phi, pm, qm, k, budget).value
                 monotone.record(v <= base + _TOL_MONOTONE,
-                                f"c={mu.k} coarse={v!r} base={base!r}")
+                                f"c={c} coarse={v!r} base={base!r}")
         if convex.applicable:
             p2 = _positive_distribution(rng, n)
             q2 = _positive_distribution(rng, n)

@@ -21,8 +21,8 @@ from starsketch.divergence import (
 from starsketch.generators import DistributionFamily, sample_stream
 from starsketch.hashing import evaluate_batch, new_family
 from starsketch.histogram import (
+    aggregate,
     assignment_blocks,
-    enumerate_partitions,
     from_stream,
     normalize,
     stirling,
@@ -58,7 +58,7 @@ def test_criterion_1_partition_count_identity():
     checked = 0
     for n in range(1, 11):
         for k in range(1, n + 1):
-            count = sum(1 for _ in enumerate_partitions(n, k))
+            count = sum(block.shape[0] for block in assignment_blocks(n, k))
             assert count == stirling(n, k) == stirling_by_formula(n, k), (n, k)
             checked += 1
     report(1, "partition-count identity", f"{checked} (n,k) settings, n <= 10")
@@ -97,12 +97,7 @@ def test_criterion_3_monotonicity_exhaustive():
             base = {k: exact_star_metric(spec, p, q, k).value for k in k_values}
             for c in range(1, n + 1):
                 for block in assignment_blocks(n, c):
-                    rows = np.arange(block.shape[0])
-                    pa = np.zeros((block.shape[0], c))
-                    qa = np.zeros((block.shape[0], c))
-                    for j in range(n):
-                        pa[rows, block[:, j]] += p[j]
-                        qa[rows, block[:, j]] += q[j]
+                    pa, qa = aggregate(p, block), aggregate(q, block)
                     # data-processing at the plain level, every coarsening
                     vals = spec.batch(pa, qa)
                     assert (vals <= plain + 1e-12).all(), (spec.name, c)

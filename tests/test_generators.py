@@ -1,7 +1,11 @@
 import hashlib
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from starsketch.generators import (
     DistributionFamily,
@@ -231,3 +235,52 @@ def test_stream_file_rejects_garbage(tmp_path):
     path.write_bytes(b"not a stream")
     with pytest.raises(ValueError):
         read_stream(str(path))
+
+
+def _stream_bytes(tmp_path, items=(4, 5, 6), n=9, descriptor="uniform n=9"):
+    path = tmp_path / "s.stream"
+    write_stream(str(path), np.array(items, dtype=np.uint64), n, descriptor)
+    return path, path.read_bytes()
+
+
+def test_stream_file_rejects_truncation(tmp_path):
+    path, blob = _stream_bytes(tmp_path)
+    for cut in range(4, len(blob)):
+        path.write_bytes(blob[:cut])
+        with pytest.raises(ValueError, match="truncated"):
+            read_stream(str(path))
+
+
+def test_stream_file_rejects_trailing_bytes(tmp_path):
+    path, blob = _stream_bytes(tmp_path)
+    path.write_bytes(blob + b"junk!")
+    with pytest.raises(ValueError, match="5 trailing bytes"):
+        read_stream(str(path))
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_stream_file_arbitrary_bytes_never_escape_value_error(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "s.stream")
+        write_stream(path, np.array([4, 5, 6], dtype=np.uint64), 9, "uniform n=9")
+        with open(path, "rb") as fh:
+            blob = fh.read()
+        raw = data.draw(st.one_of(
+            st.binary(max_size=80),
+            st.tuples(st.integers(0, len(blob)), st.binary(max_size=12)).map(
+                lambda cut: blob[:cut[0]] + cut[1]),
+            st.tuples(st.integers(0, len(blob) - 1), st.integers(1, 255)).map(
+                lambda flip: blob[:flip[0]] + bytes([blob[flip[0]] ^ flip[1]])
+                + blob[flip[0] + 1:]),
+        ))
+        with open(path, "wb") as fh:
+            fh.write(raw)
+        try:
+            items, n, descriptor = read_stream(path)
+        except ValueError:
+            return
+        # Whatever is accepted is exactly what writing it back produces.
+        write_stream(path, items, n, descriptor)
+        with open(path, "rb") as fh:
+            assert fh.read() == raw

@@ -9,7 +9,6 @@ from starsketch.hashing import (
     HashFamily,
     HashFunction,
     evaluate_batch,
-    induced_partition,
     new_family,
     select_prime,
 )
@@ -127,36 +126,31 @@ def test_pairwise_collision_rate():
 
 
 class TestInducedPartition:
+    # A hash function induces a partition of any item set: its cell array.
     def test_constant_function(self):
         fam = new_family(1, 1, 10, seed=3)
-        part = induced_partition(fam.functions[0], [0, 1, 2])
-        assert part.k == 1
-        assert part.cells[0] == frozenset({0, 1, 2})
+        cells = evaluate_batch(fam.functions[0], np.array([0, 1, 2], dtype=np.uint64))
+        assert cells.tolist() == [0, 0, 0]
 
     def test_injective_gives_singletons(self):
         h = HashFunction(1, 0, 131, 131)
-        part = induced_partition(h, [3, 7, 11])
-        assert part.k == 3
-        assert all(len(c) == 1 for c in part.cells)
+        cells = evaluate_batch(h, np.array([3, 7, 11], dtype=np.uint64))
+        assert cells.tolist() == [3, 7, 11]
 
     def test_fixture_split(self):
-        # Regression pin for seed=7, k=2 over items 0..5.
+        # Regression pin for seed=7, k=2 over items 0..5: cells {1,4,5} and {0,2,3}.
         fam = new_family(1, 2, 100, seed=7)
-        part = induced_partition(fam.functions[0], range(6))
-        assert str(part) == "{1,4,5}|{0,2,3}"
+        cells = evaluate_batch(fam.functions[0], np.arange(6, dtype=np.uint64))
+        assert cells.tolist() == [1, 0, 1, 1, 0, 0]
 
     def test_cells_partition_universe(self):
         fam = new_family(4, 5, 1000, seed=21)
-        universe = range(0, 1000, 7)
+        universe = np.arange(0, 1000, 7, dtype=np.uint64)
         for h in fam.functions:
-            part = induced_partition(h, universe)
-            part.validate(universe)
-            assert part.k <= 5
-
-    def test_empty_universe_rejected(self):
-        fam = new_family(1, 2, 10, seed=0)
-        with pytest.raises(ValueError):
-            induced_partition(fam.functions[0], [])
+            cells = evaluate_batch(h, universe)
+            assert cells.shape == universe.shape
+            assert ((0 <= cells) & (cells < 5)).all()
+            assert cells.tolist() == [h.evaluate(int(x)) for x in universe]
 
 
 class TestHeaderSerialization:

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,27 +6,40 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from starsketch.divergence import get_divergence
 from starsketch.histogram import (
     EmpiricalDistribution,
-    Partition,
     PartitionBudgetError,
     aggregate,
     as_distribution,
     assignment_blocks,
     dump_histogram,
-    enumerate_partitions,
     from_stream,
     load_histogram,
     normalize,
-    partition_from_assignment,
-    restricted_growth_strings,
     stirling,
 )
+from starsketch.starmetric import exact_star_metric
 
 
 def stirling_by_formula(n, k):
     # Independent oracle: the alternating-sum formula, exact integers.
     return sum((-1) ** (k - j) * math.comb(k, j) * j ** n for j in range(k + 1)) // math.factorial(k)
+
+
+def reference_rgs(n, k):
+    # Independent oracle: every labeling of n items with labels 0..k-1, kept
+    # when it uses exactly k labels and each label first appears after the
+    # previous one (a restricted growth string).  product() runs in
+    # lexicographic order, so the kept strings are in that order too.
+    for labels in itertools.product(range(k), repeat=n):
+        firsts = [labels.index(j) for j in range(k) if j in labels]
+        if len(firsts) == k and firsts == sorted(firsts):
+            yield labels
+
+
+def all_rows(n, k, block_size=4096):
+    return np.concatenate(list(assignment_blocks(n, k, block_size)))
 
 
 class TestEmpiricalDistribution:
@@ -74,59 +88,54 @@ class TestAsDistribution:
             as_distribution(bad)
 
 
-class TestPartition:
-    def test_empty_cell_rejected(self):
-        with pytest.raises(ValueError):
-            Partition.from_cells([[1], []])
-
-    def test_validate_disjoint(self):
-        with pytest.raises(ValueError):
-            Partition.from_cells([[1, 2], [2, 3]]).validate()
-
-    def test_validate_cover(self):
-        p = Partition.from_cells([[1, 2], [3]])
-        p.validate([1, 2, 3])
-        with pytest.raises(ValueError):
-            p.validate([1, 2, 3, 4])
-
-    def test_singletons(self):
-        p = Partition.singletons([1, 2, 3])
-        assert p.k == 3
-        assert p.universe() == {1, 2, 3}
-
-
 class TestAggregate:
     def test_two_cell_sums(self):
-        p = aggregate([0.1, 0.2, 0.3, 0.4], Partition.from_cells([[1, 3], [2, 4]]))
+        p = aggregate([0.1, 0.2, 0.3, 0.4], np.array([0, 1, 0, 1]))
         assert np.allclose(p, [0.4, 0.6], atol=1e-15)
 
     def test_singletons_is_permutation(self):
         v = np.array([0.2, 0.5, 0.3])
-        out = aggregate(v, Partition.from_cells([[2], [1], [3]]))
-        assert out.tolist() == [0.5, 0.2, 0.3]
+        assert aggregate(v, np.array([1, 0, 2])).tolist() == [0.5, 0.2, 0.3]
+        assert aggregate(v, np.arange(3)).tolist() == v.tolist()
 
     def test_pair_cell(self):
-        out = aggregate([0.5, 0.3, 0.2], Partition.from_cells([[1], [2, 3]]))
+        out = aggregate([0.5, 0.3, 0.2], np.array([0, 1, 1]))
         assert np.allclose(out, [0.5, 0.5], atol=1e-15)
 
-    def test_explicit_universe(self):
-        out = aggregate([0.5, 0.5], Partition.from_cells([[10, 20]]), universe=[10, 20])
-        assert out.tolist() == [1.0]
+    def test_block_rows_match_single_rows(self):
+        rng = np.random.default_rng(0)
+        v = rng.random(7)
+        block = all_rows(7, 3)
+        out = aggregate(v, block)
+        assert out.shape == (block.shape[0], 3)
+        for i in (0, 1, 100, block.shape[0] - 1):
+            assert out[i].tobytes() == aggregate(v, block[i]).tobytes()
+
+    def test_sums_in_index_order(self):
+        # 0.1 + 0.2 + 0.3 and 0.3 + 0.2 + 0.1 differ in the last bit.
+        out = aggregate([0.1, 0.2, 0.3], np.zeros(3, dtype=np.int8))
+        assert out.tolist() == [0.1 + 0.2 + 0.3]
 
     def test_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            aggregate([0.5, 0.5], Partition.from_cells([[1], [3]]))
+            aggregate([0.5, 0.5], np.array([0, 1, 2]))
+        with pytest.raises(ValueError):
+            aggregate([0.5, 0.5], np.array([0, -1]))
+        with pytest.raises(ValueError):
+            aggregate([0.5, 0.5], np.array([0.0, 1.0]))
+        with pytest.raises(ValueError):
+            aggregate([], np.array([], dtype=np.int8))
 
     @given(st.integers(2, 10), st.data())
     @settings(max_examples=50, deadline=None)
     def test_mass_preserved(self, n, data):
         k = data.draw(st.integers(1, n))
         labels = data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
-        part = partition_from_assignment(labels)
         rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 31)))
         v = rng.random(n)
         v /= v.sum()
-        out = aggregate(v, part)
+        out = aggregate(v, np.array(labels))
+        assert out.size == max(labels) + 1
         assert abs(out.sum() - v.sum()) <= 1e-12
 
 
@@ -158,47 +167,60 @@ class TestStirling:
 
 class TestEnumeration:
     def test_three_into_two(self):
-        parts = [str(p) for p in enumerate_partitions(3, 2)]
-        assert parts == ["{1,2}|{3}", "{1,3}|{2}", "{1}|{2,3}"]
+        assert all_rows(3, 2).tolist() == [[0, 0, 1], [0, 1, 0], [0, 1, 1]]
 
     def test_singleton_case(self):
-        parts = list(enumerate_partitions(4, 4))
-        assert len(parts) == 1
-        assert parts[0] == Partition.singletons([1, 2, 3, 4])
+        assert np.array_equal(all_rows(4, 4), [np.arange(4)])
 
     def test_four_into_two_has_seven(self):
-        assert sum(1 for _ in enumerate_partitions(4, 2)) == 7
+        assert all_rows(4, 2).shape == (7, 4)
 
     def test_counts_match_stirling(self):
         for n in range(1, 9):
             for k in range(1, n + 1):
-                count = sum(1 for _ in enumerate_partitions(n, k))
-                assert count == stirling(n, k) == stirling_by_formula(n, k)
+                rows = all_rows(n, k)
+                assert rows.shape == (stirling(n, k), n)
+                assert rows.shape[0] == stirling_by_formula(n, k)
 
     def test_every_partition_is_valid(self):
+        # Each row uses exactly the labels 0..k-1, each introduced in turn.
         for n in range(1, 8):
             for k in range(1, n + 1):
-                for part in enumerate_partitions(n, k):
-                    assert part.k == k
-                    part.validate(range(1, n + 1))
+                rows = all_rows(n, k)
+                assert rows.dtype == np.int8
+                assert (rows.max(axis=1) == k - 1).all()
+                assert (rows[:, 0] == 0).all()
+                assert (np.diff(np.maximum.accumulate(rows, axis=1), axis=1) <= 1).all()
 
     def test_no_duplicates(self):
-        seen = set(p.cells for p in enumerate_partitions(7, 3))
-        assert len(seen) == stirling(7, 3)
+        rows = all_rows(7, 3)
+        assert len({r.tobytes() for r in rows}) == rows.shape[0] == stirling(7, 3)
 
     def test_budget_exceeded(self):
+        p = np.full(20, 1 / 20)
         with pytest.raises(PartitionBudgetError):
-            list(enumerate_partitions(20, 8, budget=1000))
+            exact_star_metric(get_divergence("tv"), p, p, 8, budget=1000)
 
     def test_rgs_lexicographic(self):
-        strings = list(restricted_growth_strings(5, 3))
-        assert strings == sorted(strings)
-        assert strings[0] == (0, 0, 0, 1, 2)
+        rows = all_rows(5, 3).tolist()
+        assert rows == sorted(rows)
+        assert rows[0] == [0, 0, 0, 1, 2]
 
     def test_blocks_agree_with_generator(self):
-        blocks = np.concatenate(list(assignment_blocks(6, 3, block_size=7)))
-        direct = np.array(list(restricted_growth_strings(6, 3)))
-        assert np.array_equal(blocks, direct)
+        for n in range(1, 8):
+            for k in range(1, n + 1):
+                assert all_rows(n, k).tolist() == [list(r) for r in reference_rgs(n, k)]
+
+    @pytest.mark.parametrize("block_size", [1, 2, 7, 64, 4096])
+    def test_block_size_keeps_rows(self, block_size):
+        blocks = list(assignment_blocks(8, 3, block_size))
+        assert all(0 < b.shape[0] <= block_size for b in blocks)
+        assert np.array_equal(np.concatenate(blocks), all_rows(8, 3))
+
+    @pytest.mark.parametrize("n,k", [(3, 0), (3, 4), (0, 0)])
+    def test_out_of_range(self, n, k):
+        with pytest.raises(ValueError):
+            next(assignment_blocks(n, k))
 
 
 def test_histogram_csv_roundtrip(tmp_path):

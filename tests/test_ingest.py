@@ -9,7 +9,6 @@ from starsketch.ingest import (
     frequency_ranks,
     iter_records,
     parse_clf_line,
-    records_to_items,
     target_to_item,
     trace_stats,
 )
@@ -86,9 +85,12 @@ class TestTraceStats:
         assert stats.malformed == 2
 
     def test_roundtrip_through_item_stream(self):
-        records = [parse_clf_line(line) for line in SAMPLE_LINES * 7]
-        stats = trace_stats(records)
-        hist = from_stream(records_to_items(records))
+        records = [parse_clf_line(line) for line in SAMPLE_LINES * 7 + ["broken"]]
+        ids = []
+        stats = trace_stats(records, ids)
+        assert ids == [target_to_item(r.request_target) for r in records if r.valid]
+        assert trace_stats(records) == stats
+        hist = from_stream(ids)
         assert hist.total == stats.items
         assert hist.distinct == stats.distinct
         assert max(hist.counts.values()) == stats.max_frequency

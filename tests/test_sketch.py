@@ -2,12 +2,15 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from starsketch.generators import DistributionFamily, sample_stream
 from starsketch.hashing import new_family
 from starsketch.sketch import (
     MAX_TOTAL,
     FamilyMismatchError,
+    _item_ids,
     load_sketch,
     new_sketch,
     sketch_from_bytes,
@@ -63,6 +66,43 @@ class TestUpdate:
             else:
                 s.update_many(rng.integers(0, 1000, size=rng.integers(1, 50)))
             assert (s.counts.sum(axis=1) == s.total).all()
+
+    @pytest.mark.parametrize("bad", [np.array([-1, 3]), [2.7, 3.2], np.array([1.0, 2.0]),
+                                     [1, 2 ** 64], ["a"]])
+    def test_bad_ids_rejected(self, family, bad):
+        s = new_sketch(family)
+        with pytest.raises(ValueError, match="item ids"):
+            s.update_many(bad)
+        with pytest.raises(ValueError, match="item ids"):
+            sketch_stream(family, bad)
+        assert s.total == 0 and not s.counts.any()
+
+    @pytest.mark.parametrize("bad", [-1, 2.0, 2 ** 64, np.int64(-3), "7"])
+    def test_bad_single_id_rejected(self, family, bad):
+        s = new_sketch(family)
+        with pytest.raises(ValueError, match="item id"):
+            s.update(bad)
+        assert s.total == 0 and not s.counts.any()
+
+    def test_empty_batch_accepted(self, family):
+        for empty in ([], np.array([], dtype=np.int64), np.empty(0, dtype=np.uint64)):
+            s = sketch_stream(family, empty)
+            assert s.total == 0 and not s.counts.any()
+
+    def test_integer_ids_accepted_exactly(self, family):
+        ids = [0, 5, 2 ** 63 + 5, 2 ** 64 - 1]
+        expected = new_sketch(family)
+        for v in ids:
+            expected.update(v)
+        for batch in (ids, np.array(ids, dtype=np.uint64)):
+            assert np.array_equal(sketch_stream(family, batch).counts, expected.counts)
+        small = sketch_stream(family, np.array([0, 5], dtype=np.int8))
+        assert np.array_equal(small.counts, sketch_stream(family, ids[:2]).counts)
+
+    def test_uint64_ids_not_copied(self):
+        # The hot path takes a uint64 array as it is, with no pass over it.
+        ids = np.arange(10, dtype=np.uint64)
+        assert _item_ids(ids) is ids
 
     def test_overflow_aborts(self, family):
         s = new_sketch(family)
@@ -171,6 +211,25 @@ class TestSerialization:
         blob[dims_at:dims_at + 8] = struct.pack("<II", 1 << 20, 1 << 20)
         with pytest.raises(ValueError, match="truncated sketch file: .* needs"):
             sketch_from_bytes(bytes(blob))
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_arbitrary_bytes_never_escape_value_error(self, data):
+        blob = sketch_stream(new_family(2, 3, 100, seed=1), [1, 2, 3]).to_bytes()
+        raw = data.draw(st.one_of(
+            st.binary(max_size=120),
+            st.tuples(st.integers(0, len(blob)), st.binary(max_size=12)).map(
+                lambda cut: blob[:cut[0]] + cut[1]),
+            st.tuples(st.integers(0, len(blob) - 1), st.integers(1, 255)).map(
+                lambda flip: blob[:flip[0]] + bytes([blob[flip[0]] ^ flip[1]])
+                + blob[flip[0] + 1:]),
+        ))
+        try:
+            sk = sketch_from_bytes(raw)
+        except ValueError:
+            return
+        assert sk.counts.shape == (sk.t, sk.k)
+        assert (sk.counts.sum(axis=1) == sk.total).all()
 
     def test_size_bound(self, tmp_path):
         # Concrete form of the t*(k log m + log n) space promise.
