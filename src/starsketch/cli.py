@@ -9,8 +9,6 @@ import argparse
 import csv
 import sys
 
-import numpy as np
-
 from . import __version__
 from .divergence import available, get_divergence, smoothed
 from .generators import DistributionFamily, read_stream, sample_stream, write_stream
@@ -41,9 +39,8 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_ingest(args) -> int:
-    ids: list[int] = []
-    stats = trace_stats(iter_records(args.infile), ids)
-    write_stream(args.out, np.array(ids, dtype=np.uint64), 0, f"clf:{args.infile}")
+    stats, ids = trace_stats(iter_records(args.infile))
+    write_stream(args.out, ids, 0, f"clf:{args.infile}")
     if args.stats:
         with open(args.stats, "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
@@ -84,7 +81,7 @@ def _cmd_distance(args) -> int:
 
 def _cmd_stats(args) -> int:
     items, _, descriptor = read_stream(args.infile)
-    dist = from_stream(items.tolist())
+    dist = from_stream(items)
     print(f"{descriptor}: {dist.total} items, {dist.distinct} distinct")
     if args.histogram:
         dump_histogram(dist, args.histogram)
@@ -92,7 +89,7 @@ def _cmd_stats(args) -> int:
         with open(args.ranks, "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["rank", "frequency"])
-            writer.writerows(frequency_ranks(dist.counts.values()))
+            writer.writerows(frequency_ranks(dist.counts))
     return 0
 
 

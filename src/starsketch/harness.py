@@ -212,9 +212,9 @@ def run_plan(plan: ExperimentPlan) -> list[ResultRow]:
         for trial in range(plan.trials):
             items1 = src1.materialize(plan.m, derive_seed(plan.master_seed, "stream", pair_index, 0, trial))
             items2 = src2.materialize(plan.m, derive_seed(plan.master_seed, "stream", pair_index, 1, trial))
-            hist1 = from_stream(items1.tolist())
-            hist2 = from_stream(items2.tolist())
-            universe = range(1, plan.n + 1) if synthetic else None
+            hist1 = from_stream(items1)
+            hist2 = from_stream(items2)
+            universe = np.arange(1, plan.n + 1, dtype=np.uint64) if synthetic else None
             refs = {
                 name: reference_distance(spec, hist1, hist2, universe)
                 for name, spec in specs.items()

@@ -86,9 +86,35 @@ def _mulmod_m61(a: int, x: np.ndarray) -> np.ndarray:
     return np.where(acc >= _M61, acc - _M61, acc)
 
 
+def item_ids(items) -> np.ndarray:
+    """``items`` as a uint64 array, rejecting negative and non-integer ids.
+
+    This is the one id check at every boundary that takes item ids.  A uint64
+    array is returned as it is, with no pass over its data.
+    """
+    ids = np.asarray(items)
+    if ids.dtype == np.uint64:
+        return ids
+    if ids.size == 0:
+        return ids.astype(np.uint64)
+    if ids.dtype.kind in "iu":
+        if ids.dtype.kind == "i" and ids.min() < 0:
+            raise ValueError(f"item ids must be nonnegative, found {ids.min()}")
+        return ids.astype(np.uint64)
+    # A list mixing Python ints below and above 2^63 is inferred as float64
+    # or object; convert it exactly once every element is known to be an int.
+    if (not isinstance(items, np.ndarray) and ids.ndim == 1
+            and all(isinstance(v, int) for v in items)):
+        try:
+            return np.asarray(items, dtype=np.uint64)
+        except OverflowError:
+            raise ValueError("item ids must lie in [0, 2^64)") from None
+    raise ValueError(f"item ids must be integers, got dtype {ids.dtype}")
+
+
 def evaluate_batch(h: HashFunction, xs: np.ndarray) -> np.ndarray:
     """Vectorized evaluate over an array of item ids; agrees with HashFunction.evaluate."""
-    xs = np.asarray(xs, dtype=np.uint64)
+    xs = item_ids(xs)
     if h.p == MERSENNE61:
         r = _mulmod_m61(h.a, _fold_m61(xs))
         r = r + np.uint64(h.b)

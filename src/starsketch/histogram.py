@@ -1,23 +1,25 @@
 """Exact stream histograms, set partitions, and partition-space enumeration.
 
-A stream is summarized exactly by an :class:`EmpiricalDistribution` (item ->
-occurrence count).  Probability vectors are plain float64 numpy arrays over an
-explicitly ordered universe.  A partition of that universe into k cells is a
-label array: entry i is the cell (0..k-1) of item i, and :func:`aggregate`
-collapses a vector along one label array or a block of them.  The
-enumeration side (:func:`assignment_blocks`, :func:`stirling`) is the
-brute-force oracle used to maximize a divergence over every k-cell partition
-of a small universe.
+A stream is summarized exactly by an :class:`EmpiricalDistribution`: its
+distinct item ids, sorted ascending as uint64, and the positive int64 count of
+each, both from one ``np.unique`` over the id array.  Probability vectors are
+plain float64 numpy arrays over an explicitly ordered universe.  A partition
+of that universe into k cells is a label array: entry i is the cell (0..k-1)
+of item i, and :func:`aggregate` collapses a vector along one label array or
+a block of them.  The enumeration side (:func:`assignment_blocks`,
+:func:`stirling`) is the brute-force oracle used to maximize a divergence
+over every k-cell partition of a small universe.
 """
 from __future__ import annotations
 
 import csv
-from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
+
+from .hashing import item_ids
 
 # Exact Stirling numbers are only served up to this n.  S(26,13) still fits a
 # signed 64-bit counter; one row further does not, and the enumeration budget
@@ -34,38 +36,47 @@ class PartitionBudgetError(RuntimeError):
     """Exhaustive enumeration would exceed the caller's partition budget."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EmpiricalDistribution:
-    """Item counts and total length of one stream.
+    """Distinct item ids and their counts for one stream.
 
-    ``counts`` holds strictly positive multiplicities; items never seen are
-    implicit zeros.  ``total`` is the stream length m.
+    ``ids`` is sorted, unique and uint64; ``counts`` holds the strictly
+    positive int64 multiplicity of each id, in the same order.  Items never
+    seen are implicit zeros.  ``total`` is the stream length m.
     """
 
-    counts: dict[int, int]
-    total: int
+    ids: np.ndarray
+    counts: np.ndarray
+    total: int = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.total != sum(self.counts.values()):
-            raise ValueError("total does not match the sum of counts")
-        if any(c <= 0 for c in self.counts.values()):
+        ids = item_ids(self.ids)
+        counts = np.asarray(self.counts)
+        if ids.ndim != 1 or counts.shape != ids.shape:
+            raise ValueError("ids and counts must be 1-D arrays of one length")
+        if counts.size and counts.dtype.kind not in "iu":
+            raise ValueError(f"counts must be integers, got dtype {counts.dtype}")
+        counts = counts.astype(np.int64, copy=False)
+        if np.any(ids[1:] <= ids[:-1]):
+            raise ValueError("ids must be sorted and unique")
+        if np.any(counts <= 0):
             raise ValueError("counts must be strictly positive")
+        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "total", int(counts.sum()))
 
     @property
     def distinct(self) -> int:
-        return len(self.counts)
-
-    def support(self) -> list[int]:
-        return sorted(self.counts)
+        return int(self.ids.size)
 
 
-def from_stream(items: Iterable[int]) -> EmpiricalDistribution:
-    """Count item multiplicities in one pass. Empty streams are allowed."""
-    counts = Counter(items)
-    return EmpiricalDistribution(dict(counts), sum(counts.values()))
+def from_stream(items: np.ndarray | Sequence[int]) -> EmpiricalDistribution:
+    """Count item multiplicities with one ``np.unique``. Empty streams are allowed."""
+    ids, counts = np.unique(item_ids(items), return_counts=True)
+    return EmpiricalDistribution(ids, counts)
 
 
-def normalize(dist: EmpiricalDistribution, universe: Sequence[int]) -> np.ndarray:
+def normalize(dist: EmpiricalDistribution, universe: np.ndarray | Sequence[int]) -> np.ndarray:
     """Probability vector x_i / m over ``universe`` in the given order.
 
     Items absent from the distribution get probability zero.  Raises on an
@@ -73,8 +84,12 @@ def normalize(dist: EmpiricalDistribution, universe: Sequence[int]) -> np.ndarra
     """
     if dist.total == 0:
         raise ValueError("cannot normalize an empty stream")
-    m = float(dist.total)
-    return np.array([dist.counts.get(i, 0) / m for i in universe], dtype=np.float64)
+    u = item_ids(universe)
+    at = np.minimum(np.searchsorted(dist.ids, u), dist.ids.size - 1)
+    seen = dist.ids[at] == u
+    v = np.zeros(u.shape, dtype=np.float64)
+    v[seen] = dist.counts[at[seen]] / float(dist.total)
+    return v
 
 
 def as_distribution(weights: Sequence[float] | np.ndarray) -> np.ndarray:
@@ -177,11 +192,15 @@ def dump_histogram(dist: EmpiricalDistribution, path: str) -> None:
         fh.write(f"# total={dist.total}\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["item", "count"])
-        for item in sorted(dist.counts):
-            writer.writerow([item, dist.counts[item]])
+        writer.writerows(zip(dist.ids.tolist(), dist.counts.tolist()))
 
 
 def load_histogram(path: str) -> EmpiricalDistribution:
+    """Read :func:`dump_histogram` output.
+
+    Item lines must be in ascending id order with no repeats, ids in
+    [0, 2^64) and counts positive; anything else raises ``ValueError``.
+    """
     with open(path, "r", newline="") as fh:
         header = fh.readline().strip()
         if not header.startswith("# total="):
@@ -189,8 +208,11 @@ def load_histogram(path: str) -> EmpiricalDistribution:
         total = int(header.split("=", 1)[1])
         reader = csv.reader(fh)
         next(reader)  # column names
-        counts = {int(item): int(count) for item, count in reader}
-    dist = EmpiricalDistribution(counts, sum(counts.values()))
+        rows = [(int(item), int(count)) for item, count in reader]
+    try:
+        dist = EmpiricalDistribution([item for item, _ in rows], [count for _, count in rows])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     if dist.total != total:
         raise ValueError(f"{path}: header total {total} != summed counts {dist.total}")
     return dist

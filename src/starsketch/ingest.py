@@ -13,9 +13,12 @@ from __future__ import annotations
 import gzip
 import hashlib
 import re
-from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
+
+import numpy as np
+
+from .histogram import from_stream
 
 # Bump when the target-to-id mapping changes; recorded in stats output.
 FINGERPRINT_VERSION = 1
@@ -73,32 +76,33 @@ def iter_records(path: str) -> Iterator[LogRecord]:
             yield parse_clf_line(line)
 
 
-def trace_stats(records: Iterable[LogRecord], ids: list[int] | None = None) -> TraceStats:
-    """Stream size, distinct targets, and peak frequency over valid records.
+def trace_stats(records: Iterable[LogRecord]) -> tuple[TraceStats, np.ndarray]:
+    """Stream size, distinct ids, and peak frequency over valid records.
 
-    When ``ids`` is given, the item id of each valid record is appended to it
-    in stream order, so one pass over a log yields both the stream and its
-    stats.
+    Returns the stats together with the stream itself: the uint64 item id of
+    each valid record in stream order, so one pass over a log yields both.
+    The stats are those of that id array, so ``distinct`` counts 64-bit
+    fingerprints.
     """
-    counts: Counter[str] = Counter()
+    ids: list[int] = []
     malformed = 0
     for rec in records:
         if rec.valid:
-            counts[rec.request_target] += 1
-            if ids is not None:
-                ids.append(target_to_item(rec.request_target))
+            ids.append(target_to_item(rec.request_target))
         else:
             malformed += 1
-    items = sum(counts.values())
-    return TraceStats(
-        items=items,
-        distinct=len(counts),
-        max_frequency=max(counts.values()) if counts else 0,
+    stream = np.array(ids, dtype=np.uint64)
+    hist = from_stream(stream)
+    stats = TraceStats(
+        items=hist.total,
+        distinct=hist.distinct,
+        max_frequency=int(hist.counts.max()) if hist.distinct else 0,
         malformed=malformed,
     )
+    return stats, stream
 
 
-def frequency_ranks(counts: Iterable[int]) -> list[tuple[int, int]]:
+def frequency_ranks(counts: np.ndarray | Sequence[int]) -> list[tuple[int, int]]:
     """(rank, frequency) pairs, most frequent first; feeds log-scale plots."""
-    ordered = sorted(counts, reverse=True)
-    return [(rank, freq) for rank, freq in enumerate(ordered, start=1)]
+    ordered = np.sort(np.asarray(counts, dtype=np.int64))[::-1].tolist()
+    return list(enumerate(ordered, start=1))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hashing import HashFamily, evaluate_batch
+from .hashing import HashFamily, evaluate_batch, item_ids
 
 MAX_TOTAL = 2 ** 64 - 1
 
@@ -59,7 +59,7 @@ class SketchMatrix:
 
     def update_many(self, items) -> None:
         """Absorb a batch of items (vectorized hot path)."""
-        items = _item_ids(items)
+        items = item_ids(items)
         if self.total + items.size > MAX_TOTAL:
             raise OverflowError("counter capacity exhausted")
         for i, h in enumerate(self.family.functions):
@@ -92,30 +92,6 @@ class SketchMatrix:
         return b"".join((_PREFIX.pack(_MAGIC, _VERSION, len(header)), header,
                          _DIMS.pack(self.t, self.k, self.total),
                          self.counts.astype("<u8").tobytes()))
-
-
-def _item_ids(items) -> np.ndarray:
-    """``items`` as a uint64 array, rejecting negative and non-integer ids.
-
-    A uint64 array is returned as it is, with no pass over its data.
-    """
-    ids = np.asarray(items)
-    if ids.dtype == np.uint64:
-        return ids
-    if ids.size == 0:
-        return ids.astype(np.uint64)
-    if ids.dtype.kind in "iu":
-        if ids.dtype.kind == "i" and ids.min() < 0:
-            raise ValueError(f"item ids must be nonnegative, found {ids.min()}")
-        return ids.astype(np.uint64)
-    # A list mixing Python ints below and above 2^63 is inferred as float64
-    # or object; convert it exactly once every element is known to be an int.
-    if not isinstance(items, np.ndarray) and all(isinstance(v, int) for v in items):
-        try:
-            return np.asarray(items, dtype=np.uint64)
-        except OverflowError:
-            raise ValueError("item ids must lie in [0, 2^64)") from None
-    raise ValueError(f"item ids must be integers, got dtype {ids.dtype}")
 
 
 def new_sketch(family: HashFamily) -> SketchMatrix:

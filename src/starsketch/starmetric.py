@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Sequence
 
 import numpy as np
 
@@ -29,6 +29,7 @@ from .divergence import (
     combine_bregman,
     from_bregman_generator,
 )
+from .hashing import item_ids
 from .histogram import (
     DEFAULT_PARTITION_BUDGET,
     MAX_STIRLING_N,
@@ -133,7 +134,8 @@ def exact_star_metric(
         if float(vals[i]) > best:
             best = float(vals[i])
             best_assignment = block[i].copy()
-    assert best_assignment is not None
+    if best_assignment is None:
+        raise ValueError(f"{phi.name}: no partition has a value above -inf (n={n}, k={k})")
     return StarMetricResult(best, best_assignment, "exact", k, total)
 
 
@@ -156,7 +158,7 @@ def reference_distance(
     phi: DivergenceSpec,
     s1: EmpiricalDistribution,
     s2: EmpiricalDistribution,
-    universe: Iterable[int] | None = None,
+    universe: np.ndarray | Sequence[int] | None = None,
 ) -> float:
     """phi on the full normalized histograms; the ground truth for a pair.
 
@@ -165,10 +167,7 @@ def reference_distance(
     """
     if s1.total == 0 or s2.total == 0:
         raise ValueError("cannot compare empty streams")
-    if universe is None:
-        u = sorted(set(s1.counts) | set(s2.counts))
-    else:
-        u = list(universe)
+    u = np.union1d(s1.ids, s2.ids) if universe is None else item_ids(universe)
     return phi(normalize(s1, u), normalize(s2, u))
 
 

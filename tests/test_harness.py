@@ -1,5 +1,8 @@
 import csv
+import hashlib
 import math
+import os
+import re
 
 import pytest
 
@@ -21,6 +24,7 @@ from starsketch.harness import (
     write_results,
 )
 from starsketch.divergence import get_divergence
+from starsketch.histogram import dump_histogram, from_stream
 
 TINY_PLAN = """
 # uniform against a skewed stream, small scale
@@ -244,3 +248,31 @@ def test_plan_validation():
         ExperimentPlan(pairs=[(src, src)], divergences=["js"], k_values=[4], t_values=[2], trials=0)
     with pytest.raises(ValueError):
         StreamSource()
+
+
+PLANS = os.path.join(os.path.dirname(__file__), os.pardir, "plans")
+
+
+def _sha256(path) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def test_output_bytes_pinned(tmp_path):
+    # The shipped allpairs plan at one trial of 20000 items, and the histogram
+    # file of one generated stream, must keep their exact bytes: every
+    # reference value, estimate and count is fixed by the plan and its seed.
+    with open(os.path.join(PLANS, "allpairs.plan")) as fh:
+        text = fh.read()
+    text = re.sub(r"(?m)^trials = .*$", "trials = 1", text)
+    text = re.sub(r"(?m)^m = .*$", "m = 20000", text)
+    out = tmp_path / "allpairs"
+    run_plan_to_dir(parse_plan(text), str(out))
+    assert _sha256(out / "results.csv") == \
+        "4f89107c40c3b27ae2aa9762efd0c60656803f06dce400988b3bdd91dfe2e1ed"
+    assert _sha256(out / "summary.csv") == \
+        "fa3331b8bf839d93b253ae437e898fdca0bebd67fe444c07214ac35ef5f467a2"
+    hist = tmp_path / "hist.csv"
+    dump_histogram(from_stream(sample_stream(DistributionFamily.zipf(4000, 1.0), 20000, 3)),
+                   str(hist))
+    assert _sha256(hist) == "e7e2b0ead927ea1ecc1926e74367b7447e85872e0b94fb6dd115f84ae45e5673"

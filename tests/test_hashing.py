@@ -106,6 +106,14 @@ class TestBatchEvaluation:
         for x, cell in zip(xs.tolist(), batch.tolist()):
             assert cell == h.evaluate(x)
 
+    @pytest.mark.parametrize("bad", [[-1, 3], [2.5, 3], ["x", 3], np.array([-1, 3]),
+                                     np.array([2.5, 3.0]), np.array(["x"])])
+    def test_rejects_invalid_ids(self, bad):
+        # -1 must not wrap to 2^64 - 1, 2.5 must not truncate to 2.
+        h = new_family(1, 37, 5000, seed=13).functions[0]
+        with pytest.raises(ValueError):
+            evaluate_batch(h, bad)
+
     def test_mersenne_reduction_wraps_ids(self):
         # Pre-reduction: x and x mod P hash identically.
         h = new_family(1, 1000, 2 ** 62, seed=8).functions[0]

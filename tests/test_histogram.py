@@ -46,19 +46,37 @@ class TestEmpiricalDistribution:
     def test_empty_stream(self):
         d = from_stream([])
         assert d.total == 0
-        assert d.counts == {}
+        assert d.ids.dtype == np.uint64 and d.ids.size == 0
+        assert d.counts.dtype == np.int64 and d.counts.size == 0
 
     def test_counts(self):
-        d = from_stream([5, 5, 7])
-        assert d.counts == {5: 2, 7: 1}
+        d = from_stream([7, 5, 5])
+        assert d.ids.dtype == np.uint64 and d.ids.tolist() == [5, 7]
+        assert d.counts.dtype == np.int64 and d.counts.tolist() == [2, 1]
         assert d.total == 3
         assert d.distinct == 2
 
+    def test_ids_above_2_53_stay_apart(self):
+        ids = np.array([2 ** 63, 2 ** 63 + 1, 2 ** 64 - 1, 2 ** 64 - 1], dtype=np.uint64)
+        d = from_stream(ids)
+        assert d.ids.tolist() == [2 ** 63, 2 ** 63 + 1, 2 ** 64 - 1]
+        assert normalize(d, [2 ** 64 - 1, 2 ** 63 + 1, 2 ** 63]).tolist() == [0.5, 0.25, 0.25]
+
+    @pytest.mark.parametrize("bad", [[-1], [2.5], ["x"], [-1, 2.5, "x"],
+                                     np.array([-1, 3]), np.array([2.5])])
+    def test_rejects_invalid_ids(self, bad):
+        with pytest.raises(ValueError):
+            from_stream(bad)
+
     def test_invariants_enforced(self):
-        with pytest.raises(ValueError):
-            EmpiricalDistribution({1: 2}, 5)
-        with pytest.raises(ValueError):
-            EmpiricalDistribution({1: 0}, 0)
+        with pytest.raises(ValueError):  # unsorted
+            EmpiricalDistribution([3, 1], [1, 1])
+        with pytest.raises(ValueError):  # duplicate
+            EmpiricalDistribution([1, 1], [1, 1])
+        with pytest.raises(ValueError):  # nonpositive count
+            EmpiricalDistribution([1], [0])
+        with pytest.raises(ValueError):  # misaligned
+            EmpiricalDistribution([1, 2], [1])
 
 
 class TestNormalize:
@@ -76,6 +94,10 @@ class TestNormalize:
     def test_empty_stream_rejected(self):
         with pytest.raises(ValueError):
             normalize(from_stream([]), [1])
+
+    def test_rejects_invalid_universe(self):
+        with pytest.raises(ValueError):
+            normalize(from_stream([1]), [-1, 1])
 
 
 class TestAsDistribution:
@@ -228,6 +250,20 @@ def test_histogram_csv_roundtrip(tmp_path):
     path = tmp_path / "hist.csv"
     dump_histogram(d, str(path))
     loaded = load_histogram(str(path))
-    assert loaded == d
-    header = path.read_text().splitlines()[0]
-    assert header == "# total=6"
+    assert np.array_equal(loaded.ids, d.ids) and loaded.ids.dtype == np.uint64
+    assert np.array_equal(loaded.counts, d.counts) and loaded.total == d.total
+    assert path.read_text() == "# total=6\nitem,count\n3,3\n9,1\n12,2\n"
+
+
+@pytest.mark.parametrize("body", [
+    "# total=5\nitem,count\n3,2\n3,3\n",  # duplicate item
+    "# total=5\nitem,count\n9,2\n3,3\n",  # unsorted items
+    "# total=2\nitem,count\n-4,2\n",  # negative id
+    "# total=2\nitem,count\n3,0\n4,2\n",  # zero count
+    "# total=2\nitem,count\n3,-1\n4,3\n",  # negative count
+])
+def test_load_histogram_rejects_bad_items(tmp_path, body):
+    path = tmp_path / "hist.csv"
+    path.write_text(body)
+    with pytest.raises(ValueError, match="hist.csv"):
+        load_histogram(str(path))

@@ -1,5 +1,6 @@
 import gzip
 
+import numpy as np
 import pytest
 
 from starsketch.histogram import from_stream
@@ -72,28 +73,29 @@ class TestTargetToItem:
 class TestTraceStats:
     def test_hand_built(self):
         records = [parse_clf_line(line) for line in SAMPLE_LINES]
-        stats = trace_stats(records)
+        stats, _ = trace_stats(records)
         assert stats == TraceStats(items=4, distinct=3, max_frequency=2, malformed=0)
 
     def test_empty(self):
-        assert trace_stats([]) == TraceStats(0, 0, 0, 0)
+        stats, ids = trace_stats([])
+        assert stats == TraceStats(0, 0, 0, 0)
+        assert ids.dtype == np.uint64 and ids.size == 0
 
     def test_malformed_counted_separately(self):
         records = [parse_clf_line(line) for line in SAMPLE_LINES + ["broken", ""]]
-        stats = trace_stats(records)
-        assert stats.items == 4
+        stats, ids = trace_stats(records)
+        assert stats.items == 4 == ids.size
         assert stats.malformed == 2
 
     def test_roundtrip_through_item_stream(self):
         records = [parse_clf_line(line) for line in SAMPLE_LINES * 7 + ["broken"]]
-        ids = []
-        stats = trace_stats(records, ids)
-        assert ids == [target_to_item(r.request_target) for r in records if r.valid]
-        assert trace_stats(records) == stats
+        stats, ids = trace_stats(records)
+        assert ids.dtype == np.uint64
+        assert ids.tolist() == [target_to_item(r.request_target) for r in records if r.valid]
         hist = from_stream(ids)
         assert hist.total == stats.items
         assert hist.distinct == stats.distinct
-        assert max(hist.counts.values()) == stats.max_frequency
+        assert hist.counts.max() == stats.max_frequency
 
     def test_invariants(self):
         with pytest.raises(ValueError):
@@ -112,7 +114,7 @@ class TestIterRecords:
         path = tmp_path / "access_log.gz"
         with gzip.open(path, "wt", encoding="latin-1") as fh:
             fh.write("\n".join(SAMPLE_LINES) + "\nbroken line\n")
-        stats = trace_stats(iter_records(str(path)))
+        stats, _ = trace_stats(iter_records(str(path)))
         assert stats.items == 4
         assert stats.malformed == 1
 
@@ -128,3 +130,4 @@ class TestIterRecords:
 def test_frequency_ranks():
     ranks = frequency_ranks([5, 1, 17, 3])
     assert ranks == [(1, 17), (2, 5), (3, 3), (4, 1)]
+    assert frequency_ranks(from_stream([9, 4, 9]).counts) == [(1, 2), (2, 1)]

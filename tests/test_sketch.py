@@ -6,11 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from starsketch.generators import DistributionFamily, sample_stream
-from starsketch.hashing import new_family
+from starsketch.hashing import item_ids, new_family
 from starsketch.sketch import (
     MAX_TOTAL,
     FamilyMismatchError,
-    _item_ids,
     load_sketch,
     new_sketch,
     sketch_from_bytes,
@@ -102,7 +101,7 @@ class TestUpdate:
     def test_uint64_ids_not_copied(self):
         # The hot path takes a uint64 array as it is, with no pass over it.
         ids = np.arange(10, dtype=np.uint64)
-        assert _item_ids(ids) is ids
+        assert item_ids(ids) is ids
 
     def test_overflow_aborts(self, family):
         s = new_sketch(family)

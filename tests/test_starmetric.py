@@ -108,6 +108,12 @@ class TestExactStarMetric:
         r = exact_star_metric(get_divergence("kl"), p, q, 2)
         assert r.value == math.inf
 
+    def test_all_nan_rows_raise(self):
+        nan = DivergenceSpec("nan", eval_rows=lambda P, Q: np.full(P.shape[0], np.nan))
+        p = np.array([0.2, 0.3, 0.5])
+        with pytest.raises(ValueError, match=r"nan.*n=3, k=2"):
+            exact_star_metric(nan, p, p, 2)
+
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             exact_star_metric(get_divergence("js"), [1.0], [0.5, 0.5], 1)
@@ -175,17 +181,16 @@ class TestSketchStarMetric:
     def test_row_consistency_with_histogram(self):
         fam, s1, _ = self._paired_sketches(seed=7)
         items = sample_stream(DistributionFamily.uniform(200), 4000, 10)
-        hist = from_stream(items.tolist())
-        support = hist.support()
+        hist = from_stream(items)
         for i, h in enumerate(fam.functions):
             # integer oracle: recount per cell straight from the histogram
-            cells = evaluate_batch(h, np.array(support, dtype=np.uint64))
+            cells = evaluate_batch(h, hist.ids)
             expected = np.zeros(fam.k, dtype=np.uint64)
-            for item, cell in zip(support, cells):
-                expected[cell] += hist.counts[item]
+            for cell, count in zip(cells.tolist(), hist.counts.tolist()):
+                expected[cell] += count
             assert np.array_equal(s1.counts[i], expected)
             # float cross-check: aggregate the histogram along the hash's cells
-            agg = aggregate(normalize(hist, support), cells)
+            agg = aggregate(normalize(hist, hist.ids), cells)
             row = s1.row_distribution(i)
             assert np.allclose(row[:agg.size], agg, atol=1e-12)
             assert not row[agg.size:].any()
@@ -200,7 +205,7 @@ class TestSketchStarMetric:
             i1 = sample_stream(DistributionFamily.uniform(n), 2000, 100 + trial)
             i2 = sample_stream(DistributionFamily.zipf(n, 1.5), 2000, 200 + trial)
             s1, s2 = sketch_stream(fam, i1), sketch_stream(fam, i2)
-            h1, h2 = from_stream(i1.tolist()), from_stream(i2.tolist())
+            h1, h2 = from_stream(i1), from_stream(i2)
             for name in ("kl", "js", "hellinger"):
                 spec = get_divergence(name)
                 est = sketch_star_metric(spec, s1, s2).value
@@ -229,7 +234,7 @@ class TestReferenceDistance:
         u = sample_stream(DistributionFamily.uniform(4000), 200_000, 101)
         z = sample_stream(DistributionFamily.zipf(4000, 1.0), 200_000, 202)
         ref = reference_distance(
-            get_divergence("js"), from_stream(u.tolist()), from_stream(z.tolist()),
+            get_divergence("js"), from_stream(u), from_stream(z),
             range(1, 4001))
         assert ref == pytest.approx(0.42709140003237717, abs=1e-12)
 
