@@ -11,7 +11,7 @@ import sys
 
 from . import __version__
 from .divergence import available, get_divergence, smoothed
-from .generators import DistributionFamily, read_stream, sample_stream, write_stream
+from .generators import parse_family, read_stream, sample_stream, write_stream
 from .harness import load_plan, read_results, run_plan_to_dir, sweep_summary, write_summary
 from .hashing import new_family
 from .histogram import dump_histogram, from_stream
@@ -21,16 +21,7 @@ from .starmetric import RESULT_FIELDS, result_record, sketch_star_metric
 
 
 def _cmd_generate(args) -> int:
-    if args.family == "uniform":
-        fam = DistributionFamily.uniform(args.n)
-    elif args.family == "zipf":
-        fam = DistributionFamily.zipf(args.n, args.alpha)
-    elif args.family == "pascal":
-        fam = DistributionFamily.pascal(args.n, args.r, args.p)
-    elif args.family == "binomial":
-        fam = DistributionFamily.binomial(args.n, 0.5 if args.p is None else args.p)
-    else:
-        fam = DistributionFamily.poisson(args.n, args.lam)
+    fam = parse_family(args.family, args.n)
     items = sample_stream(fam, args.m, args.seed)
     descriptor = f"{fam.label()} n={args.n} m={args.m} seed={args.seed}"
     write_stream(args.out, items, args.n, descriptor)
@@ -120,19 +111,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("generate", help="sample a synthetic stream to a file")
     g.add_argument("--family", required=True,
-                   choices=["uniform", "zipf", "pascal", "binomial", "poisson"])
+                   help="plan-style descriptor: uniform, zipf(alpha=1), pascal(r=3), "
+                        "binomial(p=0.5) or poisson(lam=7)")
     g.add_argument("--n", type=int, required=True, help="universe size")
     g.add_argument("--m", type=int, required=True, help="stream length")
     g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--alpha", type=float, default=1.0, help="zipf exponent")
-    g.add_argument("--r", type=int, default=3, help="pascal stopping count")
-    g.add_argument("--p", type=float, default=None, help="pascal/binomial probability")
-    g.add_argument("--lam", type=float, default=None, help="poisson rate (default n/2)")
     g.add_argument("--out", required=True)
     g.set_defaults(func=_cmd_generate)
 
-    i = sub.add_parser("ingest", help="convert a web-server log into a stream file")
-    i.add_argument("--format", choices=["clf"], default="clf")
+    i = sub.add_parser("ingest", help="convert a Common Log Format log into a stream file")
     i.add_argument("--in", dest="infile", required=True)
     i.add_argument("--out", required=True)
     i.add_argument("--stats", default=None, help="write metric,value CSV here")

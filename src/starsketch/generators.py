@@ -13,15 +13,18 @@ poisson (rate n/2) on the same point.
 """
 from __future__ import annotations
 
+import inspect
 import math
 import re
 import struct
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
+from .hashing import item_ids
+
 STREAM_MAGIC = b"SSTR"
-STREAM_VERSION = 1
 
 FAMILY_KINDS = ("uniform", "zipf", "pascal", "binomial", "poisson")
 
@@ -40,17 +43,18 @@ class DistributionFamily:
             raise ValueError(f"unknown family kind {self.kind!r}")
         if self.n < 1:
             raise ValueError("universe size n must be >= 1")
-        if self.kind == "zipf" and (self.alpha is None or self.alpha <= 0):
-            raise ValueError("zipf requires alpha > 0")
+        # Chained comparisons are false for NaN, so each check also rejects it.
+        if self.kind == "zipf" and (self.alpha is None or not 0 < self.alpha < math.inf):
+            raise ValueError("zipf requires a finite alpha > 0")
         if self.kind == "pascal":
-            if self.r is None or self.r < 1:
-                raise ValueError("pascal requires r >= 1")
+            if self.r is None or not 1 <= self.r < math.inf:
+                raise ValueError("pascal requires a finite r >= 1")
             if self.p is None or not 0 < self.p < 1:
                 raise ValueError("pascal requires 0 < p < 1")
         if self.kind == "binomial" and (self.p is None or not 0 <= self.p <= 1):
             raise ValueError("binomial requires 0 <= p <= 1")
-        if self.kind == "poisson" and (self.lam is None or self.lam <= 0):
-            raise ValueError("poisson requires lam > 0")
+        if self.kind == "poisson" and (self.lam is None or not 0 < self.lam < math.inf):
+            raise ValueError("poisson requires a finite lam > 0")
 
     @classmethod
     def uniform(cls, n: int) -> "DistributionFamily":
@@ -164,50 +168,91 @@ _SOURCE_RE = re.compile(r"^(?P<kind>[a-z]+)(?:\((?P<args>[^)]*)\))?$")
 
 
 def parse_family(text: str, n: int) -> DistributionFamily:
-    """Parse a family descriptor like ``zipf(alpha=1)`` or ``pascal(r=3)``."""
+    """Parse a family descriptor like ``zipf(alpha=1)`` or ``pascal(r=3)``.
+
+    The arguments are the keyword parameters of the kind's constructor
+    (``DistributionFamily.zipf`` and so on).  A missing, unknown or repeated
+    argument, a non-number and a non-integer ``r`` raise ``ValueError``.
+    """
     m = _SOURCE_RE.match(text.strip())
     if m is None:
         raise ValueError(f"cannot parse family descriptor {text!r}")
     kind = m.group("kind")
+    if kind not in FAMILY_KINDS:
+        raise ValueError(f"unknown family kind {kind!r}")
     kwargs: dict[str, float] = {}
     if m.group("args"):
         for part in m.group("args").split(","):
             key, _, value = part.partition("=")
-            if not value:
+            key = key.strip()
+            if not value or key in kwargs:
                 raise ValueError(f"bad family argument {part!r} in {text!r}")
-            kwargs[key.strip()] = float(value)
-    if kind == "uniform":
-        return DistributionFamily.uniform(n)
-    if kind == "zipf":
-        return DistributionFamily.zipf(n, kwargs.pop("alpha"))
-    if kind == "pascal":
-        r = int(kwargs.pop("r"))
-        return DistributionFamily.pascal(n, r, kwargs.pop("p", None))
-    if kind == "binomial":
-        return DistributionFamily.binomial(n, kwargs.pop("p", 0.5))
-    if kind == "poisson":
-        return DistributionFamily.poisson(n, kwargs.pop("lam", None))
-    raise ValueError(f"unknown family kind {kind!r}")
+            kwargs[key] = float(value)
+    make = getattr(DistributionFamily, kind)
+    try:
+        inspect.signature(make).bind(n, **kwargs)
+    except TypeError as exc:
+        raise ValueError(f"family descriptor {text!r}: {exc}") from None
+    if "r" in kwargs:
+        if not kwargs["r"].is_integer():
+            raise ValueError(f"family descriptor {text!r}: r must be an integer")
+        kwargs["r"] = int(kwargs["r"])
+    return make(n, **kwargs)
 
 
-# Stream file layout: prefix, descriptor text, dimensions, m little-endian u64 ids.
-_STREAM_PREFIX = struct.Struct("<4sBI")  # magic, version, descriptor length
+# The file container shared by stream and sketch files: a prefix (magic,
+# version, text length), the text, a fixed dimensions record, then the
+# little-endian u64 values the dimensions announce.
+_PREFIX = struct.Struct("<4sBI")
+_FILE_VERSION = 1
 _STREAM_DIMS = struct.Struct("<QQ")  # universe size n, item count m
 
 
-def write_stream(path: str, items: np.ndarray, n: int, descriptor: str) -> None:
+def _pack_file(magic: bytes, text: str, dims: bytes,
+               values: np.ndarray) -> tuple[bytes, np.ndarray]:
+    """The container as (header bytes, u64 payload array), for one write each."""
+    raw = text.encode()
+    return (_PREFIX.pack(magic, _FILE_VERSION, len(raw)) + raw + dims,
+            np.ascontiguousarray(values, dtype="<u8"))
+
+
+def _unpack_file(data: bytes, magic: bytes, kind: str, dims: struct.Struct,
+                 count: Callable[..., int]) -> tuple[str, tuple, np.ndarray]:
+    """(text, dimensions, uint64 values) of a container holding exactly the
+    ``count(*dimensions)`` values its header announces, else ``ValueError``."""
+    if data[:4] != magic:
+        raise ValueError(f"not a {kind} file")
+    if len(data) < _PREFIX.size:
+        raise ValueError(f"truncated {kind} file: {len(data)} bytes")
+    _, version, text_len = _PREFIX.unpack_from(data)
+    if version != _FILE_VERSION:
+        raise ValueError(f"unsupported {kind} file version {version}")
+    dims_at = _PREFIX.size + text_len
+    values_at = dims_at + dims.size
+    if len(data) < values_at:
+        raise ValueError(f"truncated {kind} file: {len(data)} bytes, header ends past the data")
+    dimensions = dims.unpack_from(data, dims_at)
+    size = count(*dimensions)
+    expected = values_at + 8 * size
+    if len(data) < expected:
+        raise ValueError(f"truncated {kind} file: {len(data)} bytes, its header needs "
+                         f"{expected} for {size} values")
+    if len(data) > expected:
+        raise ValueError(f"{kind} file has {len(data) - expected} trailing bytes "
+                         f"after its {size} values")
+    values = np.frombuffer(data, dtype="<u8", count=size, offset=values_at).astype(np.uint64)
+    return data[_PREFIX.size:dims_at].decode(), dimensions, values
+
+
+def write_stream(path: str, items, n: int, descriptor: str) -> None:
     """Stream file: magic, version, descriptor, universe size, fixed-width ids.
 
     ``n`` is the universe size for synthetic streams and 0 for streams over
     the full 64-bit id space (ingested traces).
     """
-    items = np.asarray(items, dtype=np.uint64)
-    desc = descriptor.encode()
+    ids = item_ids(items)
     with open(path, "wb") as fh:
-        fh.write(_STREAM_PREFIX.pack(STREAM_MAGIC, STREAM_VERSION, len(desc)))
-        fh.write(desc)
-        fh.write(_STREAM_DIMS.pack(n, items.size))
-        fh.write(items.astype("<u8").tobytes())
+        fh.writelines(_pack_file(STREAM_MAGIC, descriptor, _STREAM_DIMS.pack(n, ids.size), ids))
 
 
 def read_stream(path: str) -> tuple[np.ndarray, int, str]:
@@ -218,26 +263,9 @@ def read_stream(path: str) -> tuple[np.ndarray, int, str]:
     """
     with open(path, "rb") as fh:
         data = fh.read()
-    if data[:4] != STREAM_MAGIC:
-        raise ValueError(f"{path}: not a stream file")
-    if len(data) < _STREAM_PREFIX.size:
-        raise ValueError(f"{path}: truncated stream file: {len(data)} bytes")
-    _, version, desc_len = _STREAM_PREFIX.unpack_from(data)
-    if version != STREAM_VERSION:
-        raise ValueError(f"{path}: unsupported stream file version {version}")
-    dims_at = _STREAM_PREFIX.size + desc_len
-    if len(data) < dims_at + _STREAM_DIMS.size:
-        raise ValueError(f"{path}: truncated stream file: {len(data)} bytes, "
-                         f"header ends past the data")
-    n, m = _STREAM_DIMS.unpack_from(data, dims_at)
-    items_at = dims_at + _STREAM_DIMS.size
-    expected = items_at + 8 * m
-    if len(data) < expected:
-        raise ValueError(f"{path}: truncated stream file: {len(data)} bytes, "
-                         f"{m} items need {expected}")
-    if len(data) > expected:
-        raise ValueError(f"{path}: stream file has {len(data) - expected} trailing bytes "
-                         f"after its {m} items")
-    descriptor = data[_STREAM_PREFIX.size:dims_at].decode()
-    items = np.frombuffer(data, dtype="<u8", count=m, offset=items_at).astype(np.uint64)
+    try:
+        descriptor, (n, _), items = _unpack_file(data, STREAM_MAGIC, "stream", _STREAM_DIMS,
+                                                 lambda n, m: m)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return items, n, descriptor

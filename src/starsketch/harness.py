@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .divergence import DivergenceSpec, get_divergence, smoothed
+from .divergence import available, get_divergence, smoothed
 from .generators import (
     DistributionFamily,
     parse_family,
@@ -105,12 +105,16 @@ class ExperimentPlan:
             raise ValueError("plan needs at least one divergence")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.m < 1 or self.n < 1:
+            raise ValueError("m and n must be >= 1")
         if any(v < 1 for v in self.k_values) or any(v < 1 for v in self.t_values):
             raise ValueError("sweep values must be >= 1")
-        if self.alpha < 0:
-            raise ValueError("alpha must be >= 0")
+        if not 0 <= self.alpha < math.inf:
+            raise ValueError(f"alpha must be finite and >= 0, got {self.alpha!r}")
+        known = available()
         for name in self.divergences:
-            get_divergence(name)
+            if name not in known:
+                raise ValueError(f"unknown divergence {name!r}; available: {known}")
 
 
 def parse_plan(text: str, base_dir: str = ".") -> ExperimentPlan:
@@ -124,6 +128,7 @@ def parse_plan(text: str, base_dir: str = ".") -> ExperimentPlan:
     """
     values: dict[str, str] = {}
     pair_lines: list[str] = []
+    keys = ("divergences", "k", "t", "trials", "m", "n", "seed", "alpha")
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -134,10 +139,16 @@ def parse_plan(text: str, base_dir: str = ".") -> ExperimentPlan:
         key = key.strip()
         if key == "pair":
             pair_lines.append(value.strip())
+        elif key not in keys:
+            raise ValueError(f"plan line {lineno}: unknown key {key!r}")
+        elif key in values:
+            raise ValueError(f"plan line {lineno}: {key!r} is already set")
         else:
             values[key] = value.strip()
 
     n = int(values.get("n", 4_000))
+    if not 1 <= n < 2 ** 64:  # the sources take n, and stream files store it as a u64
+        raise ValueError(f"n must lie in [1, 2^64), got {n}")
     pairs = []
     for line in pair_lines:
         left, sep, right = line.partition("|")
@@ -191,7 +202,7 @@ class ResultRow:
         return abs(self.ref - self.sketch)
 
 
-def _check_sandwich(spec: DivergenceSpec, row: ResultRow) -> None:
+def _check_sandwich(row: ResultRow) -> None:
     if math.isinf(row.ref):
         return
     if math.isinf(row.sketch) or row.sketch > row.ref + 1e-12:
@@ -232,9 +243,8 @@ def run_plan(plan: ExperimentPlan) -> list[ResultRow]:
                     sk2 = sketch_stream(family, items2)
                     build_s = time.perf_counter() - t0
                     for name in plan.divergences:
-                        spec = specs[name]
                         t1 = time.perf_counter()
-                        est = sketch_star_metric(spec, sk1, sk2)
+                        est = sketch_star_metric(specs[name], sk1, sk2)
                         query_s = time.perf_counter() - t1
                         row = ResultRow(
                             pair=pair_label, phi=name, k=k, t=t, trial=trial,
@@ -243,7 +253,7 @@ def run_plan(plan: ExperimentPlan) -> list[ResultRow]:
                             build_items=int(items1.size + items2.size),
                         )
                         if plan.alpha == 0.0 and get_divergence(name).flags.f_div:
-                            _check_sandwich(spec, row)
+                            _check_sandwich(row)
                         rows.append(row)
 
     rows.sort(key=lambda r: (r.pair, r.phi, r.k, r.t, r.trial))

@@ -54,6 +54,9 @@ class HashFunction:
     k: int
 
     def __post_init__(self) -> None:
+        if self.p not in PRIME_TABLE:
+            # evaluate_batch's 64-bit arithmetic is exact only for table primes.
+            raise ValueError(f"p = {self.p} is not a prime of PRIME_TABLE")
         if not 1 <= self.a < self.p:
             raise ValueError("require 1 <= a < p")
         if not 0 <= self.b < self.p:
@@ -62,7 +65,7 @@ class HashFunction:
             raise ValueError("require k >= 1")
 
     def evaluate(self, x: int) -> int:
-        """Cell index of item x; deterministic, always in [0, k)."""
+        """Cell index of x in [0, k); the exact reference for evaluate_batch."""
         return ((self.a * (x % self.p) + self.b) % self.p) % self.k
 
 

@@ -14,14 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .generators import _pack_file, _unpack_file
 from .hashing import HashFamily, evaluate_batch, item_ids
 
 MAX_TOTAL = 2 ** 64 - 1
 
+# A sketch file is the stream files' container around the family header and t*k counters.
 _MAGIC = b"SKMX"
-_VERSION = 1
-# File layout: prefix, family header text, dimensions, t*k little-endian u64.
-_PREFIX = struct.Struct("<4sBI")  # magic, version, header length
 _DIMS = struct.Struct("<IIQ")  # t, k, total
 
 
@@ -47,18 +46,8 @@ class SketchMatrix:
     def family_fingerprint(self) -> str:
         return self.family.fingerprint()
 
-    def update(self, v: int) -> None:
-        """Absorb one item: one increment per row."""
-        if not isinstance(v, (int, np.integer)) or not 0 <= v < 2 ** 64:
-            raise ValueError(f"item id must be an integer in [0, 2^64), got {v!r}")
-        if self.total + 1 > MAX_TOTAL:
-            raise OverflowError("counter capacity exhausted")
-        for i, h in enumerate(self.family.functions):
-            self.counts[i, h.evaluate(int(v))] += np.uint64(1)
-        self.total += 1
-
     def update_many(self, items) -> None:
-        """Absorb a batch of items (vectorized hot path)."""
+        """Absorb a batch of items: one increment per row for each item."""
         items = item_ids(items)
         if self.total + items.size > MAX_TOTAL:
             raise OverflowError("counter capacity exhausted")
@@ -88,10 +77,8 @@ class SketchMatrix:
             fh.write(self.to_bytes())
 
     def to_bytes(self) -> bytes:
-        header = self.family.header().encode()
-        return b"".join((_PREFIX.pack(_MAGIC, _VERSION, len(header)), header,
-                         _DIMS.pack(self.t, self.k, self.total),
-                         self.counts.astype("<u8").tobytes()))
+        return b"".join(_pack_file(_MAGIC, self.family.header(),
+                                   _DIMS.pack(self.t, self.k, self.total), self.counts))
 
 
 def new_sketch(family: HashFamily) -> SketchMatrix:
@@ -106,30 +93,12 @@ def load_sketch(path: str) -> SketchMatrix:
 
 def sketch_from_bytes(data: bytes) -> SketchMatrix:
     """Parse the file form; the length must be exactly what the header implies."""
-    if data[:4] != _MAGIC:
-        raise ValueError("not a sketch file")
-    if len(data) < _PREFIX.size:
-        raise ValueError(f"truncated sketch file: {len(data)} bytes")
-    _, version, header_len = _PREFIX.unpack_from(data)
-    if version != _VERSION:
-        raise ValueError(f"unsupported sketch file version {version}")
-    dims_at = _PREFIX.size + header_len
-    if len(data) < dims_at + _DIMS.size:
-        raise ValueError(f"truncated sketch file: {len(data)} bytes, header ends past the data")
-    t, k, total = _DIMS.unpack_from(data, dims_at)
-    counts_at = dims_at + _DIMS.size
-    expected = counts_at + 8 * t * k
-    if len(data) < expected:
-        raise ValueError(f"truncated sketch file: {len(data)} bytes, a {t} x {k} sketch "
-                         f"needs {expected}")
-    if len(data) > expected:
-        raise ValueError(f"sketch file has {len(data) - expected} trailing bytes "
-                         f"after its {t} x {k} counters")
-    family = HashFamily.from_header(data[_PREFIX.size:dims_at].decode())
+    header, (t, k, total), counts = _unpack_file(data, _MAGIC, "sketch", _DIMS,
+                                                 lambda t, k, total: t * k)
+    family = HashFamily.from_header(header)
     if (t, k) != (family.t, family.k):
         raise ValueError("sketch file dimensions disagree with the family header")
-    counts = np.frombuffer(data, dtype="<u8", count=t * k, offset=counts_at).reshape(t, k)
-    sk = SketchMatrix(family, counts.astype(np.uint64), total)
+    sk = SketchMatrix(family, counts.reshape(t, k), total)
     row_sums = sk.counts.sum(axis=1, dtype=np.uint64)
     if np.any(row_sums != np.uint64(total)):
         raise ValueError("corrupt sketch file: row sums disagree with total")

@@ -281,41 +281,39 @@ def preservation_suite(
     for _ in range(trials):
         p = _positive_distribution(rng, n)
         q = _positive_distribution(rng, n)
+        pq = star(p, q)
 
         if nonneg.applicable:
-            v = star(p, q)
-            nonneg.record(v >= -_TOL_AXIOM, f"value={v!r} p={p} q={q}")
+            nonneg.record(pq >= -_TOL_AXIOM, f"value={pq!r} p={p} q={q}")
         if ident_zero.applicable:
             v = star(p, p)
             ident_zero.record(abs(v) <= _TOL_AXIOM, f"value={v!r} p={p}")
         if ident_distinct.applicable:
             if float(np.abs(p - q).sum()) >= _SEPARATION:
-                v = star(p, q)
-                ident_distinct.record(v > _TOL_AXIOM, f"value={v!r} p={p} q={q}")
+                ident_distinct.record(pq > _TOL_AXIOM, f"value={pq!r} p={p} q={q}")
         if symmetry.applicable:
-            a, b = star(p, q), star(q, p)
-            ok = (a == b) or abs(a - b) <= _TOL_AXIOM
-            symmetry.record(ok, f"forward={a!r} backward={b!r}")
+            qp = star(q, p)
+            ok = (pq == qp) or abs(pq - qp) <= _TOL_AXIOM
+            symmetry.record(ok, f"forward={pq!r} backward={qp!r}")
         if triangle.applicable:
             r = _positive_distribution(rng, n)
-            pq, pr, rq = star(p, q), star(p, r), star(r, q)
+            pr, rq = star(p, r), star(r, q)
             triangle.record(pq <= pr + rq + _TOL_AXIOM,
                             f"d(p,q)={pq!r} d(p,r)={pr!r} d(r,q)={rq!r}")
         if monotone.applicable:
-            base = star(p, q)
             for c in (rng.integers(k, n + 1) if k < n else n,
                       rng.integers(1, k) if k > 1 else 1):
                 mu = _random_coarsening(rng, n, int(c))
                 pm, qm = aggregate(p, mu), aggregate(q, mu)
                 v = exact_star_metric(phi, pm, qm, k, budget).value
-                monotone.record(v <= base + _TOL_MONOTONE,
-                                f"c={c} coarse={v!r} base={base!r}")
+                monotone.record(v <= pq + _TOL_MONOTONE,
+                                f"c={c} coarse={v!r} base={pq!r}")
         if convex.applicable:
             p2 = _positive_distribution(rng, n)
             q2 = _positive_distribution(rng, n)
             lam = float(rng.uniform())
             lhs = star(lam * p + (1 - lam) * p2, lam * q + (1 - lam) * q2)
-            rhs = lam * star(p, q) + (1 - lam) * star(p2, q2)
+            rhs = lam * pq + (1 - lam) * star(p2, q2)
             convex.record(lhs <= rhs + _TOL_AXIOM, f"lam={lam} lhs={lhs!r} rhs={rhs!r}")
         if linear.applicable:
             lam = float(rng.uniform())

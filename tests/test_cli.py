@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import os
 import subprocess
@@ -8,6 +9,7 @@ import pytest
 
 import starsketch
 from starsketch.cli import main
+from starsketch.sketch import FamilyMismatchError
 
 
 def run_cli(capsys, *argv):
@@ -22,7 +24,7 @@ def test_generate_sketch_distance_pipeline(tmp_path, capsys):
     code, _ = run_cli(capsys, "generate", "--family", "uniform", "--n", "500",
                       "--m", "20000", "--seed", "1", "--out", str(s1))
     assert code == 0
-    code, _ = run_cli(capsys, "generate", "--family", "zipf", "--alpha", "1",
+    code, _ = run_cli(capsys, "generate", "--family", "zipf(alpha=1)",
                       "--n", "500", "--m", "20000", "--seed", "2", "--out", str(s2))
     assert code == 0
 
@@ -59,15 +61,102 @@ def test_distance_requires_matching_families(tmp_path, capsys):
         main(["distance", "--phi", "js", "--a", str(k1), "--b", str(k2)])
 
 
+CLF_LOG = (
+    'h1 - - [01/Jul/1995:00:00:01 -0400] "GET /a HTTP/1.0" 200 1\n'
+    'h2 - - [01/Jul/1995:00:00:02 -0400] "GET /b HTTP/1.0" 200 1\n'
+    'h1 - - [01/Jul/1995:00:00:03 -0400] "GET /a HTTP/1.0" 200 1\n'
+    "malformed\n"
+)
+
+# sha256 of the files `generate`, `ingest` and `sketch build` wrote before
+# `--family` took family descriptors (the parameters were separate flags then).
+GENERATED_SHA256 = {
+    "uniform": "bbb4ec8fc3cd3bf8943e3a7ba930de90c92742c596ace03e4e686c175ea2911a",
+    "zipf(alpha=1.5)": "a3194efa66a5f694cb1b8200505cfe632fb256d8bfa82379665c8bd16d48c9bc",
+    "pascal(r=3)": "4bc9f900fa57207ca95f40935167e96f1f4177472ff126c59bbc25d5edac0beb",
+    "pascal(r=2,p=0.4)": "d1fcd6411befb6beb382c3bceb88b7129ffc0f0888d882540b1d75f05885eb22",
+    "binomial(p=0.3)": "4827378669a0b334a5f11e938a8d1757384d6a8c00673e5dfc725dc159d87e91",
+    "poisson(lam=40)": "bce52b943e400563924770c75b766c521abe2f56a3cb46e8c7c1e11a0baf5b75",
+}
+INGESTED_SHA256 = "9c2271706ef3c213a2be5793daa91ffb4a3501f59c767be73c2db2b7ceb80722"
+SKETCH_SHA256 = {
+    "zipf(alpha=1.5)": "5261d931e6bde7eda5865285c0ca7d620f3fe20b15f22b41410aec14b816016f",
+    "ingested": "b27caab1c04702bff49cba0c2c88f84b18da283de6dfd9956f3fc5549970dec5",
+}
+
+
+def sha256_of(path):
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+@pytest.mark.parametrize("family", sorted(GENERATED_SHA256))
+def test_generated_stream_bytes_pinned(tmp_path, capsys, family):
+    out = tmp_path / "s.stream"
+    code, _ = run_cli(capsys, "generate", "--family", family, "--n", "300", "--m", "4000",
+                      "--seed", "5", "--out", str(out))
+    assert code == 0
+    assert sha256_of(out) == GENERATED_SHA256[family]
+    if family == "zipf(alpha=1.5)":
+        sketch = tmp_path / "s.sketch"
+        run_cli(capsys, "sketch", "build", "--in", str(out), "--k", "32", "--t", "4",
+                "--seed", "9", "--out", str(sketch))
+        assert sha256_of(sketch) == SKETCH_SHA256[family]
+
+
+def test_ingested_stream_bytes_pinned(tmp_path, capsys, monkeypatch):
+    # The descriptor records the log path as given, so run beside the log.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "access_log").write_text(CLF_LOG, encoding="latin-1")
+    run_cli(capsys, "ingest", "--in", "access_log", "--out", "log.stream")
+    assert sha256_of("log.stream") == INGESTED_SHA256
+    run_cli(capsys, "sketch", "build", "--in", "log.stream", "--k", "32", "--t", "4",
+            "--seed", "9", "--out", "log.sketch")
+    assert sha256_of("log.sketch") == SKETCH_SHA256["ingested"]
+
+
+def test_universe_bound_makes_sketches_comparable(tmp_path, capsys):
+    # A synthetic stream (n = 500) and an ingested one (n = 0) get different
+    # default bounds, hence different primes and families.
+    synthetic, ingested = tmp_path / "u.stream", tmp_path / "log.stream"
+    run_cli(capsys, "generate", "--family", "uniform", "--n", "500", "--m", "2000",
+            "--seed", "1", "--out", str(synthetic))
+    (tmp_path / "access_log").write_text(CLF_LOG, encoding="latin-1")
+    run_cli(capsys, "ingest", "--in", str(tmp_path / "access_log"), "--out", str(ingested))
+
+    def build(stream, out, *bound):
+        code, _ = run_cli(capsys, "sketch", "build", "--in", str(stream), "--k", "16",
+                          "--t", "3", "--seed", "4", "--out", str(out), *bound)
+        assert code == 0
+        return str(out)
+
+    a, b = build(synthetic, tmp_path / "a.sketch"), build(ingested, tmp_path / "b.sketch")
+    with pytest.raises(FamilyMismatchError, match="families"):
+        main(["distance", "--phi", "js", "--a", a, "--b", b])
+
+    shared = ("--universe-bound", str(2 ** 64))
+    a = build(synthetic, tmp_path / "a2.sketch", *shared)
+    b = build(ingested, tmp_path / "b2.sketch", *shared)
+    code, out = run_cli(capsys, "distance", "--phi", "js", "--a", a, "--b", b)
+    assert code == 0
+    rec = dict(zip(*(line.split(",") for line in out.strip().splitlines())))
+    assert 0.0 < float(rec["value"]) <= 1.0
+
+
+@pytest.mark.parametrize("verb,removed", [
+    ("generate", ("--alpha", "--r ", "--p ", "--lam")),
+    ("ingest", ("--format",)),
+])
+def test_removed_options_absent_from_help(capsys, verb, removed):
+    with pytest.raises(SystemExit):
+        main([verb, "--help"])
+    text = capsys.readouterr().out
+    assert not [opt for opt in removed if opt in text]
+
+
 def test_ingest_and_stats(tmp_path, capsys):
     log = tmp_path / "access_log"
-    log.write_text(
-        'h1 - - [01/Jul/1995:00:00:01 -0400] "GET /a HTTP/1.0" 200 1\n'
-        'h2 - - [01/Jul/1995:00:00:02 -0400] "GET /b HTTP/1.0" 200 1\n'
-        'h1 - - [01/Jul/1995:00:00:03 -0400] "GET /a HTTP/1.0" 200 1\n'
-        "malformed\n",
-        encoding="latin-1",
-    )
+    log.write_text(CLF_LOG, encoding="latin-1")
     stream = tmp_path / "log.stream"
     stats_csv = tmp_path / "stats.csv"
     code, _ = run_cli(capsys, "ingest", "--in", str(log), "--out", str(stream),

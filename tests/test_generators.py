@@ -1,4 +1,5 @@
 import hashlib
+import math
 import os
 import tempfile
 
@@ -77,6 +78,17 @@ class TestPmf:
             DistributionFamily.poisson(10, -1.0)
         with pytest.raises(ValueError):
             DistributionFamily("weibull", 10)
+
+    @pytest.mark.parametrize("kind,params", [
+        ("zipf", {"alpha": math.nan}), ("zipf", {"alpha": math.inf}),
+        ("pascal", {"r": math.nan, "p": 0.5}), ("pascal", {"r": math.inf, "p": 0.5}),
+        ("binomial", {"p": math.nan}),
+        ("poisson", {"lam": math.nan}), ("poisson", {"lam": math.inf}),
+    ])
+    def test_non_finite_parameters_rejected(self, kind, params):
+        # A NaN pmf would make sample_stream return a stream of item 1 only.
+        with pytest.raises(ValueError, match=f"{kind} requires"):
+            DistributionFamily(kind, 10, **params)
 
 
 LOG_SPACE_FAMILIES = [
@@ -213,9 +225,13 @@ class TestParseFamily:
         for fam in ALL_FAMILIES:
             assert parse_family(fam.label(), 100) == fam
 
-    @pytest.mark.parametrize("bad", ["", "zipf(", "zipf(alpha)", "gauss", "zipf(mu=1)"])
+    @pytest.mark.parametrize("bad", ["", "zipf(", "zipf(alpha)", "gauss", "zipf(mu=1)",
+                                     "zipf", "zipf(beta=1)", "uniform(x=1)",
+                                     "binomial(p=0.5,q=3)", "pascal(r=2.5)", "pascal(r=inf)",
+                                     "zipf(alpha=1,alpha=2)", "zipf(alpha=nan)",
+                                     "poisson(lam=inf)", "pascal(r=3,n=5)"])
     def test_rejects(self, bad):
-        with pytest.raises((ValueError, KeyError)):
+        with pytest.raises(ValueError):
             parse_family(bad, 10)
 
 
@@ -228,6 +244,13 @@ def test_stream_file_roundtrip(tmp_path):
     assert np.array_equal(loaded, items)
     assert n == 300
     assert desc == "zipf(alpha=1) n=300 m=5000 seed=9"
+
+
+@pytest.mark.parametrize("bad", [np.array([-1, 3]), np.array([2.7, 3.2])])
+def test_stream_file_rejects_bad_ids(tmp_path, bad):
+    # Written unchecked, -1 would be stored as 2^64 - 1 and 2.7 as 2.
+    with pytest.raises(ValueError, match="item ids"):
+        write_stream(str(tmp_path / "s.stream"), bad, 9, "x")
 
 
 def test_stream_file_rejects_garbage(tmp_path):

@@ -2,9 +2,12 @@ import csv
 import hashlib
 import math
 import os
+import pathlib
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from starsketch.generators import DistributionFamily, sample_stream, write_stream
 from starsketch.harness import (
@@ -23,8 +26,9 @@ from starsketch.harness import (
     sweep_summary,
     write_results,
 )
-from starsketch.divergence import get_divergence
 from starsketch.histogram import dump_histogram, from_stream
+
+PLANS = os.path.join(os.path.dirname(__file__), os.pardir, "plans")
 
 TINY_PLAN = """
 # uniform against a skewed stream, small scale
@@ -67,7 +71,7 @@ class TestPlanParsing:
             parse_plan("pair = uniform\n")
 
     def test_rejects_unknown_divergence(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match="unknown divergence 'renyi'"):
             parse_plan("pair = uniform | uniform\ndivergences = renyi\n")
 
     def test_rejects_bad_syntax(self):
@@ -90,6 +94,50 @@ class TestPlanParsing:
         plan_file.write_text("pair = file:trace.stream | uniform\nn = 50\nm = 100\n")
         plan = load_plan(str(plan_file))
         assert plan.pairs[0][0].path == str(stream)
+
+
+SHIPPED_PLANS = [pathlib.Path(PLANS, name).read_text() for name in sorted(os.listdir(PLANS))]
+PAIR = "pair = uniform | zipf(alpha=1)\n"
+
+
+@pytest.mark.parametrize("text,what", [
+    ("pair = uniform | zipf\n", "alpha"),
+    ("pair = uniform | zipf(beta=1)\n", "alpha"),
+    ("pair = uniform(x=1) | uniform\n", "'x'"),
+    ("pair = uniform | binomial(p=0.5,q=3)\n", "'q'"),
+    ("pair = uniform | pascal(r=2.5)\n", "r must be an integer"),
+    (PAIR + "trails = 5\n", "unknown key 'trails'"),
+    (PAIR + "k = 8\nk = 16\n", "'k' is already set"),
+    (PAIR + "m = 0\n", "m and n must be >= 1"),
+    (PAIR + "m = -3\n", "m and n must be >= 1"),
+    (PAIR + "n = 0\n", "n must lie in"),
+    pytest.param("pair = uniform | poisson\nn = 1" + "0" * 400 + "\n", "n must lie in",
+                 id="n-beyond-float-range"),
+    (PAIR + "alpha = nan\n", "alpha must be finite"),
+    (PAIR + "alpha = inf\n", "alpha must be finite"),
+    (PAIR + "divergences = js, renyi\n", "unknown divergence 'renyi'"),
+])
+def test_plan_rejection_names_the_fault(text, what):
+    with pytest.raises(ValueError, match=what):
+        parse_plan(text)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_plan_text_parses_or_raises_value_error(data):
+    grammar = "abcdiklmnoprstuzfx()=,.|:#_ \n0123456789-+"
+    if data.draw(st.booleans()):
+        text = data.draw(st.one_of(st.text(max_size=120), st.text(grammar, max_size=120)))
+    else:
+        plan = data.draw(st.sampled_from(SHIPPED_PLANS))
+        start = data.draw(st.integers(0, len(plan)))
+        end = data.draw(st.integers(start, min(len(plan), start + 12)))
+        text = plan[:start] + data.draw(st.text(grammar, max_size=12)) + plan[end:]
+    try:
+        plan = parse_plan(text)
+    except (ValueError, FileNotFoundError):
+        return
+    assert isinstance(plan, ExperimentPlan) and plan.pairs
 
 
 def test_derive_seed_stable_and_distinct():
@@ -148,16 +196,16 @@ class TestSandwichCheck:
                          ref=ref, sketch=sketch, build_seconds=0.0, query_seconds=0.0)
 
     def test_passes_below(self):
-        _check_sandwich(get_divergence("js"), self._row(0.5, 0.3))
+        _check_sandwich(self._row(0.5, 0.3))
 
     def test_infinite_reference_allows_anything(self):
-        _check_sandwich(get_divergence("kl"), self._row(math.inf, 5.0))
+        _check_sandwich(self._row(math.inf, 5.0))
 
     def test_violation_raises(self):
         with pytest.raises(SandwichViolationError):
-            _check_sandwich(get_divergence("js"), self._row(0.3, 0.5))
+            _check_sandwich(self._row(0.3, 0.5))
         with pytest.raises(SandwichViolationError):
-            _check_sandwich(get_divergence("kl"), self._row(0.3, math.inf))
+            _check_sandwich(self._row(0.3, math.inf))
 
 
 class TestSummary:
@@ -248,9 +296,6 @@ def test_plan_validation():
         ExperimentPlan(pairs=[(src, src)], divergences=["js"], k_values=[4], t_values=[2], trials=0)
     with pytest.raises(ValueError):
         StreamSource()
-
-
-PLANS = os.path.join(os.path.dirname(__file__), os.pardir, "plans")
 
 
 def _sha256(path) -> str:

@@ -181,3 +181,12 @@ class TestHeaderSerialization:
             HashFamily.from_header(broken)
         with pytest.raises(ValueError, match="empty"):
             HashFamily.from_header("\n")
+
+    def test_non_table_prime_rejected(self):
+        # 2^40 + 15 is prime, but a*x overflows uint64 in evaluate_batch for
+        # it, which then disagrees with the exact scalar evaluate.
+        p = 2 ** 40 + 15
+        with pytest.raises(ValueError, match="PRIME_TABLE"):
+            HashFamily.from_header(f"2 8 {p} 3\n{p - 2} 5\n{p - 9} 1\n")
+        with pytest.raises(ValueError, match="PRIME_TABLE"):
+            HashFunction(3, 5, p, 8)
