@@ -16,21 +16,11 @@ from .divergence import (
     DivergenceSpec,
     FGenerator,
     available,
-    bhattacharyya,
-    bhattacharyya_coefficient,
-    bregman,
-    cross_entropy,
-    entropy,
-    f_divergence,
     from_bregman_generator,
     from_f_generator,
     get_divergence,
-    hellinger,
-    js,
-    kl,
     register,
     smoothed,
-    tv,
 )
 from .generators import DistributionFamily, pmf, read_stream, sample_stream, write_stream
 from .harness import (
@@ -74,10 +64,8 @@ from .starmetric import (
 __all__ = [
     "__version__",
     "BregmanGenerator", "DivergenceFlags", "DivergenceSpec", "FGenerator",
-    "available", "bhattacharyya", "bhattacharyya_coefficient", "bregman",
-    "cross_entropy", "entropy", "f_divergence", "from_bregman_generator",
-    "from_f_generator", "get_divergence", "hellinger", "js", "kl", "register",
-    "smoothed", "tv",
+    "available", "from_bregman_generator", "from_f_generator", "get_divergence",
+    "register", "smoothed",
     "DistributionFamily", "pmf", "read_stream", "sample_stream", "write_stream",
     "ExperimentPlan", "ResultRow", "StreamSource", "load_plan", "parse_plan",
     "run_plan", "run_plan_to_dir", "sweep_summary",

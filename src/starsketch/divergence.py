@@ -4,16 +4,17 @@ All logarithms are base 2, so every value is in bits.  Infinities are
 first-class results, never exceptions: KL of p against a q that lacks part of
 p's support is +inf, exactly as the defining sum says.  Empty-against-empty
 cells contribute nothing (the 0*f(0/0) = 0 convention), which is what makes
-these functions directly applicable to partition-aggregated vectors and raw
+the kernels directly applicable to partition-aggregated vectors and raw
 sketch rows containing zeros.
 
 Every divergence is one row kernel over stacks of distributions, wrapped in
 a :class:`DivergenceSpec` carrying honesty flags (symmetric? triangle?
 f-divergence? Bregman?); the property-test suite derives which axioms to
-enforce from those flags.  Specs are selectable by name through a registry
-("kl", "js", "bhattacharyya", "hellinger", "tv"), and custom divergences
-enter the same machinery through :class:`FGenerator` /
-:class:`BregmanGenerator`.
+enforce from those flags.  A spec is the only way to evaluate a divergence:
+``get_divergence(name)(p, q)`` for the registered ones ("kl", "js",
+"bhattacharyya", "hellinger", "tv"), and custom divergences enter the same
+machinery through :func:`from_f_generator` / :func:`from_bregman_generator`
+and :func:`register`.
 """
 from __future__ import annotations
 
@@ -52,6 +53,7 @@ def _rows(P, Q) -> tuple[np.ndarray, np.ndarray]:
 # --- batch kernels (rows are distributions; no per-row validation) ---------
 
 def _kl_rows(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    # sum p_i log2(p_i / q_i); 0 log(0/q) = 0, +inf where q misses p's support.
     pos = P > 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(pos, P, 1.0) / np.where(Q > 0.0, Q, 1.0)
@@ -62,18 +64,16 @@ def _kl_rows(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
 
 
 def _js_rows(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    # Always finite, in [0, 1].
     mix = 0.5 * (P + Q)
     vals = 0.5 * _kl_rows(P, mix) + 0.5 * _kl_rows(Q, mix)
     return np.clip(vals, 0.0, 1.0)
 
 
-def _bc_rows(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    return np.minimum(np.sqrt(P * Q).sum(axis=1), 1.0)
-
-
 def _bhattacharyya_rows(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    # -log2 of the coefficient sum sqrt(p_i q_i); +inf on disjoint supports.
     with np.errstate(divide="ignore"):
-        return -np.log2(_bc_rows(P, Q))
+        return -np.log2(np.minimum(np.sqrt(P * Q).sum(axis=1), 1.0))
 
 
 def _hellinger_rows(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
@@ -87,62 +87,10 @@ def _tv_rows(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     return np.minimum(0.5 * np.abs(P - Q).sum(axis=1), 1.0)
 
 
-# --- scalar entry points ----------------------------------------------------
-
 def _one_row(rows: Callable[[np.ndarray, np.ndarray], np.ndarray], p, q) -> float:
     """A row kernel applied to one validated pair of distributions."""
     p, q = _pair(p, q)
     return float(rows(p[None, :], q[None, :])[0])
-
-
-def kl(p, q) -> float:
-    """Kullback-Leibler divergence, bits: sum p_i log2(p_i / q_i).
-
-    0 log(0/q) = 0; +inf as soon as some p_i > 0 has q_i = 0.  Equals the
-    cross entropy of (p, q) minus the entropy of p whenever finite.
-    """
-    return _one_row(_kl_rows, p, q)
-
-
-def js(p, q) -> float:
-    """Jensen-Shannon divergence, bits; always finite, in [0, 1]."""
-    return _one_row(_js_rows, p, q)
-
-
-def bhattacharyya_coefficient(p, q) -> float:
-    """Similarity sum sqrt(p_i q_i), in [0, 1]."""
-    return _one_row(_bc_rows, p, q)
-
-
-def bhattacharyya(p, q) -> float:
-    """-log2 of the coefficient; +inf on disjoint supports."""
-    return _one_row(_bhattacharyya_rows, p, q)
-
-
-def hellinger(p, q) -> float:
-    """Hellinger distance sqrt(1 - BC); a genuine metric, in [0, 1]."""
-    return _one_row(_hellinger_rows, p, q)
-
-
-def tv(p, q) -> float:
-    """Total variation distance, half the L1 difference."""
-    return _one_row(_tv_rows, p, q)
-
-
-def entropy(p) -> float:
-    """Shannon entropy in bits."""
-    p = as_distribution(p)
-    pos = p > 0.0
-    return float(-(p[pos] * np.log2(p[pos])).sum())
-
-
-def cross_entropy(p, q) -> float:
-    """-sum p_i log2 q_i; +inf when q misses part of p's support."""
-    p, q = _pair(p, q)
-    pos = p > 0.0
-    if np.any(pos & (q <= 0.0)):
-        return math.inf
-    return float(-(p[pos] * np.log2(q[pos])).sum())
 
 
 # --- generic f-divergences --------------------------------------------------
@@ -202,11 +150,6 @@ def _f_div_rows(gen: FGenerator, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
                 )
             terms = terms + np.where(q_only, Q * gen.limit_zero, 0.0)
     return terms.sum(axis=1)
-
-
-def f_divergence(gen: FGenerator, p, q) -> float:
-    """sum q_i f(p_i / q_i) under the three zero conventions."""
-    return _one_row(partial(_f_div_rows, gen), p, q)
 
 
 # --- decomposable Bregman divergences ---------------------------------------
@@ -275,11 +218,6 @@ def _bregman_rows(gen: BregmanGenerator, P: np.ndarray, Q: np.ndarray) -> np.nda
     return terms.sum(axis=1)
 
 
-def bregman(gen: BregmanGenerator, p, q) -> float:
-    """Decomposable sum of F(p_i) - F(q_i) - (p_i - q_i) F'(q_i)."""
-    return _one_row(partial(_bregman_rows, gen), p, q)
-
-
 def combine_bregman(g1: BregmanGenerator, g2: BregmanGenerator, lam: float) -> BregmanGenerator:
     """Generator for F1 + lam * F2, used by the linearity checks."""
     def zsum(a, b):
@@ -332,10 +270,12 @@ SQEUCLID_BREGMAN = BregmanGenerator(
 
 @dataclass(frozen=True)
 class DivergenceFlags:
-    """Which axioms and structural properties a divergence honestly claims."""
+    """Which optional properties a divergence honestly claims.
 
-    nonneg: bool = True
-    identity: bool = True
+    Non-negativity and identity of indiscernibles are not flags: every
+    divergence must have them, and the preservation suite always checks them.
+    """
+
     symmetric: bool = False
     triangle: bool = False
     f_div: bool = False
@@ -373,8 +313,8 @@ class DivergenceSpec:
 _REGISTRY: dict[str, DivergenceSpec] = {}
 
 
-def register(spec: DivergenceSpec, overwrite: bool = False) -> DivergenceSpec:
-    if spec.name in _REGISTRY and not overwrite:
+def register(spec: DivergenceSpec) -> DivergenceSpec:
+    if spec.name in _REGISTRY:
         raise ValueError(f"divergence {spec.name!r} is already registered")
     _REGISTRY[spec.name] = spec
     return spec
@@ -391,26 +331,24 @@ def available() -> tuple[str, ...]:
     return tuple(sorted(_REGISTRY))
 
 
-def from_f_generator(name: str, gen: FGenerator, **flag_overrides) -> DivergenceSpec:
-    """Wrap an FGenerator as a registrable spec (f_div flag set)."""
-    return DivergenceSpec(name, partial(_f_div_rows, gen),
-                          DivergenceFlags(f_div=True, **flag_overrides))
+def from_f_generator(name: str, gen: FGenerator) -> DivergenceSpec:
+    """sum q_i f(p_i / q_i) under the three zero conventions, as a spec
+    (f_div flag set)."""
+    return DivergenceSpec(name, partial(_f_div_rows, gen), DivergenceFlags(f_div=True))
 
 
-def from_bregman_generator(name: str, gen: BregmanGenerator, **flag_overrides) -> DivergenceSpec:
-    """Wrap a BregmanGenerator as a registrable spec (bregman flag set)."""
-    return DivergenceSpec(name, partial(_bregman_rows, gen),
-                          DivergenceFlags(bregman=True, **flag_overrides))
+def from_bregman_generator(name: str, gen: BregmanGenerator) -> DivergenceSpec:
+    """Decomposable sum of F(p_i) - F(q_i) - (p_i - q_i) F'(q_i), as a spec
+    (bregman flag set)."""
+    return DivergenceSpec(name, partial(_bregman_rows, gen), DivergenceFlags(bregman=True))
 
 
-KL = register(DivergenceSpec("kl", _kl_rows, DivergenceFlags(f_div=True, bregman=True)))
-JS = register(DivergenceSpec("js", _js_rows, DivergenceFlags(symmetric=True, f_div=True)))
-BHATTACHARYYA = register(DivergenceSpec("bhattacharyya", _bhattacharyya_rows,
-                                        DivergenceFlags(symmetric=True)))
-HELLINGER = register(DivergenceSpec("hellinger", _hellinger_rows,
-                                    DivergenceFlags(symmetric=True, triangle=True)))
-TV = register(DivergenceSpec("tv", _tv_rows,
-                             DivergenceFlags(symmetric=True, triangle=True, f_div=True)))
+register(DivergenceSpec("kl", _kl_rows, DivergenceFlags(f_div=True, bregman=True)))
+register(DivergenceSpec("js", _js_rows, DivergenceFlags(symmetric=True, f_div=True)))
+register(DivergenceSpec("bhattacharyya", _bhattacharyya_rows, DivergenceFlags(symmetric=True)))
+register(DivergenceSpec("hellinger", _hellinger_rows,
+                        DivergenceFlags(symmetric=True, triangle=True)))
+register(DivergenceSpec("tv", _tv_rows, DivergenceFlags(symmetric=True, triangle=True, f_div=True)))
 
 
 def smoothed(spec: DivergenceSpec, alpha: float) -> DivergenceSpec:
@@ -420,8 +358,8 @@ def smoothed(spec: DivergenceSpec, alpha: float) -> DivergenceSpec:
     the cost of the exact sketch-below-reference ordering, so result files
     must record the alpha used.
     """
-    if alpha < 0:
-        raise ValueError("alpha must be >= 0")
+    if not 0 <= alpha < math.inf:  # also false for NaN
+        raise ValueError(f"alpha must be finite and >= 0, got {alpha!r}")
     if alpha == 0:
         return spec
 

@@ -138,17 +138,11 @@ def pmf(d: DistributionFamily) -> np.ndarray:
     return w / total
 
 
-def sample_stream(
-    d: DistributionFamily,
-    m: int,
-    seed: int,
-    rank_shuffle_seed: int | None = None,
-) -> np.ndarray:
+def sample_stream(d: DistributionFamily, m: int, seed: int) -> np.ndarray:
     """m i.i.d. items 1..n drawn by inverse CDF; deterministic per seed.
 
-    By default rank 1 maps to item 1 (and so on).  ``rank_shuffle_seed``
-    applies a seeded permutation of the item labels instead; hashing makes
-    the placement irrelevant to the sketch, so this is off by default.
+    Rank 1 maps to item 1 (and so on); hashing makes the placement
+    irrelevant to the sketch.
     """
     if m < 0:
         raise ValueError("stream length must be >= 0")
@@ -158,9 +152,6 @@ def sample_stream(
     rng = np.random.default_rng(seed)
     u = rng.random(m)
     idx = np.minimum(np.searchsorted(cdf, u, side="right"), d.n - 1)
-    if rank_shuffle_seed is not None:
-        relabel = np.random.default_rng(rank_shuffle_seed).permutation(d.n)
-        idx = relabel[idx]
     return (idx + 1).astype(np.uint64)
 
 
@@ -250,6 +241,8 @@ def write_stream(path: str, items, n: int, descriptor: str) -> None:
     ``n`` is the universe size for synthetic streams and 0 for streams over
     the full 64-bit id space (ingested traces).
     """
+    if not (isinstance(n, (int, np.integer)) and 0 <= n < 2 ** 64):
+        raise ValueError(f"universe size must be an integer in [0, 2^64), got {n!r}")
     ids = item_ids(items)
     with open(path, "wb") as fh:
         fh.writelines(_pack_file(STREAM_MAGIC, descriptor, _STREAM_DIMS.pack(n, ids.size), ids))

@@ -82,6 +82,8 @@ def parse_source(text: str, n: int, base_dir: str = ".") -> StreamSource:
             path = os.path.join(base_dir, path)
         if not os.path.exists(path):
             raise FileNotFoundError(f"stream source {path!r} does not exist")
+        if not os.path.isfile(path):
+            raise ValueError(f"stream source {path!r} is not a regular file")
         return StreamSource(path=path)
     return StreamSource(family=parse_family(text, n))
 

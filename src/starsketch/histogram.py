@@ -194,25 +194,3 @@ def dump_histogram(dist: EmpiricalDistribution, path: str) -> None:
         writer.writerow(["item", "count"])
         writer.writerows(zip(dist.ids.tolist(), dist.counts.tolist()))
 
-
-def load_histogram(path: str) -> EmpiricalDistribution:
-    """Read :func:`dump_histogram` output.
-
-    Item lines must be in ascending id order with no repeats, ids in
-    [0, 2^64) and counts positive; anything else raises ``ValueError``.
-    """
-    with open(path, "r", newline="") as fh:
-        header = fh.readline().strip()
-        if not header.startswith("# total="):
-            raise ValueError(f"{path}: missing '# total=' header")
-        total = int(header.split("=", 1)[1])
-        reader = csv.reader(fh)
-        next(reader)  # column names
-        rows = [(int(item), int(count)) for item, count in reader]
-    try:
-        dist = EmpiricalDistribution([item for item, _ in rows], [count for _, count in rows])
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    if dist.total != total:
-        raise ValueError(f"{path}: header total {total} != summed counts {dist.total}")
-    return dist

@@ -2,7 +2,7 @@
 
 One item = one HTTP request target (the URL field of the quoted request),
 taken verbatim: query string included, case sensitive.  Targets are mapped to
-stable 64-bit ids by a fixed, versioned fingerprint so that runs and machines
+stable 64-bit ids by a fixed fingerprint so that runs and machines
 agree.  Malformed lines never abort a parse; they are counted and reported.
 
 Gzip-compressed logs are read transparently.  The classic trace archives
@@ -20,15 +20,11 @@ import numpy as np
 
 from .histogram import from_stream
 
-# Bump when the target-to-id mapping changes; recorded in stats output.
-FINGERPRINT_VERSION = 1
-
 _REQUEST_RE = re.compile(r'"([^"]*)"')
 
 
 @dataclass(frozen=True)
 class LogRecord:
-    raw_line: str
     request_target: str
     valid: bool
 
@@ -52,14 +48,13 @@ def parse_clf_line(line: str) -> LogRecord:
     ``"GET /x HTTP/1.0"`` and the protocol-less ``"GET /x"`` resolve to
     ``/x``.  Anything else comes back with valid=False.
     """
-    line = line.rstrip("\r\n")
     m = _REQUEST_RE.search(line)
     if m is None:
-        return LogRecord(line, "", False)
+        return LogRecord("", False)
     tokens = m.group(1).split()
     if len(tokens) < 2 or not tokens[1]:
-        return LogRecord(line, "", False)
-    return LogRecord(line, tokens[1], True)
+        return LogRecord("", False)
+    return LogRecord(tokens[1], True)
 
 
 def target_to_item(target: str) -> int:

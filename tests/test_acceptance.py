@@ -14,8 +14,8 @@ import pytest
 from starsketch.divergence import (
     KL_BREGMAN,
     SQEUCLID_BREGMAN,
-    bregman,
     combine_bregman,
+    from_bregman_generator,
     get_divergence,
 )
 from starsketch.generators import DistributionFamily, sample_stream
@@ -136,12 +136,15 @@ def test_criterion_4_convexity_and_linearity():
             quads += 1
 
     worst = 0.0
+    b1 = from_bregman_generator("b1", KL_BREGMAN)
+    b2 = from_bregman_generator("b2", SQEUCLID_BREGMAN)
     for lam in lam_grid:
-        combined = combine_bregman(KL_BREGMAN, SQEUCLID_BREGMAN, lam)
+        combined = from_bregman_generator(
+            "b12", combine_bregman(KL_BREGMAN, SQEUCLID_BREGMAN, lam))
         for _ in range(200):
             p, q = positive_pair(rng, 8)
-            lhs = bregman(combined, p, q)
-            rhs = bregman(KL_BREGMAN, p, q) + lam * bregman(SQEUCLID_BREGMAN, p, q)
+            lhs = combined(p, q)
+            rhs = b1(p, q) + lam * b2(p, q)
             worst = max(worst, abs(lhs - rhs))
             assert abs(lhs - rhs) <= 1e-9
     report(4, "convexity + Bregman linearity",

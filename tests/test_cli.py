@@ -1,15 +1,19 @@
 import csv
 import hashlib
 import io
+import math
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import starsketch
+from starsketch import divergence
 from starsketch.cli import main
-from starsketch.sketch import FamilyMismatchError
+from starsketch.divergence import FGenerator, from_f_generator, register
+from starsketch.sketch import FamilyMismatchError, load_sketch
 
 
 def run_cli(capsys, *argv):
@@ -46,6 +50,45 @@ def test_generate_sketch_distance_pipeline(tmp_path, capsys):
     assert rec["seed"] == "9"
     assert 0.0 < float(rec["value"]) <= 1.0
     assert rec["argmax"].startswith("row")
+
+
+def build_two_sketches(tmp_path, capsys):
+    """Sketches of a uniform and a zipf stream under one family."""
+    sketches = []
+    for name, family in (("u", "uniform"), ("z", "zipf(alpha=1)")):
+        stream, sketch = tmp_path / f"{name}.stream", tmp_path / f"{name}.sketch"
+        run_cli(capsys, "generate", "--family", family, "--n", "200", "--m", "5000",
+                "--seed", "3", "--out", str(stream))
+        run_cli(capsys, "sketch", "build", "--in", str(stream), "--k", "16", "--t", "4",
+                "--seed", "7", "--out", str(sketch))
+        sketches.append(str(sketch))
+    return sketches
+
+
+@pytest.mark.parametrize("alpha", ["nan", "inf"])
+def test_distance_rejects_non_finite_alpha(tmp_path, capsys, alpha):
+    a, b = build_two_sketches(tmp_path, capsys)
+    with pytest.raises(ValueError, match="alpha"):
+        main(["distance", "--phi", "kl", "--a", a, "--b", b, "--alpha", alpha])
+
+
+def test_distance_with_registered_f_divergence(tmp_path, capsys, monkeypatch):
+    # A private copy of the registry keeps the custom divergence out of the
+    # other tests; register() itself runs unchanged on it.
+    monkeypatch.setattr(divergence, "_REGISTRY", dict(divergence._REGISTRY))
+    chi2 = FGenerator(lambda u: (u - 1.0) ** 2, limit_zero=1.0, limit_ratio_inf=math.inf,
+                      name="(t-1)^2")
+    register(from_f_generator("chi2", chi2))
+    a, b = build_two_sketches(tmp_path, capsys)
+    code, out = run_cli(capsys, "distance", "--phi", "chi2", "--a", a, "--b", b)
+    assert code == 0
+    rec = dict(zip(*(line.split(",") for line in out.strip().splitlines())))
+    # The Pearson chi-square sum (p - q)^2 / q, maximized over the rows.
+    sa, sb = load_sketch(a), load_sketch(b)
+    P, Q = sa.counts / sa.total, sb.counts / sb.total
+    rows = ((P - Q) ** 2 / Q).sum(axis=1)
+    assert rec["phi"] == "chi2" and rec["argmax"] == f"row{int(np.argmax(rows))}"
+    assert float(rec["value"]) == pytest.approx(rows.max(), rel=1e-12)
 
 
 def test_distance_requires_matching_families(tmp_path, capsys):

@@ -17,21 +17,15 @@ from starsketch.divergence import (
     DivergenceSpec,
     FGenerator,
     available,
-    bhattacharyya,
-    bhattacharyya_coefficient,
-    bregman,
     combine_bregman,
-    cross_entropy,
-    entropy,
-    f_divergence,
+    from_bregman_generator,
+    from_f_generator,
     get_divergence,
-    hellinger,
-    js,
-    kl,
     register,
     smoothed,
-    tv,
 )
+
+NAMES = ("kl", "js", "bhattacharyya", "hellinger", "tv")
 
 # High-precision reference values (40-digit evaluation of the defining sums)
 # for p = (1/2, 1/2), q = (1/4, 3/4), all in bits.
@@ -52,36 +46,41 @@ def random_pair(rng, n, floor=0.02):
 
 class TestPinnedValues:
     def test_kl(self):
-        assert kl(P, Q) == pytest.approx(KL_PQ, abs=1e-12)
+        assert get_divergence("kl")(P, Q) == pytest.approx(KL_PQ, abs=1e-12)
 
     def test_kl_asymmetry_witness(self):
-        assert kl(Q, P) == pytest.approx(KL_QP, abs=1e-12)
-        assert kl(P, Q) != kl(Q, P)
+        spec = get_divergence("kl")
+        assert spec(Q, P) == pytest.approx(KL_QP, abs=1e-12)
+        assert spec(P, Q) != spec(Q, P)
 
     def test_js(self):
-        assert js(P, Q) == pytest.approx(JS_PQ, abs=1e-12)
+        assert get_divergence("js")(P, Q) == pytest.approx(JS_PQ, abs=1e-12)
 
     def test_bhattacharyya(self):
-        assert bhattacharyya_coefficient(P, Q) == pytest.approx(BC_PQ, abs=1e-12)
-        assert bhattacharyya(P, Q) == pytest.approx(DB_PQ, abs=1e-12)
+        db = get_divergence("bhattacharyya")(P, Q)
+        assert db == pytest.approx(DB_PQ, abs=1e-12)
+        assert 2.0 ** -db == pytest.approx(BC_PQ, abs=1e-12)
 
     def test_hellinger(self):
-        assert hellinger(P, Q) == pytest.approx(HEL_PQ, abs=1e-12)
+        assert get_divergence("hellinger")(P, Q) == pytest.approx(HEL_PQ, abs=1e-12)
 
     def test_hellinger_is_sqrt_one_minus_bc(self):
+        # The coefficient BC is 2^-bhattacharyya, so hellinger^2 + BC = 1.
+        hel, db = get_divergence("hellinger"), get_divergence("bhattacharyya")
         rng = np.random.default_rng(3)
         for _ in range(100):
             p, q = random_pair(rng, 8)
-            assert hellinger(p, q) ** 2 + bhattacharyya_coefficient(p, q) == pytest.approx(1.0, abs=1e-12)
+            assert hel(p, q) ** 2 + 2.0 ** -db(p, q) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestIdentity:
-    @pytest.mark.parametrize("phi", [kl, js, bhattacharyya, hellinger, tv])
-    def test_exact_zero_on_dyadic(self, phi):
+    @pytest.mark.parametrize("name", NAMES)
+    def test_exact_zero_on_dyadic(self, name):
+        spec = get_divergence(name)
         for p in ([0.5, 0.5], [0.25, 0.25, 0.5], [1.0], [0.125, 0.375, 0.5]):
-            assert phi(p, p) == 0.0
+            assert spec(p, p) == 0.0
 
-    @pytest.mark.parametrize("name", ["kl", "js", "bhattacharyya", "hellinger", "tv"])
+    @pytest.mark.parametrize("name", NAMES)
     def test_near_zero_on_random(self, name):
         spec = get_divergence(name)
         rng = np.random.default_rng(7)
@@ -92,20 +91,19 @@ class TestIdentity:
 
 class TestInfinities:
     def test_kl_forbidden_zero(self):
-        assert kl([0.5, 0.5], [1.0, 0.0]) == math.inf
+        assert get_divergence("kl")([0.5, 0.5], [1.0, 0.0]) == math.inf
 
     def test_kl_allowed_zero(self):
-        assert math.isfinite(kl([1.0, 0.0], [0.5, 0.5]))
+        assert math.isfinite(get_divergence("kl")([1.0, 0.0], [0.5, 0.5]))
 
     def test_bhattacharyya_disjoint(self):
-        assert bhattacharyya_coefficient([1, 0], [0, 1]) == 0.0
-        assert bhattacharyya([1, 0], [0, 1]) == math.inf
+        assert get_divergence("bhattacharyya")([1, 0], [0, 1]) == math.inf
 
     def test_js_saturates(self):
-        assert js([1, 0], [0, 1]) == 1.0
+        assert get_divergence("js")([1, 0], [0, 1]) == 1.0
 
     def test_hellinger_disjoint(self):
-        assert hellinger([1, 0], [0, 1]) == 1.0
+        assert get_divergence("hellinger")([1, 0], [0, 1]) == 1.0
 
 
 class TestSymmetryAndRange:
@@ -128,7 +126,7 @@ class TestSymmetryAndRange:
         q[rng.random(n) < 0.25] = 0.0
         if p.sum() == 0 or q.sum() == 0:
             return
-        v = js(p / p.sum(), q / q.sum())
+        v = get_divergence("js")(p / p.sum(), q / q.sum())
         assert 0.0 <= v <= 1.0
 
     def test_nonnegativity_bulk(self):
@@ -149,82 +147,89 @@ class TestSymmetryAndRange:
 
 class TestTriangle:
     def test_hellinger_triangle_random(self):
+        hel = get_divergence("hellinger")
         rng = np.random.default_rng(17)
         for _ in range(2000):
             n = int(rng.integers(2, 12))
             p, q = random_pair(rng, n)
             r, _ = random_pair(rng, n)
-            assert hellinger(p, q) <= hellinger(p, r) + hellinger(r, q) + 1e-12
+            assert hel(p, q) <= hel(p, r) + hel(r, q) + 1e-12
 
     def test_bhattacharyya_counterexample(self):
         # Semimetric: recorded triple where the triangle inequality fails.
+        db = get_divergence("bhattacharyya")
         a, b, m = [0.9, 0.1], [0.1, 0.9], [0.5, 0.5]
-        assert bhattacharyya(a, b) == pytest.approx(0.7369655941662062, abs=1e-12)
-        assert bhattacharyya(a, m) + bhattacharyya(m, b) == pytest.approx(
-            0.3219280948873623, abs=1e-12)
-        assert bhattacharyya(a, b) > bhattacharyya(a, m) + bhattacharyya(m, b)
+        assert db(a, b) == pytest.approx(0.7369655941662062, abs=1e-12)
+        assert db(a, m) + db(m, b) == pytest.approx(0.3219280948873623, abs=1e-12)
+        assert db(a, b) > db(a, m) + db(m, b)
 
     def test_js_counterexample_but_sqrt_holds(self):
+        jsd = get_divergence("js")
         e1, e2, m = [1.0, 0.0], [0.0, 1.0], [0.5, 0.5]
-        assert js(e1, m) == pytest.approx(0.3112781244591328, abs=1e-12)
-        assert js(e1, e2) > js(e1, m) + js(m, e2)
+        assert jsd(e1, m) == pytest.approx(0.3112781244591328, abs=1e-12)
+        assert jsd(e1, e2) > jsd(e1, m) + jsd(m, e2)
         rng = np.random.default_rng(23)
         for _ in range(2000):
             n = int(rng.integers(2, 10))
             p, q = random_pair(rng, n)
             r, _ = random_pair(rng, n)
-            assert math.sqrt(js(p, q)) <= math.sqrt(js(p, r)) + math.sqrt(js(r, q)) + 1e-12
+            assert math.sqrt(jsd(p, q)) <= math.sqrt(jsd(p, r)) + math.sqrt(jsd(r, q)) + 1e-12
 
 
-def test_cross_entropy_decomposition():
-    rng = np.random.default_rng(29)
-    for _ in range(100):
-        p, q = random_pair(rng, 10)
-        assert kl(p, q) == pytest.approx(cross_entropy(p, q) - entropy(p), abs=1e-9)
-    assert cross_entropy([1.0, 0.0], [0.0, 1.0]) == math.inf
+def f_spec(gen):
+    return from_f_generator(f"f[{gen.name}]", gen)
+
+
+def bregman_spec(gen):
+    return from_bregman_generator(f"bregman[{gen.name}]", gen)
 
 
 class TestFDivergence:
     def test_kl_generator_reproduces_kl(self):
+        spec, ref = f_spec(KL_GENERATOR), get_divergence("kl")
+        assert spec.flags.f_div and not spec.flags.bregman
         rng = np.random.default_rng(31)
         for _ in range(200):
             p, q = random_pair(rng, int(rng.integers(2, 20)))
-            assert f_divergence(KL_GENERATOR, p, q) == pytest.approx(kl(p, q), abs=1e-12)
+            assert spec(p, q) == pytest.approx(ref(p, q), abs=1e-12)
 
     def test_js_generator_reproduces_js(self):
+        spec, ref = f_spec(JS_GENERATOR), get_divergence("js")
         rng = np.random.default_rng(37)
         for _ in range(100):
             p, q = random_pair(rng, 6)
-            assert f_divergence(JS_GENERATOR, p, q) == pytest.approx(js(p, q), abs=1e-12)
+            assert spec(p, q) == pytest.approx(ref(p, q), abs=1e-12)
 
     def test_tv_generator_closed_form(self):
-        assert f_divergence(TV_GENERATOR, [1.0, 0.0], [0.5, 0.5]) == pytest.approx(0.5, abs=1e-15)
+        spec, ref = f_spec(TV_GENERATOR), get_divergence("tv")
+        assert spec([1.0, 0.0], [0.5, 0.5]) == pytest.approx(0.5, abs=1e-15)
         rng = np.random.default_rng(41)
         for _ in range(100):
             p, q = random_pair(rng, 5)
-            assert f_divergence(TV_GENERATOR, p, q) == pytest.approx(tv(p, q), abs=1e-12)
+            assert spec(p, q) == pytest.approx(ref(p, q), abs=1e-12)
 
     def test_hellinger_sq_generator(self):
+        spec, ref = f_spec(HELLINGER_SQ_GENERATOR), get_divergence("hellinger")
         rng = np.random.default_rng(43)
         for _ in range(100):
             p, q = random_pair(rng, 5)
-            assert f_divergence(HELLINGER_SQ_GENERATOR, p, q) == pytest.approx(
-                hellinger(p, q) ** 2, abs=1e-12)
+            assert spec(p, q) == pytest.approx(ref(p, q) ** 2, abs=1e-12)
 
     def test_identity_is_termwise_zero(self):
         for gen in (KL_GENERATOR, TV_GENERATOR, JS_GENERATOR):
-            assert f_divergence(gen, [0.3, 0.7], [0.3, 0.7]) == 0.0
+            assert f_spec(gen)([0.3, 0.7], [0.3, 0.7]) == 0.0
 
     def test_zero_conventions(self):
         # kl generator: q-only zeros are free, p-only zeros cost +inf
-        assert f_divergence(KL_GENERATOR, [1.0, 0.0], [0.5, 0.5]) == pytest.approx(1.0)
-        assert f_divergence(KL_GENERATOR, [0.5, 0.5], [1.0, 0.0]) == math.inf
+        spec = f_spec(KL_GENERATOR)
+        assert spec([1.0, 0.0], [0.5, 0.5]) == pytest.approx(1.0)
+        assert spec([0.5, 0.5], [1.0, 0.0]) == math.inf
 
     def test_undefined_limit_reports_index(self):
         gen = FGenerator(lambda u: u - 1.0, limit_zero=None, limit_ratio_inf=1.0,
                          name="t-1")
         with pytest.raises(DivergenceDomainError, match="index 1"):
-            f_divergence(gen, [1.0, 0.0], [0.5, 0.5])
+            f_spec(gen)([1.0, 0.0], [0.5, 0.5])
 
     def test_generator_validation(self):
         with pytest.raises(ValueError, match="f\\(1\\)"):
@@ -236,68 +241,74 @@ class TestFDivergence:
         # Merging two cells never increases an f-divergence.
         rng = np.random.default_rng(47)
         for gen in (KL_GENERATOR, TV_GENERATOR, JS_GENERATOR):
+            spec = f_spec(gen)
             for _ in range(100):
                 p, q = random_pair(rng, 6)
                 pm = np.concatenate([[p[0] + p[1]], p[2:]])
                 qm = np.concatenate([[q[0] + q[1]], q[2:]])
-                assert f_divergence(gen, pm, qm) <= f_divergence(gen, p, q) + 1e-12
+                assert spec(pm, qm) <= spec(p, q) + 1e-12
 
     def test_convexity_in_pairs(self):
         rng = np.random.default_rng(53)
         for gen in (KL_GENERATOR, TV_GENERATOR):
+            spec = f_spec(gen)
             for _ in range(100):
                 p1, q1 = random_pair(rng, 5)
                 p2, q2 = random_pair(rng, 5)
                 lam = rng.uniform()
-                lhs = f_divergence(gen, lam * p1 + (1 - lam) * p2, lam * q1 + (1 - lam) * q2)
-                rhs = lam * f_divergence(gen, p1, q1) + (1 - lam) * f_divergence(gen, p2, q2)
+                lhs = spec(lam * p1 + (1 - lam) * p2, lam * q1 + (1 - lam) * q2)
+                rhs = lam * spec(p1, q1) + (1 - lam) * spec(p2, q2)
                 assert lhs <= rhs + 1e-9
 
 
 class TestBregman:
     def test_identity_zero(self):
         for gen in (KL_BREGMAN, SQEUCLID_BREGMAN):
-            assert bregman(gen, [0.4, 0.6], [0.4, 0.6]) == 0.0
+            assert bregman_spec(gen)([0.4, 0.6], [0.4, 0.6]) == 0.0
 
     def test_squared_euclidean(self):
+        spec = bregman_spec(SQEUCLID_BREGMAN)
+        assert spec.flags.bregman and not spec.flags.f_div
         rng = np.random.default_rng(59)
         for _ in range(100):
             p, q = random_pair(rng, 7)
-            assert bregman(SQEUCLID_BREGMAN, p, q) == pytest.approx(
-                float(((p - q) ** 2).sum()), abs=1e-12)
+            assert spec(p, q) == pytest.approx(float(((p - q) ** 2).sum()), abs=1e-12)
 
     def test_kl_bregman_matches_kl(self):
+        spec, ref = bregman_spec(KL_BREGMAN), get_divergence("kl")
         rng = np.random.default_rng(61)
         for _ in range(200):
             p, q = random_pair(rng, int(rng.integers(2, 20)))
-            assert bregman(KL_BREGMAN, p, q) == pytest.approx(kl(p, q), abs=1e-9)
+            assert spec(p, q) == pytest.approx(ref(p, q), abs=1e-9)
 
     def test_nonnegative(self):
         rng = np.random.default_rng(67)
         for gen in (KL_BREGMAN, SQEUCLID_BREGMAN):
+            spec = bregman_spec(gen)
             for _ in range(200):
                 p, q = random_pair(rng, 6)
-                assert bregman(gen, p, q) >= -1e-12
+                assert spec(p, q) >= -1e-12
 
     def test_zero_in_q_with_positive_p(self):
-        assert bregman(KL_BREGMAN, [0.5, 0.5], [1.0, 0.0]) == math.inf
+        assert bregman_spec(KL_BREGMAN)([0.5, 0.5], [1.0, 0.0]) == math.inf
         # finite derivative extension keeps t^2 finite
-        assert math.isfinite(bregman(SQEUCLID_BREGMAN, [0.5, 0.5], [1.0, 0.0]))
+        assert math.isfinite(bregman_spec(SQEUCLID_BREGMAN)([0.5, 0.5], [1.0, 0.0]))
 
     def test_missing_extension_rejected(self):
         gen = BregmanGenerator(F=lambda x: -np.log2(x), Fprime=lambda x: -1.0 / (x * math.log(2)),
                                name="-log2")
         with pytest.raises(DivergenceDomainError):
-            bregman(gen, [1.0, 0.0], [0.5, 0.5])
+            bregman_spec(gen)([1.0, 0.0], [0.5, 0.5])
 
     def test_pointwise_linearity(self):
+        b1, b2 = bregman_spec(KL_BREGMAN), bregman_spec(SQEUCLID_BREGMAN)
         rng = np.random.default_rng(71)
         for lam in (0.0, 0.25, 0.5, 0.75, 1.0):
-            combined = combine_bregman(KL_BREGMAN, SQEUCLID_BREGMAN, lam)
+            combined = bregman_spec(combine_bregman(KL_BREGMAN, SQEUCLID_BREGMAN, lam))
             for _ in range(50):
                 p, q = random_pair(rng, 6)
-                lhs = bregman(combined, p, q)
-                rhs = bregman(KL_BREGMAN, p, q) + lam * bregman(SQEUCLID_BREGMAN, p, q)
+                lhs = combined(p, q)
+                rhs = b1(p, q) + lam * b2(p, q)
                 assert lhs == pytest.approx(rhs, abs=1e-9)
 
     def test_generator_validation(self):
@@ -331,7 +342,7 @@ class TestRegistry:
         spec = DivergenceSpec("rows-tv", eval_rows=lambda P, Q: 0.5 * np.abs(P - Q).sum(axis=1))
         P = np.array([[0.5, 0.5], [1.0, 0.0]])
         Q = np.array([[0.25, 0.75], [0.5, 0.5]])
-        assert spec.batch(P, Q).tolist() == [tv(P[0], Q[0]), 0.5]
+        assert spec.batch(P, Q).tolist() == [get_divergence("tv")(P[0], Q[0]), 0.5]
         # the scalar form is the same kernel on one validated row
         assert spec(P[0], Q[0]) == spec.batch(P, Q)[0]
         with pytest.raises(ValueError):
@@ -359,8 +370,13 @@ class TestSmoothing:
         with pytest.raises(ValueError):
             smoothed(get_divergence("js"), -0.1)
 
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+    def test_non_finite_alpha_rejected(self, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            smoothed(get_divergence("js"), alpha)
+
 
 def test_length_mismatch_rejected():
-    for phi in (kl, js, bhattacharyya, hellinger, tv):
+    for name in NAMES:
         with pytest.raises(ValueError):
-            phi([0.5, 0.5], [0.2, 0.3, 0.5])
+            get_divergence(name)([0.5, 0.5], [0.2, 0.3, 0.5])

@@ -193,18 +193,6 @@ class TestSampling:
         assert items.size == 200_000
         assert 1 <= items.min() and items.max() <= 4000
 
-    def test_rank_shuffle(self):
-        fam = DistributionFamily.zipf(50, 1.0)
-        plain = sample_stream(fam, 20_000, 3)
-        shuffled = sample_stream(fam, 20_000, 3, rank_shuffle_seed=8)
-        assert not np.array_equal(plain, shuffled)
-        assert shuffled.min() >= 1 and shuffled.max() <= 50
-        # a permutation of labels preserves the count multiset
-        a = np.sort(np.bincount(plain.astype(int), minlength=51)[1:])
-        b = np.sort(np.bincount(shuffled.astype(int), minlength=51)[1:])
-        assert np.array_equal(a, b)
-        assert np.array_equal(shuffled, sample_stream(fam, 20_000, 3, rank_shuffle_seed=8))
-
 
 class TestParseFamily:
     @pytest.mark.parametrize("text,expected", [
@@ -251,6 +239,14 @@ def test_stream_file_rejects_bad_ids(tmp_path, bad):
     # Written unchecked, -1 would be stored as 2^64 - 1 and 2.7 as 2.
     with pytest.raises(ValueError, match="item ids"):
         write_stream(str(tmp_path / "s.stream"), bad, 9, "x")
+
+
+@pytest.mark.parametrize("n", [2 ** 64, -1, 2.5])
+def test_stream_file_rejects_out_of_range_universe(tmp_path, n):
+    path = tmp_path / "s.stream"
+    with pytest.raises(ValueError, match="universe size"):
+        write_stream(str(path), [1], n, "x")
+    assert not path.exists()
 
 
 def test_stream_file_rejects_garbage(tmp_path):

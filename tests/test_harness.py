@@ -116,6 +116,7 @@ PAIR = "pair = uniform | zipf(alpha=1)\n"
     (PAIR + "alpha = nan\n", "alpha must be finite"),
     (PAIR + "alpha = inf\n", "alpha must be finite"),
     (PAIR + "divergences = js, renyi\n", "unknown divergence 'renyi'"),
+    ("pair = file:. | uniform\n", "not a regular file"),
 ])
 def test_plan_rejection_names_the_fault(text, what):
     with pytest.raises(ValueError, match=what):
