@@ -50,14 +50,13 @@ from .histogram import (
     stirling,
 )
 from .ingest import LogRecord, TraceStats, parse_clf_line, target_to_item, trace_stats
-from .sketch import FamilyMismatchError, SketchMatrix, load_sketch, new_sketch, sketch_stream
+from .sketch import FamilyMismatchError, SketchMatrix, load_sketch, sketch_stream
 from .starmetric import (
     PreservationReport,
     StarMetricResult,
     exact_star_metric,
     preservation_suite,
     reference_distance,
-    result_record,
     sketch_star_metric,
 )
 
@@ -73,7 +72,7 @@ __all__ = [
     "EmpiricalDistribution", "PartitionBudgetError", "aggregate",
     "as_distribution", "assignment_blocks", "from_stream", "normalize", "stirling",
     "LogRecord", "TraceStats", "parse_clf_line", "target_to_item", "trace_stats",
-    "FamilyMismatchError", "SketchMatrix", "load_sketch", "new_sketch", "sketch_stream",
+    "FamilyMismatchError", "SketchMatrix", "load_sketch", "sketch_stream",
     "PreservationReport", "StarMetricResult", "exact_star_metric",
-    "preservation_suite", "reference_distance", "result_record", "sketch_star_metric",
+    "preservation_suite", "reference_distance", "sketch_star_metric",
 ]

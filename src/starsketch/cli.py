@@ -17,7 +17,7 @@ from .hashing import new_family
 from .histogram import dump_histogram, from_stream
 from .ingest import frequency_ranks, iter_records, trace_stats
 from .sketch import load_sketch, sketch_stream
-from .starmetric import RESULT_FIELDS, result_record, sketch_star_metric
+from .starmetric import sketch_star_metric
 
 
 def _cmd_generate(args) -> int:
@@ -63,10 +63,10 @@ def _cmd_distance(args) -> int:
     b = load_sketch(args.b)
     spec = smoothed(get_divergence(args.phi), args.alpha)
     result = sketch_star_metric(spec, a, b)
-    record = result_record(args.phi, result, t=a.t, seed=a.family.seed, alpha=args.alpha)
     writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(RESULT_FIELDS)
-    writer.writerow([record[f] for f in RESULT_FIELDS])
+    writer.writerow(["phi", "mode", "k", "t", "value", "argmax", "seed", "alpha_smoothing"])
+    writer.writerow([args.phi, "approximate", a.k, a.t, repr(result.value),
+                     result.argmax_label(), a.family.seed, repr(args.alpha)])
     return 0
 
 

@@ -81,18 +81,25 @@ class DistributionFamily:
         return cls("poisson", n, lam=lam)
 
     def label(self) -> str:
+        """The plan descriptor of this family: ``parse_family(label, n)`` rebuilds it."""
         if self.kind == "uniform":
             return "uniform"
         if self.kind == "zipf":
-            return f"zipf(alpha={self.alpha:g})"
+            return f"zipf(alpha={_number(self.alpha)})"
         if self.kind == "pascal":
             default_p = self.n / (2 * self.r + self.n)
             if self.p == default_p:
                 return f"pascal(r={self.r})"
-            return f"pascal(r={self.r},p={self.p:g})"
+            return f"pascal(r={self.r},p={_number(self.p)})"
         if self.kind == "binomial":
-            return f"binomial(p={self.p:g})"
-        return f"poisson(lam={self.lam:g})"
+            return f"binomial(p={_number(self.p)})"
+        return f"poisson(lam={_number(self.lam)})"
+
+
+def _number(x: float) -> str:
+    """Shortest text that parses back to the float ``x``, without a trailing ``.0``."""
+    text = repr(float(x))
+    return text[:-2] if text.endswith(".0") else text
 
 
 _lgamma = np.vectorize(math.lgamma, otypes=[np.float64])

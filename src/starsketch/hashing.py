@@ -13,7 +13,6 @@ can be shared and evaluated concurrently without coordination.
 """
 from __future__ import annotations
 
-import hashlib
 import random
 from dataclasses import dataclass
 
@@ -173,10 +172,6 @@ class HashFamily:
             a, b = (int(v) for v in line.split())
             functions.append(HashFunction(a, b, p, k))
         return cls(tuple(functions), seed)
-
-    def fingerprint(self) -> str:
-        """Stable digest of the full parameter set, for compatibility checks."""
-        return hashlib.blake2b(self.header().encode(), digest_size=16).hexdigest()
 
 
 def new_family(t: int, k: int, universe_bound: int, seed: int) -> HashFamily:

@@ -26,14 +26,14 @@ from .hashing import item_ids
 # is unreachable beyond it anyway.
 MAX_STIRLING_N = 26
 
-DEFAULT_PARTITION_BUDGET = 10_000_000
+_BLOCK_ROWS = 4096
 
 # A probability vector must sum to 1 within this absolute tolerance.
 NORMALIZATION_TOL = 1e-9
 
 
 class PartitionBudgetError(RuntimeError):
-    """Exhaustive enumeration would exceed the caller's partition budget."""
+    """Exhaustive enumeration would exceed the partition budget."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,21 +154,23 @@ def stirling(n: int, k: int) -> int:
 def assignment_blocks(
     n: int,
     k: int,
-    block_size: int = 4096,
 ) -> Iterator[np.ndarray]:
-    """Every k-cell partition of n items as (rows, n) int8 label blocks.
+    """Every k-cell partition of n items as (rows, n) label blocks.
 
     Rows are the length-n restricted growth strings with exactly k labels, in
     lexicographic order: labels appear in first-use order, so each row is the
-    one canonical label array of its partition.  Blocks hold at most
-    ``block_size`` rows.  Rows are grown depth-first from a stack of prefix
-    blocks; a prefix using ``used`` labels takes any next label <= ``used``
-    while the remaining positions can still introduce the missing labels.
+    one canonical label array of its partition.  Blocks hold at most 4096
+    rows, of dtype int8 for k <= 127 and int64 above.  Rows
+    are grown depth-first from a stack of prefix blocks; a prefix using
+    ``used`` labels takes any next label <= ``used`` while the remaining
+    positions can still introduce the missing labels.
     """
     if not 1 <= k <= n:
         raise ValueError(f"require 1 <= k <= n, got n={n} k={k}")
-    labels = np.arange(k, dtype=np.int8)
-    stack = [(np.zeros((1, 1), dtype=np.int8), np.ones(1, dtype=np.int8))]
+    # The dtype must hold the label count k itself, which ``used`` reaches.
+    dtype = np.int8 if k <= np.iinfo(np.int8).max else np.int64
+    labels = np.arange(k, dtype=dtype)
+    stack = [(np.zeros((1, 1), dtype=dtype), np.ones(1, dtype=dtype))]
     while stack:
         prefix, used = stack.pop()
         d = prefix.shape[1]
@@ -178,12 +180,12 @@ def assignment_blocks(
         u = used[:, None]
         fresh = labels == u
         src, label = np.nonzero((labels <= u) & (k - u - fresh <= n - d - 1))
-        child = np.empty((src.size, d + 1), dtype=np.int8)
+        child = np.empty((src.size, d + 1), dtype=dtype)
         child[:, :d] = prefix[src]
         child[:, d] = label
         child_used = used[src] + fresh[src, label]
-        for start in reversed(range(0, src.size, block_size)):
-            stack.append((child[start:start + block_size], child_used[start:start + block_size]))
+        for start in reversed(range(0, src.size, _BLOCK_ROWS)):
+            stack.append((child[start:start + _BLOCK_ROWS], child_used[start:start + _BLOCK_ROWS]))
 
 
 def dump_histogram(dist: EmpiricalDistribution, path: str) -> None:

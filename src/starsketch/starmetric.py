@@ -32,7 +32,6 @@ from .divergence import (
 )
 from .hashing import item_ids
 from .histogram import (
-    DEFAULT_PARTITION_BUDGET,
     MAX_STIRLING_N,
     EmpiricalDistribution,
     PartitionBudgetError,
@@ -43,26 +42,25 @@ from .histogram import (
 )
 from .sketch import FamilyMismatchError, SketchMatrix
 
+PARTITION_BUDGET = 10_000_000
+
 
 @dataclass
 class StarMetricResult:
     """Value, maximizing partition (or row), and search-size accounting.
 
     An exact result's ``argmax`` is the maximizing partition's label array
-    (entry i is the cell of item i + 1); an approximate one's is the row index.
+    (entry i is the cell of item i + 1); a sketch result's is the row index.
+    ``evaluated_partitions`` counts the partitions (or rows) searched.
     """
 
     value: float
-    argmax: np.ndarray | int | None
-    mode: str  # "exact" or "approximate"
-    k: int
+    argmax: np.ndarray | int
     evaluated_partitions: int
 
     def argmax_label(self) -> str:
         """``{1,2}|{3}`` for a partition: cells in label order, 1-based items
-        ascending in each; ``row<i>`` for a sketch row; empty for neither."""
-        if self.argmax is None:
-            return ""
+        ascending in each; ``row<i>`` for a sketch row."""
         if isinstance(self.argmax, np.ndarray):
             cells: list[list[str]] = [[] for _ in range(int(self.argmax.max()) + 1)]
             for item, label in enumerate(self.argmax.tolist(), start=1):
@@ -71,45 +69,26 @@ class StarMetricResult:
         return f"row{self.argmax}"
 
 
-def result_record(phi: str, result: StarMetricResult, t: int | None = None,
-                  seed: int | None = None, alpha: float = 0.0) -> dict[str, str]:
-    """The CSV result-row contract: phi,mode,k,t,value,argmax,seed,alpha_smoothing."""
-    return {
-        "phi": phi,
-        "mode": result.mode,
-        "k": str(result.k),
-        "t": "" if t is None else str(t),
-        "value": repr(result.value),
-        "argmax": result.argmax_label(),
-        "seed": "" if seed is None else str(seed),
-        "alpha_smoothing": repr(alpha),
-    }
-
-
-RESULT_FIELDS = ("phi", "mode", "k", "t", "value", "argmax", "seed", "alpha_smoothing")
-
-
 def exact_star_metric(
     phi: DivergenceSpec,
     p,
     q,
     k: int,
-    budget: int = DEFAULT_PARTITION_BUDGET,
 ) -> StarMetricResult:
     """Maximize phi over all k-cell partitions of the common universe.
 
-    For k above the universe size no k-cell partition exists and the plain
-    phi(p || q) is returned.  Ties break to the first maximizer in
-    lexicographic restricted-growth-string order, and the maximizing label
-    array is the result's ``argmax``.  Enumerations larger than ``budget``
-    raise :class:`PartitionBudgetError`.
+    For k above the universe size n no k-cell partition exists, and the
+    n-cell identity partition is taken: its value is the plain phi(p || q).
+    Ties break to the first maximizer in lexicographic
+    restricted-growth-string order, and the maximizing label array is the
+    result's ``argmax``.  Enumerations of more than ``PARTITION_BUDGET``
+    partitions raise :class:`PartitionBudgetError`.
     """
     p, q = _pair(p, q)
     if k < 1:
         raise ValueError("k must be >= 1")
     n = p.size
-    if k > n:
-        return StarMetricResult(phi(p, q), None, "exact", k, 1)
+    k = min(k, n)
     if k == 1 or k == n:
         total = 1
     elif n > MAX_STIRLING_N:
@@ -118,9 +97,9 @@ def exact_star_metric(
         )
     else:
         total = stirling(n, k)
-        if total > budget:
+        if total > PARTITION_BUDGET:
             raise PartitionBudgetError(
-                f"S({n},{k}) = {total} exceeds the budget of {budget}"
+                f"S({n},{k}) = {total} exceeds the budget of {PARTITION_BUDGET}"
             )
 
     best = -math.inf
@@ -133,7 +112,7 @@ def exact_star_metric(
             best_assignment = block[i].copy()
     if best_assignment is None:
         raise ValueError(f"{phi.name}: no partition has a value above -inf (n={n}, k={k})")
-    return StarMetricResult(best, best_assignment, "exact", k, total)
+    return StarMetricResult(best, best_assignment, total)
 
 
 def sketch_star_metric(phi: DivergenceSpec, a: SketchMatrix, b: SketchMatrix) -> StarMetricResult:
@@ -142,13 +121,13 @@ def sketch_star_metric(phi: DivergenceSpec, a: SketchMatrix, b: SketchMatrix) ->
     Each row pair is normalized by its own stream length.  The argmax is the
     lowest maximizing row index; +inf dominates the max.
     """
-    if a.family_fingerprint != b.family_fingerprint:
+    if a.family != b.family:
         raise FamilyMismatchError("sketches were built with different hash families")
     if a.total == 0 or b.total == 0:
         raise ValueError("cannot compare empty sketches")
     vals = phi.batch(a.counts / a.total, b.counts / b.total)
     best_row = int(np.argmax(vals))
-    return StarMetricResult(float(vals[best_row]), best_row, "approximate", a.k, a.t)
+    return StarMetricResult(float(vals[best_row]), best_row, a.t)
 
 
 def reference_distance(
@@ -246,7 +225,6 @@ def preservation_suite(
     k: int,
     trials: int = 200,
     seed: int = 0,
-    budget: int = DEFAULT_PARTITION_BUDGET,
 ) -> PreservationReport:
     """Exercise the required axioms and every flagged property of phi exactly.
 
@@ -259,7 +237,7 @@ def preservation_suite(
     """
     rng = np.random.default_rng(seed)
     report = PreservationReport(phi.name, n, k, seed)
-    star = lambda a, b: exact_star_metric(phi, a, b, k, budget).value
+    star = lambda a, b: exact_star_metric(phi, a, b, k).value
 
     nonnegative = PropertyCheck("non-negativity", True)
     ident_zero = PropertyCheck("identity-zero", True)
@@ -299,7 +277,7 @@ def preservation_suite(
                       rng.integers(1, k) if k > 1 else 1):
                 mu = _random_coarsening(rng, n, int(c))
                 pm, qm = aggregate(p, mu), aggregate(q, mu)
-                v = exact_star_metric(phi, pm, qm, k, budget).value
+                v = exact_star_metric(phi, pm, qm, k).value
                 monotone.record(v <= pq + _TOL_MONOTONE,
                                 f"c={c} coarse={v!r} base={pq!r}")
         if convex.applicable:
@@ -313,9 +291,9 @@ def preservation_suite(
             lam = float(rng.uniform())
             b12 = from_bregman_generator(
                 "b12", combine_bregman(KL_BREGMAN, SQEUCLID_BREGMAN, lam))
-            lhs = exact_star_metric(b12, p, q, k, budget).value
-            rhs = (exact_star_metric(b1, p, q, k, budget).value
-                   + lam * exact_star_metric(b2, p, q, k, budget).value)
+            lhs = exact_star_metric(b12, p, q, k).value
+            rhs = (exact_star_metric(b1, p, q, k).value
+                   + lam * exact_star_metric(b2, p, q, k).value)
             linear.record(lhs <= rhs + _TOL_AXIOM,
                           f"lam={lam} combined={lhs!r} split={rhs!r} gap={rhs - lhs!r}")
 

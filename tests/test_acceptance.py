@@ -29,7 +29,7 @@ from starsketch.histogram import (
 )
 from starsketch.ingest import iter_records, trace_stats
 from starsketch.harness import parse_plan, run_plan, sweep_summary
-from starsketch.sketch import new_sketch, sketch_stream
+from starsketch.sketch import sketch_stream
 from starsketch.starmetric import (
     exact_star_metric,
     preservation_suite,
@@ -316,9 +316,8 @@ def test_criterion_9_throughput():
     family = new_family(t, k, n + 1, seed=5)
     best = 0.0
     for _ in range(3):
-        sk = new_sketch(family)
         t0 = time.perf_counter()
-        sk.update_many(items)
+        sk = sketch_stream(family, items)
         elapsed = time.perf_counter() - t0
         assert sk.total == m
         best = max(best, m / elapsed)

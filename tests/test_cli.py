@@ -65,6 +65,21 @@ def build_two_sketches(tmp_path, capsys):
     return sketches
 
 
+@pytest.mark.parametrize("args,swap,row", [
+    (("--phi", "js"), False, "js,approximate,16,4,0.17756683967099102,row1,7,0.0"),
+    (("--phi", "kl", "--alpha", "1e-9"), True, "kl,approximate,16,4,0.7477352579695157,row1,7,1e-09"),
+])
+def test_distance_stdout_pinned(tmp_path, capsys, args, swap, row):
+    # The eight result columns, byte for byte: k, t and seed come from the
+    # sketch files, argmax names the winning row, alpha is echoed by repr.
+    a, b = build_two_sketches(tmp_path, capsys)
+    if swap:
+        a, b = b, a
+    code, out = run_cli(capsys, "distance", *args, "--a", a, "--b", b)
+    assert code == 0
+    assert out == f"phi,mode,k,t,value,argmax,seed,alpha_smoothing\n{row}\n"
+
+
 @pytest.mark.parametrize("alpha", ["nan", "inf"])
 def test_distance_rejects_non_finite_alpha(tmp_path, capsys, alpha):
     a, b = build_two_sketches(tmp_path, capsys)

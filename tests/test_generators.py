@@ -213,6 +213,33 @@ class TestParseFamily:
         for fam in ALL_FAMILIES:
             assert parse_family(fam.label(), 100) == fam
 
+    @pytest.mark.parametrize("fam,label", [
+        (DistributionFamily.zipf(100, 1.0), "zipf(alpha=1)"),
+        (DistributionFamily.pascal(100, 3), "pascal(r=3)"),
+        (DistributionFamily.binomial(100, 0.5), "binomial(p=0.5)"),
+        (DistributionFamily.poisson(4000), "poisson(lam=2000)"),
+        (DistributionFamily.zipf(100, 1.0000001), "zipf(alpha=1.0000001)"),
+        (DistributionFamily.poisson(100, 1234567.0), "poisson(lam=1234567)"),
+    ])
+    def test_label_text(self, fam, label):
+        assert fam.label() == label
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_label_roundtrip_any_parameters(self, data):
+        n = data.draw(st.integers(1, 10 ** 6))
+        positive = st.floats(min_value=0, exclude_min=True, allow_infinity=False)
+        unit = st.floats(min_value=0, max_value=1, exclude_min=True, exclude_max=True)
+        fam = data.draw(st.one_of(
+            st.just(DistributionFamily.uniform(n)),
+            positive.map(lambda a: DistributionFamily.zipf(n, a)),
+            st.tuples(st.integers(1, 10 ** 6), st.none() | unit).map(
+                lambda rp: DistributionFamily.pascal(n, *rp)),
+            st.floats(0, 1).map(lambda p: DistributionFamily.binomial(n, p)),
+            positive.map(lambda lam: DistributionFamily.poisson(n, lam)),
+        ))
+        assert parse_family(fam.label(), n) == fam
+
     @pytest.mark.parametrize("bad", ["", "zipf(", "zipf(alpha)", "gauss", "zipf(mu=1)",
                                      "zipf", "zipf(beta=1)", "uniform(x=1)",
                                      "binomial(p=0.5,q=3)", "pascal(r=2.5)", "pascal(r=inf)",

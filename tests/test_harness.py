@@ -241,6 +241,17 @@ class TestSummary:
         assert keys == sorted(keys)
         assert all(s.trials == 2 for s in summaries)
 
+    def test_close_parameters_stay_distinct_pairs(self):
+        # Two zipf exponents that agree to six significant digits label
+        # apart, so a one-trial plan summarizes to one row per pair.
+        plan = parse_plan("pair = zipf(alpha=1.0000001) | uniform\n"
+                          "pair = zipf(alpha=1.0000004) | uniform\n"
+                          "divergences = tv\nk = 16\nt = 2\nm = 2000\nn = 100\n")
+        summaries = sweep_summary(run_plan(plan))
+        assert [s.pair for s in summaries] == ["zipf(alpha=1.0000001)|uniform",
+                                               "zipf(alpha=1.0000004)|uniform"]
+        assert all(s.trials == 1 for s in summaries)
+
 
 def test_results_roundtrip(tmp_path):
     rows = run_plan(parse_plan("pair = uniform | binomial\ndivergences = js,kl\nk = 8\nt = 2\nm = 1000\nn = 50\n"))

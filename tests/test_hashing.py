@@ -51,9 +51,7 @@ class TestNewFamily:
         a = new_family(5, 16, 10 ** 6, seed=99)
         b = new_family(5, 16, 10 ** 6, seed=99)
         assert a == b
-        assert a.fingerprint() == b.fingerprint()
-        c = new_family(5, 16, 10 ** 6, seed=100)
-        assert a.fingerprint() != c.fingerprint()
+        assert a != new_family(5, 16, 10 ** 6, seed=100)
 
     def test_constant_single_cell(self):
         fam = new_family(1, 1, 50, seed=4)
@@ -166,7 +164,6 @@ class TestHeaderSerialization:
         fam = new_family(4, 200, 4000, seed=1)
         again = HashFamily.from_header(fam.header())
         assert again == fam
-        assert again.fingerprint() == fam.fingerprint()
 
     def test_header_layout(self):
         fam = new_family(2, 3, 16, seed=6)

@@ -37,8 +37,8 @@ def reference_rgs(n, k):
             yield labels
 
 
-def all_rows(n, k, block_size=4096):
-    return np.concatenate(list(assignment_blocks(n, k, block_size)))
+def all_rows(n, k):
+    return np.concatenate(list(assignment_blocks(n, k)))
 
 
 class TestEmpiricalDistribution:
@@ -222,9 +222,11 @@ class TestEnumeration:
         assert len({r.tobytes() for r in rows}) == rows.shape[0] == stirling(7, 3)
 
     def test_budget_exceeded(self):
-        p = np.full(20, 1 / 20)
+        # S(14, 4) = 10,391,745 > 10^7; S(14, 3) = 788,970 is within budget.
+        p = np.full(14, 1 / 14)
         with pytest.raises(PartitionBudgetError):
-            exact_star_metric(get_divergence("tv"), p, p, 8, budget=1000)
+            exact_star_metric(get_divergence("tv"), p, p, 4)
+        assert exact_star_metric(get_divergence("tv"), p, p, 3).evaluated_partitions == 788_970
 
     def test_rgs_lexicographic(self):
         rows = all_rows(5, 3).tolist()
@@ -236,11 +238,23 @@ class TestEnumeration:
             for k in range(1, n + 1):
                 assert all_rows(n, k).tolist() == [list(r) for r in reference_rgs(n, k)]
 
-    @pytest.mark.parametrize("block_size", [1, 2, 7, 64, 4096])
-    def test_block_size_keeps_rows(self, block_size):
-        blocks = list(assignment_blocks(8, 3, block_size))
-        assert all(0 < b.shape[0] <= block_size for b in blocks)
-        assert np.array_equal(np.concatenate(blocks), all_rows(8, 3))
+    def test_block_size_keeps_rows(self):
+        # S(10, 4) = 34,105 rows span several blocks of at most 4096 rows.
+        blocks = list(assignment_blocks(10, 4))
+        assert len(blocks) > 1
+        assert all(0 < b.shape[0] <= 4096 for b in blocks)
+        rows = np.concatenate(blocks)
+        assert rows.shape == (stirling(10, 4), 10)
+        assert len({r.tobytes() for r in rows}) == rows.shape[0]
+
+    @pytest.mark.parametrize("n,k", [(128, 128), (140, 128)])
+    def test_labels_beyond_int8(self, n, k):
+        # k - 1 >= 127 labels: the first rows are the lexicographically
+        # smallest restricted growth strings, all labels in first-use order.
+        rows = next(assignment_blocks(n, k))
+        assert (rows.max(axis=1) == k - 1).all()
+        assert (np.diff(np.maximum.accumulate(rows, axis=1), axis=1) <= 1).all()
+        assert rows[0].tolist() == [0] * (n - k + 1) + list(range(1, k))
 
     @pytest.mark.parametrize("n,k", [(3, 0), (3, 4), (0, 0)])
     def test_out_of_range(self, n, k):

@@ -10,8 +10,8 @@ from starsketch.hashing import item_ids, new_family
 from starsketch.sketch import (
     MAX_TOTAL,
     FamilyMismatchError,
+    SketchMatrix,
     load_sketch,
-    new_sketch,
     sketch_from_bytes,
     sketch_stream,
 )
@@ -20,15 +20,6 @@ from starsketch.sketch import (
 @pytest.fixture
 def family():
     return new_family(4, 16, 1000, seed=1)
-
-
-class TestNewSketch:
-    def test_all_zero(self, family):
-        s = new_sketch(family)
-        assert s.total == 0
-        assert s.counts.shape == (4, 16)
-        assert not s.counts.any()
-        assert (s.counts.sum(axis=1) == 0).all()
 
 
 def scalar_reference(family, items):
@@ -42,58 +33,38 @@ def scalar_reference(family, items):
 
 class TestUpdate:
     def test_single_update_row_sums(self, family):
-        s = new_sketch(family)
-        s.update_many([7])
+        s = sketch_stream(family, [7])
         assert s.total == 1
         assert (s.counts.sum(axis=1) == 1).all()
 
     def test_repeated_item_concentrates(self, family):
-        s = new_sketch(family)
-        for _ in range(25):
-            s.update_many([3])
+        s = sketch_stream(family, [3] * 25)
         for i, h in enumerate(family.functions):
             row = s.counts[i]
             assert row[h.evaluate(3)] == 25
             assert row.sum() == 25
 
-    def test_update_many_matches_scalar_reference(self, family):
+    def test_matches_scalar_reference(self, family):
         items = sample_stream(DistributionFamily.uniform(999), 500, 3)
-        a = new_sketch(family)
-        a.update_many(items)
+        a = sketch_stream(family, items)
         assert np.array_equal(a.counts, scalar_reference(family, items.tolist()))
         assert a.total == 500
-
-    def test_row_sums_after_interleaving(self, family):
-        rng = np.random.default_rng(4)
-        s = new_sketch(family)
-        for _ in range(20):
-            if rng.random() < 0.5:
-                s.update_many([int(rng.integers(0, 1000))])
-            else:
-                s.update_many(rng.integers(0, 1000, size=rng.integers(1, 50)))
-            assert (s.counts.sum(axis=1) == s.total).all()
 
     @pytest.mark.parametrize("bad", [np.array([-1, 3]), [2.7, 3.2], np.array([1.0, 2.0]),
                                      [1, 2 ** 64], ["a"]])
     def test_bad_ids_rejected(self, family, bad):
-        s = new_sketch(family)
-        with pytest.raises(ValueError, match="item ids"):
-            s.update_many(bad)
         with pytest.raises(ValueError, match="item ids"):
             sketch_stream(family, bad)
-        assert s.total == 0 and not s.counts.any()
 
     @pytest.mark.parametrize("bad", [-1, 2.0, 2 ** 64, np.int64(-3), "7"])
     def test_bad_single_id_rejected(self, family, bad):
-        s = new_sketch(family)
         with pytest.raises(ValueError, match="item id"):
-            s.update_many([bad])
-        assert s.total == 0 and not s.counts.any()
+            sketch_stream(family, [bad])
 
     def test_empty_batch_accepted(self, family):
         for empty in ([], np.array([], dtype=np.int64), np.empty(0, dtype=np.uint64)):
             s = sketch_stream(family, empty)
-            assert s.total == 0 and not s.counts.any()
+            assert s.total == 0 and s.counts.shape == (4, 16) and not s.counts.any()
 
     def test_integer_ids_accepted_exactly(self, family):
         ids = [0, 5, 2 ** 63 + 5, 2 ** 64 - 1]
@@ -109,18 +80,20 @@ class TestUpdate:
         assert item_ids(ids) is ids
 
     def test_overflow_aborts(self, family):
-        s = new_sketch(family)
-        s.total = MAX_TOTAL  # simulate a saturated sketch
-        with pytest.raises(OverflowError):
-            s.update_many([1])
-        with pytest.raises(OverflowError):
-            s.update_many([1, 2])
+        # A saturated sketch: its total is the largest a file can record.
+        full = SketchMatrix(family, np.zeros((4, 16), dtype=np.uint64), MAX_TOTAL)
+        assert full.merge(sketch_stream(family, [])).total == MAX_TOTAL
+        for items in ([1], [1, 2]):
+            with pytest.raises(OverflowError):
+                full.merge(sketch_stream(family, items))
+            with pytest.raises(OverflowError):
+                sketch_stream(family, items).merge(full)
 
 
 class TestMerge:
     def test_merge_with_empty_is_identity(self, family):
         s = sketch_stream(family, [1, 2, 3, 3])
-        merged = s.merge(new_sketch(family))
+        merged = s.merge(sketch_stream(family, []))
         assert np.array_equal(merged.counts, s.counts)
         assert merged.total == s.total
 
@@ -133,6 +106,27 @@ class TestMerge:
             merged = merged.merge(p)
         assert np.array_equal(merged.counts, whole.counts)
         assert merged.total == whole.total
+
+    @given(st.lists(st.integers(0, 2 ** 64 - 1), max_size=60), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_any_split_merges_to_whole(self, items, data):
+        # Linearity: the sketch of a stream is the merge of the sketches of
+        # any split of it into consecutive chunks, empty and one-item chunks
+        # included.
+        family = new_family(3, 8, 2 ** 64, seed=2)
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(items)), max_size=8)))
+        bounds = [0, *cuts, len(items)]
+        merged = sketch_stream(family, [])
+        for lo, hi in zip(bounds, bounds[1:]):
+            merged = merged.merge(sketch_stream(family, items[lo:hi]))
+            assert (merged.counts.sum(axis=1) == merged.total).all()
+        whole = sketch_stream(family, items)
+        assert np.array_equal(merged.counts, whole.counts)
+        assert merged.total == whole.total == len(items)
+        singles = sketch_stream(family, [])
+        for v in items:
+            singles = singles.merge(sketch_stream(family, [v]))
+        assert np.array_equal(singles.counts, whole.counts)
 
     def test_commutative(self, family):
         a = sketch_stream(family, [1, 2, 3])
@@ -167,7 +161,7 @@ class TestRowDistribution:
 
     def test_empty_rejected(self, family):
         with pytest.raises(ValueError):
-            new_sketch(family).row_distribution(0)
+            sketch_stream(family, []).row_distribution(0)
         s = sketch_stream(family, [1])
         with pytest.raises(IndexError):
             s.row_distribution(4)
@@ -181,7 +175,7 @@ class TestSerialization:
         loaded = load_sketch(str(path))
         assert loaded.total == s.total
         assert np.array_equal(loaded.counts, s.counts)
-        assert loaded.family_fingerprint == s.family_fingerprint
+        assert loaded.family == s.family
         assert loaded.to_bytes() == s.to_bytes()
 
     def test_rejects_garbage(self, tmp_path):
@@ -194,6 +188,16 @@ class TestSerialization:
         blob[-1] ^= 0xFF
         with pytest.raises(ValueError, match="row sums"):
             sketch_from_bytes(bytes(blob))
+
+    def test_rejects_row_sum_that_wraps(self, family):
+        # Row 0 = [2^64-1, 6, 0, ...] sums to 5 only modulo 2^64.
+        s = sketch_stream(family, [1, 2, 3, 4, 5])
+        counts = s.counts.copy()
+        counts[0] = 0
+        counts[0, :2] = [2 ** 64 - 1, 6]
+        blob = SketchMatrix(family, counts, 5).to_bytes()
+        with pytest.raises(ValueError, match="row sums disagree with total at row 0"):
+            sketch_from_bytes(blob)
 
     def test_rejects_truncation(self, family):
         blob = sketch_stream(family, [1, 2, 3]).to_bytes()

@@ -18,13 +18,11 @@ from starsketch.histogram import (
     from_stream,
     normalize,
 )
-from starsketch.sketch import FamilyMismatchError, new_sketch, sketch_stream
+from starsketch.sketch import FamilyMismatchError, sketch_stream
 from starsketch.starmetric import (
-    RESULT_FIELDS,
     exact_star_metric,
     preservation_suite,
     reference_distance,
-    result_record,
     sketch_star_metric,
 )
 
@@ -43,7 +41,6 @@ class TestExactStarMetric:
         assert r.value == pytest.approx(0.3219280948873623, abs=1e-12)
         assert r.argmax_label() == "{1}|{2,3}"
         assert r.argmax.tolist() == [0, 1, 1]
-        assert r.mode == "exact"
         assert r.evaluated_partitions == 3
 
     @pytest.mark.parametrize("name", ["kl", "js", "bhattacharyya", "hellinger", "tv"])
@@ -70,9 +67,23 @@ class TestExactStarMetric:
         rng = np.random.default_rng(3)
         p, q = random_pair(rng, 4)
         r = exact_star_metric(spec, p, q, 9)
-        assert r.value == pytest.approx(spec(p, q), abs=1e-15)
-        assert r.argmax is None
+        assert r.value == spec(p, q)
+        assert np.array_equal(r.argmax, np.arange(4))
+        assert r.argmax_label() == "{1}|{2}|{3}|{4}"
         assert r.evaluated_partitions == 1
+
+    @pytest.mark.parametrize("name", ["kl", "js", "bhattacharyya", "hellinger", "tv"])
+    def test_identity_partition_beyond_int8_labels(self, name):
+        # k >= 128 labels do not fit int8; the n-cell identity partition is
+        # still the one partition searched, with the plain value.
+        spec = get_divergence(name)
+        rng = np.random.default_rng(8)
+        p, q = random_pair(rng, 200)
+        for k in (200, 205):
+            r = exact_star_metric(spec, p, q, k)
+            assert r.value == spec(p, q)
+            assert np.array_equal(r.argmax, np.arange(200))
+            assert r.evaluated_partitions == 1
 
     def test_monotone_in_k(self):
         spec = get_divergence("js")
@@ -90,10 +101,11 @@ class TestExactStarMetric:
         assert r.argmax_label() == "{1,2}|{3}"  # first partition in RGS order
 
     def test_budget_exceeded(self):
+        # S(14, 4) = 10,391,745 partitions, above the fixed budget of 10^7.
         rng = np.random.default_rng(5)
-        p, q = random_pair(rng, 12)
-        with pytest.raises(PartitionBudgetError):
-            exact_star_metric(get_divergence("js"), p, q, 4, budget=1000)
+        p, q = random_pair(rng, 14)
+        with pytest.raises(PartitionBudgetError, match="S\\(14,4\\) = 10391745"):
+            exact_star_metric(get_divergence("js"), p, q, 4)
 
     def test_large_universe_rejected(self):
         rng = np.random.default_rng(6)
@@ -145,8 +157,6 @@ class TestSketchStarMetric:
         fam, s1, s2 = self._paired_sketches()
         spec = get_divergence(name)
         r = sketch_star_metric(spec, s1, s2)
-        assert r.mode == "approximate"
-        assert r.k == 16
         assert r.evaluated_partitions == 4
         assert isinstance(r.argmax, int) and 0 <= r.argmax < 4
         # the batched query equals the per-row scalar values, argmax included
@@ -164,7 +174,7 @@ class TestSketchStarMetric:
 
     def test_empty_sketch_rejected(self):
         fam = new_family(2, 8, 100, seed=5)
-        a = new_sketch(fam)
+        a = sketch_stream(fam, [])
         b = sketch_stream(fam, [1])
         with pytest.raises(ValueError):
             sketch_star_metric(get_divergence("js"), a, b)
@@ -294,21 +304,3 @@ def test_bregman_transitivity_on_orthogonal_triples():
     b_qr = exact_star_metric(spec_sq, q, r, 4).value
     b_pr = exact_star_metric(spec_sq, p, r, 4).value
     assert b_pr == pytest.approx(b_pq + b_qr, abs=1e-12)
-
-
-def test_result_record_contract():
-    r = exact_star_metric(get_divergence("js"), [0.5, 0.3, 0.2], [0.2, 0.3, 0.5], 2)
-    record = result_record("js", r, alpha=0.0)
-    assert tuple(record) == RESULT_FIELDS
-    assert record["mode"] == "exact"
-    assert record["k"] == "2"
-    assert record["t"] == ""
-    assert float(record["value"]) == r.value
-    fam = new_family(2, 4, 100, seed=9)
-    a = sketch_stream(fam, [1, 2, 3])
-    b = sketch_stream(fam, [4, 5])
-    r2 = sketch_star_metric(get_divergence("js"), a, b)
-    record2 = result_record("js", r2, t=fam.t, seed=fam.seed, alpha=1e-9)
-    assert record2["mode"] == "approximate"
-    assert record2["argmax"].startswith("row")
-    assert record2["seed"] == "9"
