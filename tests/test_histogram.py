@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from starsketch import histogram
 from starsketch.divergence import get_divergence
 from starsketch.histogram import (
     EmpiricalDistribution,
@@ -238,7 +239,16 @@ class TestEnumeration:
             for k in range(1, n + 1):
                 assert all_rows(n, k).tolist() == [list(r) for r in reference_rgs(n, k)]
 
-    def test_block_size_keeps_rows(self):
+    @pytest.mark.parametrize("block_size", [1, 2, 7, 64, 4096])
+    def test_block_size_keeps_rows(self, block_size, monkeypatch):
+        # The block size is a module constant; any value must leave the
+        # concatenated rows unchanged.
+        monkeypatch.setattr(histogram, "_BLOCK_ROWS", block_size)
+        blocks = list(assignment_blocks(8, 3))
+        assert all(0 < b.shape[0] <= block_size for b in blocks)
+        assert np.concatenate(blocks).tolist() == [list(r) for r in reference_rgs(8, 3)]
+
+    def test_default_blocks_keep_rows(self):
         # S(10, 4) = 34,105 rows span several blocks of at most 4096 rows.
         blocks = list(assignment_blocks(10, 4))
         assert len(blocks) > 1
