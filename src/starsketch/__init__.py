@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 
 from .divergence import (
     BregmanGenerator,
-    DivergenceFlags,
     DivergenceSpec,
     FGenerator,
     available,
@@ -62,7 +61,7 @@ from .starmetric import (
 
 __all__ = [
     "__version__",
-    "BregmanGenerator", "DivergenceFlags", "DivergenceSpec", "FGenerator",
+    "BregmanGenerator", "DivergenceSpec", "FGenerator",
     "available", "from_bregman_generator", "from_f_generator", "get_divergence",
     "register", "smoothed",
     "DistributionFamily", "pmf", "read_stream", "sample_stream", "write_stream",

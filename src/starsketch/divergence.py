@@ -8,9 +8,11 @@ the kernels directly applicable to partition-aggregated vectors and raw
 sketch rows containing zeros.
 
 Every divergence is one row kernel over stacks of distributions, wrapped in
-a :class:`DivergenceSpec` carrying honesty flags (symmetric? triangle?
-f-divergence? Bregman?); the property-test suite derives which axioms to
-enforce from those flags.  A spec is the only way to evaluate a divergence:
+a :class:`DivergenceSpec` whose keyword fields ``symmetric``, ``triangle``
+and ``f_div`` record the optional properties it honestly claims; the
+property-test suite derives which checks to run from those fields, and
+specs built from Bregman generators claim none of them.  A spec is the only
+way to evaluate a divergence:
 ``get_divergence(name)(p, q)`` for the registered ones ("kl", "js",
 "bhattacharyya", "hellinger", "tv"), and custom divergences enter the same
 machinery through :func:`from_f_generator` / :func:`from_bregman_generator`
@@ -19,7 +21,7 @@ and :func:`register`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, dataclass, field, replace
 from functools import partial
 from typing import Callable
 
@@ -42,15 +44,7 @@ def _pair(p, q) -> tuple[np.ndarray, np.ndarray]:
     return p, q
 
 
-def _rows(P, Q) -> tuple[np.ndarray, np.ndarray]:
-    P = np.atleast_2d(np.asarray(P, dtype=np.float64))
-    Q = np.atleast_2d(np.asarray(Q, dtype=np.float64))
-    if P.shape != Q.shape:
-        raise ValueError(f"shape mismatch: {P.shape} vs {Q.shape}")
-    return P, Q
-
-
-# --- batch kernels (rows are distributions; no per-row validation) ---------
+# --- row kernels (rows are distributions; no per-row validation) -----------
 
 def _kl_rows(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     # sum p_i log2(p_i / q_i); 0 log(0/q) = 0, +inf where q misses p's support.
@@ -269,32 +263,25 @@ SQEUCLID_BREGMAN = BregmanGenerator(
 # --- named specs and registry -----------------------------------------------
 
 @dataclass(frozen=True)
-class DivergenceFlags:
-    """Which optional properties a divergence honestly claims.
-
-    Non-negativity and identity of indiscernibles are not flags: every
-    divergence must have them, and the preservation suite always checks them.
-    """
-
-    symmetric: bool = False
-    triangle: bool = False
-    f_div: bool = False
-    bregman: bool = False
-
-
-@dataclass(frozen=True)
 class DivergenceSpec:
-    """A named divergence: one row kernel plus its flags.
+    """A named divergence: one row kernel and the properties it claims.
 
-    ``eval_rows`` maps two (t, k) stacks of distributions to the t row
-    values.  ``eval`` is the scalar form, that kernel on one validated pair;
-    it is derived from ``eval_rows`` unless given (a wrapper that times the
-    kernel passes both).
+    ``eval_rows`` maps two (t, k) float64 stacks of distributions to the t
+    row values.  ``symmetric``, ``triangle`` and ``f_div`` (an f-divergence:
+    monotone under aggregation and jointly convex) are the optional
+    properties it honestly claims; non-negativity and identity of
+    indiscernibles are required of every divergence and are not fields.
+    ``eval`` is the scalar form, that kernel on one validated pair; it is
+    derived from ``eval_rows`` unless given (a wrapper that times the kernel
+    passes both).
     """
 
     name: str
     eval_rows: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    flags: DivergenceFlags = field(default_factory=DivergenceFlags)
+    _: KW_ONLY
+    symmetric: bool = False
+    triangle: bool = False
+    f_div: bool = False
     eval: Callable[..., float] | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -303,11 +290,6 @@ class DivergenceSpec:
 
     def __call__(self, p, q) -> float:
         return float(self.eval(p, q))
-
-    def batch(self, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
-        """Evaluate on matching rows of two stacks of distributions."""
-        P, Q = _rows(P, Q)
-        return np.asarray(self.eval_rows(P, Q), dtype=np.float64)
 
 
 _REGISTRY: dict[str, DivergenceSpec] = {}
@@ -324,7 +306,7 @@ def get_divergence(name: str) -> DivergenceSpec:
     try:
         return _REGISTRY[name]
     except KeyError:
-        raise KeyError(f"unknown divergence {name!r}; available: {available()}") from None
+        raise ValueError(f"unknown divergence {name!r}; available: {available()}") from None
 
 
 def available() -> tuple[str, ...]:
@@ -333,22 +315,21 @@ def available() -> tuple[str, ...]:
 
 def from_f_generator(name: str, gen: FGenerator) -> DivergenceSpec:
     """sum q_i f(p_i / q_i) under the three zero conventions, as a spec
-    (f_div flag set)."""
-    return DivergenceSpec(name, partial(_f_div_rows, gen), DivergenceFlags(f_div=True))
+    claiming ``f_div``."""
+    return DivergenceSpec(name, partial(_f_div_rows, gen), f_div=True)
 
 
 def from_bregman_generator(name: str, gen: BregmanGenerator) -> DivergenceSpec:
     """Decomposable sum of F(p_i) - F(q_i) - (p_i - q_i) F'(q_i), as a spec
-    (bregman flag set)."""
-    return DivergenceSpec(name, partial(_bregman_rows, gen), DivergenceFlags(bregman=True))
+    claiming no optional property."""
+    return DivergenceSpec(name, partial(_bregman_rows, gen))
 
 
-register(DivergenceSpec("kl", _kl_rows, DivergenceFlags(f_div=True, bregman=True)))
-register(DivergenceSpec("js", _js_rows, DivergenceFlags(symmetric=True, f_div=True)))
-register(DivergenceSpec("bhattacharyya", _bhattacharyya_rows, DivergenceFlags(symmetric=True)))
-register(DivergenceSpec("hellinger", _hellinger_rows,
-                        DivergenceFlags(symmetric=True, triangle=True)))
-register(DivergenceSpec("tv", _tv_rows, DivergenceFlags(symmetric=True, triangle=True, f_div=True)))
+register(DivergenceSpec("kl", _kl_rows, f_div=True))
+register(DivergenceSpec("js", _js_rows, symmetric=True, f_div=True))
+register(DivergenceSpec("bhattacharyya", _bhattacharyya_rows, symmetric=True))
+register(DivergenceSpec("hellinger", _hellinger_rows, symmetric=True, triangle=True))
+register(DivergenceSpec("tv", _tv_rows, symmetric=True, triangle=True, f_div=True))
 
 
 def smoothed(spec: DivergenceSpec, alpha: float) -> DivergenceSpec:
@@ -368,6 +349,6 @@ def smoothed(spec: DivergenceSpec, alpha: float) -> DivergenceSpec:
         return W / W.sum(axis=1, keepdims=True)
 
     def eval_rows(P, Q):
-        return spec.batch(smooth_rows(P), smooth_rows(Q))
+        return spec.eval_rows(smooth_rows(P), smooth_rows(Q))
 
-    return DivergenceSpec(spec.name, eval_rows, spec.flags)
+    return replace(spec, eval_rows=eval_rows, eval=None)

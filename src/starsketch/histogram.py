@@ -36,13 +36,21 @@ class PartitionBudgetError(RuntimeError):
     """Exhaustive enumeration would exceed the partition budget."""
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """A read-only view of ``a``: no copy, and ``a`` itself stays writable."""
+    view = a.view()
+    view.flags.writeable = False
+    return view
+
+
 @dataclass(frozen=True, eq=False)
 class EmpiricalDistribution:
     """Distinct item ids and their counts for one stream.
 
     ``ids`` is sorted, unique and uint64; ``counts`` holds the strictly
-    positive int64 multiplicity of each id, in the same order.  Items never
-    seen are implicit zeros.  ``total`` is the stream length m.
+    positive int64 multiplicity of each id, in the same order.  Both are
+    read-only views.  Items never seen are implicit zeros.  ``total`` is the
+    stream length m.
     """
 
     ids: np.ndarray
@@ -61,8 +69,8 @@ class EmpiricalDistribution:
             raise ValueError("ids must be sorted and unique")
         if np.any(counts <= 0):
             raise ValueError("counts must be strictly positive")
-        object.__setattr__(self, "ids", ids)
-        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "ids", _read_only(ids))
+        object.__setattr__(self, "counts", _read_only(counts))
         object.__setattr__(self, "total", int(counts.sum()))
 
     @property
@@ -169,6 +177,10 @@ def assignment_blocks(
         raise ValueError(f"require 1 <= k <= n, got n={n} k={k}")
     # The dtype must hold the label count k itself, which ``used`` reaches.
     dtype = np.int8 if k <= np.iinfo(np.int8).max else np.int64
+    if k == 1 or k == n:
+        # The one partition: every item in cell 0, or every item alone.
+        yield np.arange(n, dtype=dtype)[None, :] if k == n else np.zeros((1, n), dtype)
+        return
     labels = np.arange(k, dtype=dtype)
     stack = [(np.zeros((1, 1), dtype=dtype), np.ones(1, dtype=dtype))]
     while stack:

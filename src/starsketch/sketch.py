@@ -16,6 +16,7 @@ import numpy as np
 
 from .generators import _pack_file, _unpack_file
 from .hashing import HashFamily, evaluate_batch, item_ids
+from .histogram import _read_only
 
 MAX_TOTAL = 2 ** 64 - 1
 
@@ -31,8 +32,11 @@ class FamilyMismatchError(ValueError):
 @dataclass(frozen=True, eq=False)
 class SketchMatrix:
     family: HashFamily
-    counts: np.ndarray  # (t, k) uint64, row-major
+    counts: np.ndarray  # (t, k) uint64, row-major; stored as a read-only view
     total: int
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "counts", _read_only(self.counts))
 
     @property
     def t(self) -> int:

@@ -99,7 +99,7 @@ def test_criterion_3_monotonicity_exhaustive():
                 for block in assignment_blocks(n, c):
                     pa, qa = aggregate(p, block), aggregate(q, block)
                     # data-processing at the plain level, every coarsening
-                    vals = spec.batch(pa, qa)
+                    vals = spec.eval_rows(pa, qa)
                     assert (vals <= plain + 1e-12).all(), (spec.name, c)
                     # and at the partition-max level, both branches of c vs k
                     for i in range(block.shape[0]):
@@ -147,8 +147,26 @@ def test_criterion_4_convexity_and_linearity():
             rhs = b1(p, q) + lam * b2(p, q)
             worst = max(worst, abs(lhs - rhs))
             assert abs(lhs - rhs) <= 1e-9
+
+    # The same upper bound at the partition-max level: maximizing each side
+    # separately can only grow the split sum.
+    settings = [(n, k) for n in (4, 6, 8) for k in (2, 3)]
+    star_trials = 0
+    for n, k in settings:
+        rng = np.random.default_rng(4000 + n * 10 + k)
+        for _ in range(200):
+            p, q = positive_pair(rng, n)
+            lam = float(rng.uniform())
+            combined = from_bregman_generator(
+                "b12", combine_bregman(KL_BREGMAN, SQEUCLID_BREGMAN, lam))
+            lhs = exact_star_metric(combined, p, q, k).value
+            rhs = (exact_star_metric(b1, p, q, k).value
+                   + lam * exact_star_metric(b2, p, q, k).value)
+            assert lhs <= rhs + 1e-9, (n, k, lam, lhs, rhs)
+            star_trials += 1
     report(4, "convexity + Bregman linearity",
-           f"{quads} quadruples x {len(lam_grid)} lambdas; linearity worst gap {worst:.2e}")
+           f"{quads} quadruples x {len(lam_grid)} lambdas; linearity worst gap {worst:.2e}; "
+           f"star-level upper bound on {star_trials} trials over {len(settings)} (n,k)")
 
 
 def test_criterion_5_sandwich_and_row_consistency():

@@ -106,6 +106,12 @@ def test_distance_with_registered_f_divergence(tmp_path, capsys, monkeypatch):
     assert float(rec["value"]) == pytest.approx(rows.max(), rel=1e-12)
 
 
+def test_distance_rejects_unknown_divergence(tmp_path, capsys):
+    a, b = build_two_sketches(tmp_path, capsys)
+    with pytest.raises(ValueError, match="unknown divergence 'renyi'"):
+        main(["distance", "--phi", "renyi", "--a", a, "--b", b])
+
+
 def test_distance_requires_matching_families(tmp_path, capsys):
     s1 = tmp_path / "a.stream"
     run_cli(capsys, "generate", "--family", "uniform", "--n", "100", "--m", "1000",

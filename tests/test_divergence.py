@@ -141,7 +141,7 @@ class TestSymmetryAndRange:
             p = p / np.maximum(p.sum(axis=1, keepdims=True), 1e-300)
             q = q / np.maximum(q.sum(axis=1, keepdims=True), 1e-300)
             for spec in specs:
-                vals = spec.batch(p, q)
+                vals = spec.eval_rows(p, q)
                 assert (vals >= -1e-12).all(), spec.name
 
 
@@ -187,7 +187,7 @@ def bregman_spec(gen):
 class TestFDivergence:
     def test_kl_generator_reproduces_kl(self):
         spec, ref = f_spec(KL_GENERATOR), get_divergence("kl")
-        assert spec.flags.f_div and not spec.flags.bregman
+        assert spec.f_div and not spec.symmetric and not spec.triangle
         rng = np.random.default_rng(31)
         for _ in range(200):
             p, q = random_pair(rng, int(rng.integers(2, 20)))
@@ -268,7 +268,7 @@ class TestBregman:
 
     def test_squared_euclidean(self):
         spec = bregman_spec(SQEUCLID_BREGMAN)
-        assert spec.flags.bregman and not spec.flags.f_div
+        assert not (spec.symmetric or spec.triangle or spec.f_div)
         rng = np.random.default_rng(59)
         for _ in range(100):
             p, q = random_pair(rng, 7)
@@ -323,15 +323,22 @@ class TestRegistry:
         assert set(available()) == {"kl", "js", "bhattacharyya", "hellinger", "tv"}
 
     def test_flags_shape(self):
-        assert get_divergence("kl").flags.f_div
-        assert get_divergence("kl").flags.bregman
-        assert not get_divergence("kl").flags.symmetric
-        assert get_divergence("hellinger").flags.triangle
-        assert get_divergence("js").flags.f_div
-        assert not get_divergence("bhattacharyya").flags.f_div
+        claims = {name: (spec.symmetric, spec.triangle, spec.f_div)
+                  for name in available() for spec in [get_divergence(name)]}
+        assert claims == {
+            "kl": (False, False, True),
+            "js": (True, False, True),
+            "bhattacharyya": (True, False, False),
+            "hellinger": (True, True, False),
+            "tv": (True, True, True),
+        }
+        # Bregman divergences are in general neither symmetric, metric nor
+        # monotone under aggregation, so a Bregman spec claims nothing.
+        sq = bregman_spec(SQEUCLID_BREGMAN)
+        assert (sq.symmetric, sq.triangle, sq.f_div) == (False, False, False)
 
     def test_unknown_name(self):
-        with pytest.raises(KeyError, match="available"):
+        with pytest.raises(ValueError, match="unknown divergence 'renyi'; available"):
             get_divergence("renyi")
 
     def test_duplicate_registration_rejected(self):
@@ -342,9 +349,9 @@ class TestRegistry:
         spec = DivergenceSpec("rows-tv", eval_rows=lambda P, Q: 0.5 * np.abs(P - Q).sum(axis=1))
         P = np.array([[0.5, 0.5], [1.0, 0.0]])
         Q = np.array([[0.25, 0.75], [0.5, 0.5]])
-        assert spec.batch(P, Q).tolist() == [get_divergence("tv")(P[0], Q[0]), 0.5]
+        assert spec.eval_rows(P, Q).tolist() == [get_divergence("tv")(P[0], Q[0]), 0.5]
         # the scalar form is the same kernel on one validated row
-        assert spec(P[0], Q[0]) == spec.batch(P, Q)[0]
+        assert spec(P[0], Q[0]) == spec.eval_rows(P, Q)[0]
         with pytest.raises(ValueError):
             spec([0.5, 0.6], [0.5, 0.5])
         with pytest.raises(ValueError):

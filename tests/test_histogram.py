@@ -82,6 +82,17 @@ class TestEmpiricalDistribution:
         with pytest.raises(ValueError):  # misaligned
             EmpiricalDistribution([1, 2], [1])
 
+    def test_arrays_are_read_only_views(self):
+        ids = np.array([2, 5], dtype=np.uint64)
+        counts = np.array([3, 1], dtype=np.int64)
+        d = EmpiricalDistribution(ids, counts)
+        for stored, given_array in ((d.ids, ids), (d.counts, counts)):
+            with pytest.raises(ValueError, match="read-only"):
+                stored[0] += 1
+            # a view of the caller's array, which keeps its own flags
+            assert stored.base is given_array and given_array.flags.writeable
+        assert d.total == 4 and normalize(d, [2, 5]).tolist() == [0.75, 0.25]
+
 
 class TestNormalize:
     def test_single_item(self):
@@ -265,6 +276,17 @@ class TestEnumeration:
         assert (rows.max(axis=1) == k - 1).all()
         assert (np.diff(np.maximum.accumulate(rows, axis=1), axis=1) <= 1).all()
         assert rows[0].tolist() == [0] * (n - k + 1) + list(range(1, k))
+
+    @pytest.mark.parametrize("n,k,dtype", [(1, 1, np.int8), (5, 1, np.int8), (5, 5, np.int8),
+                                           (300, 1, np.int8), (127, 127, np.int8),
+                                           (300, 300, np.int64)])
+    def test_one_partition_is_one_row(self, n, k, dtype):
+        # k = 1 and k = n each have exactly one partition: all items in cell
+        # 0, or each item alone.
+        blocks = list(assignment_blocks(n, k))
+        assert len(blocks) == 1 and blocks[0].dtype == dtype
+        expected = np.zeros(n) if k == 1 else np.arange(n)
+        assert np.array_equal(blocks[0], expected[None, :])
 
     @pytest.mark.parametrize("n,k", [(3, 0), (3, 4), (0, 0)])
     def test_out_of_range(self, n, k):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from starsketch.divergence import get_divergence
 from starsketch.generators import DistributionFamily, sample_stream
 from starsketch.hashing import item_ids, new_family
 from starsketch.sketch import (
@@ -15,6 +16,7 @@ from starsketch.sketch import (
     sketch_from_bytes,
     sketch_stream,
 )
+from starsketch.starmetric import sketch_star_metric
 
 
 @pytest.fixture
@@ -88,6 +90,28 @@ class TestUpdate:
                 full.merge(sketch_stream(family, items))
             with pytest.raises(OverflowError):
                 sketch_stream(family, items).merge(full)
+
+
+class TestReadOnly:
+    def test_counts_cannot_be_written_in_place(self, family):
+        sk = sketch_stream(family, [1, 2, 3])
+        before = sk.counts.copy()
+        with pytest.raises(ValueError, match="read-only"):
+            sk.counts[0, 0] += 1
+        assert np.array_equal(sk.counts, before)
+        # merging, querying and the file round trip still work
+        merged = sk.merge(sk)
+        assert np.array_equal(merged.counts, 2 * before) and merged.total == 6
+        assert sketch_star_metric(get_divergence("js"), sk, merged).value == 0.0
+        loaded = sketch_from_bytes(sk.to_bytes())
+        assert np.array_equal(loaded.counts, before) and loaded.to_bytes() == sk.to_bytes()
+
+    def test_view_neither_copies_nor_freezes_the_given_array(self, family):
+        counts = np.zeros((family.t, family.k), dtype=np.uint64)
+        counts[:, 0] = 2
+        sk = SketchMatrix(family, counts, 2)
+        assert sk.counts.base is counts and counts.flags.writeable
+        assert not sk.counts.flags.writeable
 
 
 class TestMerge:

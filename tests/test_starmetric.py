@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from starsketch.divergence import (
-    DivergenceFlags,
     DivergenceSpec,
     SQEUCLID_BREGMAN,
     from_bregman_generator,
@@ -85,6 +84,17 @@ class TestExactStarMetric:
             assert np.array_equal(r.argmax, np.arange(200))
             assert r.evaluated_partitions == 1
 
+    @pytest.mark.parametrize("name", ["kl", "js", "bhattacharyya", "hellinger", "tv"])
+    def test_single_cell_partition(self, name):
+        # k = 1 has one partition, every item in cell 0, whatever n is.
+        spec = get_divergence(name)
+        rng = np.random.default_rng(9)
+        p, q = random_pair(rng, 200)
+        r = exact_star_metric(spec, p, q, 1)
+        assert np.array_equal(r.argmax, np.zeros(200))
+        assert r.evaluated_partitions == 1
+        assert abs(r.value) <= 1e-9
+
     def test_monotone_in_k(self):
         spec = get_divergence("js")
         rng = np.random.default_rng(4)
@@ -95,8 +105,7 @@ class TestExactStarMetric:
             assert values[2] <= spec(p, q) + 1e-12
 
     def test_first_maximizer_tie_break(self):
-        flat = DivergenceSpec("flat", eval_rows=lambda P, Q: np.zeros(P.shape[0]),
-                              flags=DivergenceFlags())
+        flat = DivergenceSpec("flat", eval_rows=lambda P, Q: np.zeros(P.shape[0]))
         r = exact_star_metric(flat, [0.2, 0.3, 0.5], [0.5, 0.3, 0.2], 2)
         assert r.argmax_label() == "{1,2}|{3}"  # first partition in RGS order
 
@@ -267,7 +276,9 @@ class TestPreservationSuite:
         assert report.passed, report.summary()
         assert not report.check("symmetry").applicable
         assert report.check("monotonicity").applicable
-        assert report.check("bregman-linearity").applicable
+        assert [c.name for c in report.checks] == [
+            "non-negativity", "identity-zero", "identity-distinct", "symmetry",
+            "triangle", "monotonicity", "convexity"]
         # asymmetry witness at the partition-max level
         rng = np.random.default_rng(2)
         p, q = random_pair(rng, 6)
