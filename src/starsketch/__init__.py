@@ -21,7 +21,14 @@ from .divergence import (
     register,
     smoothed,
 )
-from .generators import DistributionFamily, pmf, read_stream, sample_stream, write_stream
+from .generators import (
+    DistributionFamily,
+    pmf,
+    read_stream,
+    sample_histogram,
+    sample_stream,
+    write_stream,
+)
 from .harness import (
     ExperimentPlan,
     ResultRow,
@@ -64,7 +71,8 @@ __all__ = [
     "BregmanGenerator", "DivergenceSpec", "FGenerator",
     "available", "from_bregman_generator", "from_f_generator", "get_divergence",
     "register", "smoothed",
-    "DistributionFamily", "pmf", "read_stream", "sample_stream", "write_stream",
+    "DistributionFamily", "pmf", "read_stream", "sample_histogram", "sample_stream",
+    "write_stream",
     "ExperimentPlan", "ResultRow", "StreamSource", "load_plan", "parse_plan",
     "run_plan", "run_plan_to_dir", "sweep_summary",
     "HashFamily", "HashFunction", "evaluate_batch", "new_family",

@@ -212,20 +212,6 @@ def _bregman_rows(gen: BregmanGenerator, P: np.ndarray, Q: np.ndarray) -> np.nda
     return terms.sum(axis=1)
 
 
-def combine_bregman(g1: BregmanGenerator, g2: BregmanGenerator, lam: float) -> BregmanGenerator:
-    """Generator for F1 + lam * F2, used by the linearity checks."""
-    def zsum(a, b):
-        return None if a is None or b is None else a + lam * b
-
-    return BregmanGenerator(
-        F=lambda x: g1.F(x) + lam * g2.F(x),
-        Fprime=lambda x: g1.Fprime(x) + lam * g2.Fprime(x),
-        value_at_zero=zsum(g1.value_at_zero, g2.value_at_zero),
-        deriv_at_zero=zsum(g1.deriv_at_zero, g2.deriv_at_zero),
-        name=f"{g1.name}+{lam}*{g2.name}",
-    )
-
-
 def _xlog2x(x: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(x > 0.0, x * np.log2(np.where(x > 0.0, x, 1.0)), 0.0)

@@ -23,6 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .hashing import item_ids
+from .histogram import EmpiricalDistribution
 
 STREAM_MAGIC = b"SSTR"
 
@@ -145,21 +146,38 @@ def pmf(d: DistributionFamily) -> np.ndarray:
     return w / total
 
 
+def _draws(d: DistributionFamily, m: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The cdf of ``d`` and the m seeded uniforms that both samplers map to items."""
+    if m < 0:
+        raise ValueError("stream length must be >= 0")
+    return np.cumsum(pmf(d)), np.random.default_rng(seed).random(m)
+
+
 def sample_stream(d: DistributionFamily, m: int, seed: int) -> np.ndarray:
     """m i.i.d. items 1..n drawn by inverse CDF; deterministic per seed.
 
     Rank 1 maps to item 1 (and so on); hashing makes the placement
     irrelevant to the sketch.
     """
-    if m < 0:
-        raise ValueError("stream length must be >= 0")
-    if m == 0:
-        return np.empty(0, dtype=np.uint64)
-    cdf = np.cumsum(pmf(d))
-    rng = np.random.default_rng(seed)
-    u = rng.random(m)
+    cdf, u = _draws(d, m, seed)
     idx = np.minimum(np.searchsorted(cdf, u, side="right"), d.n - 1)
     return (idx + 1).astype(np.uint64)
+
+
+def sample_histogram(d: DistributionFamily, m: int, seed: int) -> EmpiricalDistribution:
+    """The histogram of ``sample_stream(d, m, seed)``, drawn without ordering the items.
+
+    Item i + 1 (i < n - 1) is drawn for a uniform u with cdf[i-1] <= u <
+    cdf[i], so #{u < cdf[i]} items lie at or below it; the sorted uniforms
+    give those cumulative counts with one ``searchsorted``, and item n takes
+    the remainder, as ``sample_stream`` clamps to it.
+    """
+    cdf, u = _draws(d, m, seed)
+    u.sort()
+    below = np.append(np.searchsorted(u, cdf[:-1], side="left"), m)
+    counts = np.diff(below, prepend=0)
+    seen = np.flatnonzero(counts)
+    return EmpiricalDistribution((seen + 1).astype(np.uint64), counts[seen])
 
 
 _SOURCE_RE = re.compile(r"^(?P<kind>[a-z]+)(?:\((?P<args>[^)]*)\))?$")

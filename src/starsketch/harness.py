@@ -4,8 +4,11 @@ A plan names stream pairs, divergences, and (k, t) sweep values; running it
 produces one row per (pair, divergence, k, t, trial).  Every trial draws a
 fresh hash family and, for synthetic sources, fresh streams, with all seeds
 split deterministically from the master seed, so a plan plus its seed fully
-determines the result bytes.  Wall-clock timings go to a separate file to
-keep the result and summary files byte-reproducible.
+determines the result bytes.  Each stream is reduced to its histogram
+(distinct ids and counts) once per trial, and the references and every (k, t)
+sketch are computed from it: a synthetic stream is drawn as a histogram, and
+a build hashes distinct ids, not items.  Wall-clock timings go to a separate
+file to keep the result and summary files byte-reproducible.
 
 Trials are independent: a scheduler may run them in parallel as long as the
 final rows are ordered by (pair, divergence, k, t, trial), which is the order
@@ -29,10 +32,11 @@ from .generators import (
     DistributionFamily,
     parse_family,
     read_stream,
-    sample_stream,
+    sample_histogram,
+    sample_stream,  # unused here; bound for perfbench/tracer.py, which wraps it by this name
 )
 from .hashing import new_family
-from .histogram import from_stream
+from .histogram import EmpiricalDistribution, from_stream
 from .sketch import sketch_stream
 from .starmetric import reference_distance, sketch_star_metric
 
@@ -67,11 +71,12 @@ class StreamSource:
             return self.family.label()
         return f"file:{os.path.basename(self.path)}"
 
-    def materialize(self, m: int, seed: int) -> np.ndarray:
+    def materialize(self, m: int, seed: int) -> EmpiricalDistribution:
+        """The stream's histogram: m fresh draws, or the file's items."""
         if self.family is not None:
-            return sample_stream(self.family, m, seed)
+            return sample_histogram(self.family, m, seed)
         items, _, _ = read_stream(self.path)
-        return items
+        return from_stream(items)
 
 
 def parse_source(text: str, n: int, base_dir: str = ".") -> StreamSource:
@@ -221,10 +226,8 @@ def run_plan(plan: ExperimentPlan) -> list[ResultRow]:
         pair_label = f"{src1.label()}|{src2.label()}"
         synthetic = src1.synthetic and src2.synthetic
         for trial in range(plan.trials):
-            items1 = src1.materialize(plan.m, derive_seed(plan.master_seed, "stream", pair_index, 0, trial))
-            items2 = src2.materialize(plan.m, derive_seed(plan.master_seed, "stream", pair_index, 1, trial))
-            hist1 = from_stream(items1)
-            hist2 = from_stream(items2)
+            hist1 = src1.materialize(plan.m, derive_seed(plan.master_seed, "stream", pair_index, 0, trial))
+            hist2 = src2.materialize(plan.m, derive_seed(plan.master_seed, "stream", pair_index, 1, trial))
             universe = np.arange(1, plan.n + 1, dtype=np.uint64) if synthetic else None
             refs = {
                 name: reference_distance(spec, hist1, hist2, universe)
@@ -239,8 +242,8 @@ def run_plan(plan: ExperimentPlan) -> list[ResultRow]:
                     family_seed = derive_seed(plan.master_seed, "family", pair_index, k, t, trial)
                     family = new_family(t, k, bound, family_seed)
                     t0 = time.perf_counter()
-                    sk1 = sketch_stream(family, items1)
-                    sk2 = sketch_stream(family, items2)
+                    sk1 = sketch_stream(family, hist1.ids, hist1.counts)
+                    sk2 = sketch_stream(family, hist2.ids, hist2.counts)
                     build_s = time.perf_counter() - t0
                     for name in plan.divergences:
                         t1 = time.perf_counter()
@@ -250,7 +253,7 @@ def run_plan(plan: ExperimentPlan) -> list[ResultRow]:
                             pair=pair_label, phi=name, k=k, t=t, trial=trial,
                             family_seed=family_seed, ref=refs[name], sketch=est.value,
                             build_seconds=build_s, query_seconds=query_s,
-                            build_items=int(items1.size + items2.size),
+                            build_items=hist1.total + hist2.total,
                         )
                         if plan.alpha == 0.0 and specs[name].f_div:
                             _check_sandwich(row)
@@ -292,7 +295,9 @@ def write_timings(rows: list[ResultRow], path: str) -> None:
     """Per-row wall-clock accounting (not byte-reproducible across runs).
 
     ``updates_per_second`` counts the items the two sketches absorbed, which
-    for ``file:`` sources is the files' lengths, not the plan's ``m``.
+    for ``file:`` sources is the files' lengths, not the plan's ``m``.  The
+    build is timed from the two histograms: it covers hashing their distinct
+    ids and adding the counts, not drawing or reading the streams.
     """
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")

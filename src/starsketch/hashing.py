@@ -88,11 +88,12 @@ def _mulmod_m61(a: int, x: np.ndarray) -> np.ndarray:
     return np.where(acc >= _M61, acc - _M61, acc)
 
 
-def item_ids(items) -> np.ndarray:
+def item_ids(items, what: str = "item ids") -> np.ndarray:
     """``items`` as a uint64 array, rejecting negative and non-integer ids.
 
-    This is the one id check at every boundary that takes item ids.  A uint64
-    array is returned as it is, with no pass over its data.
+    This is the one id check at every boundary that takes item ids, and for
+    the item counts that come with them (``what`` names them in errors).  A
+    uint64 array is returned as it is, with no pass over its data.
     """
     ids = np.asarray(items)
     if ids.dtype == np.uint64:
@@ -101,7 +102,7 @@ def item_ids(items) -> np.ndarray:
         return ids.astype(np.uint64)
     if ids.dtype.kind in "iu":
         if ids.dtype.kind == "i" and ids.min() < 0:
-            raise ValueError(f"item ids must be nonnegative, found {ids.min()}")
+            raise ValueError(f"{what} must be nonnegative, found {ids.min()}")
         return ids.astype(np.uint64)
     # A list mixing Python ints below and above 2^63 is inferred as float64
     # or object; convert it exactly once every element is known to be an int.
@@ -110,8 +111,8 @@ def item_ids(items) -> np.ndarray:
         try:
             return np.asarray(items, dtype=np.uint64)
         except OverflowError:
-            raise ValueError("item ids must lie in [0, 2^64)") from None
-    raise ValueError(f"item ids must be integers, got dtype {ids.dtype}")
+            raise ValueError(f"{what} must lie in [0, 2^64)") from None
+    raise ValueError(f"{what} must be integers, got dtype {ids.dtype}")
 
 
 def evaluate_batch(h: HashFunction, xs: np.ndarray) -> np.ndarray:

@@ -14,11 +14,10 @@ import pytest
 from starsketch.divergence import (
     KL_BREGMAN,
     SQEUCLID_BREGMAN,
-    combine_bregman,
     from_bregman_generator,
     get_divergence,
 )
-from starsketch.generators import DistributionFamily, sample_stream
+from starsketch.generators import DistributionFamily, sample_histogram, sample_stream
 from starsketch.hashing import evaluate_batch, new_family
 from starsketch.histogram import (
     aggregate,
@@ -36,6 +35,8 @@ from starsketch.starmetric import (
     reference_distance,
     sketch_star_metric,
 )
+
+from bregman_helpers import combine_bregman
 
 
 def report(number: int, name: str, detail: str = "") -> None:
@@ -229,22 +230,21 @@ def test_criterion_6_same_distribution_near_zero():
         # calibrate the same-distribution sampling noise with the reference oracle
         calib = []
         for i in range(10):
-            a = sample_stream(fam, m, 90_000 + fam_index * 100 + 2 * i)
-            b = sample_stream(fam, m, 90_001 + fam_index * 100 + 2 * i)
-            calib.append(reference_distance(
-                spec, from_stream(a), from_stream(b), range(1, n + 1)))
+            a = sample_histogram(fam, m, 90_000 + fam_index * 100 + 2 * i)
+            b = sample_histogram(fam, m, 90_001 + fam_index * 100 + 2 * i)
+            calib.append(reference_distance(spec, a, b, range(1, n + 1)))
         band = 3.0 * float(np.mean(calib))
         bands[fam.label()] = band
         assert band < 0.05, (fam.label(), band)
 
         for trial in range(20):
             sa = 10_000 + fam_index * 1000 + 2 * trial
-            a = sample_stream(fam, m, sa)
-            b = sample_stream(fam, m, sa + 1)
-            ha, hb = from_stream(a), from_stream(b)
+            ha = sample_histogram(fam, m, sa)
+            hb = sample_histogram(fam, m, sa + 1)
             ref = reference_distance(spec, ha, hb, range(1, n + 1))
             family = new_family(t, k, n + 1, seed=sa)
-            est = sketch_star_metric(spec, sketch_stream(family, a), sketch_stream(family, b))
+            est = sketch_star_metric(spec, sketch_stream(family, ha.ids, ha.counts),
+                                     sketch_stream(family, hb.ids, hb.counts))
             assert ref <= band, (fam.label(), trial, ref, band)
             assert est.value <= band, (fam.label(), trial, est.value, band)
             assert est.value <= ref + 1e-12

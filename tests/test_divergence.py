@@ -17,13 +17,14 @@ from starsketch.divergence import (
     DivergenceSpec,
     FGenerator,
     available,
-    combine_bregman,
     from_bregman_generator,
     from_f_generator,
     get_divergence,
     register,
     smoothed,
 )
+
+from bregman_helpers import combine_bregman
 
 NAMES = ("kl", "js", "bhattacharyya", "hellinger", "tv")
 

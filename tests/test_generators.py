@@ -13,9 +13,11 @@ from starsketch.generators import (
     parse_family,
     pmf,
     read_stream,
+    sample_histogram,
     sample_stream,
     write_stream,
 )
+from starsketch.histogram import from_stream
 
 ALL_FAMILIES = [
     DistributionFamily.uniform(100),
@@ -192,6 +194,35 @@ class TestSampling:
         items = sample_stream(DistributionFamily.pascal(4000, 3), 200_000, 1)
         assert items.size == 200_000
         assert 1 <= items.min() and items.max() <= 4000
+
+
+class TestSampleHistogram:
+    """``sample_histogram`` is the histogram of ``sample_stream`` at the same draws."""
+
+    FAMILIES = [
+        DistributionFamily.uniform(4000),
+        DistributionFamily.zipf(4000, 1.0),
+        DistributionFamily.zipf(4000, 4.0),
+        DistributionFamily.pascal(4000, 3),
+        DistributionFamily.binomial(4000, 0.0),
+        DistributionFamily.binomial(4000, 1.0),
+        DistributionFamily.poisson(4000),
+    ]
+
+    @pytest.mark.parametrize("fam", FAMILIES, ids=lambda f: f.label())
+    @pytest.mark.parametrize("m", [0, 1, 50_000])
+    def test_equals_histogram_of_sampled_stream(self, fam, m):
+        for seed in range(5):
+            got = sample_histogram(fam, m, seed)
+            want = from_stream(sample_stream(fam, m, seed))
+            assert got.ids.dtype == want.ids.dtype and got.counts.dtype == want.counts.dtype
+            assert np.array_equal(got.ids, want.ids), (seed, m)
+            assert np.array_equal(got.counts, want.counts), (seed, m)
+            assert got.total == m
+
+    def test_negative_length_rejected(self):
+        with pytest.raises(ValueError, match="stream length"):
+            sample_histogram(DistributionFamily.uniform(10), -1, 1)
 
 
 class TestParseFamily:

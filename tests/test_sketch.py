@@ -92,6 +92,62 @@ class TestUpdate:
                 sketch_stream(family, items).merge(full)
 
 
+class TestCounts:
+    """The histogram form ``sketch_stream(family, ids, counts)``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(hist=st.dictionaries(st.integers(0, 2 ** 64 - 1), st.integers(0, 40), max_size=30),
+           wide=st.booleans(), seed=st.integers(0, 2 ** 32))
+    def test_equals_the_repeated_stream(self, hist, wide, seed):
+        # wide: a universe above every table prime selects the 2^61-1 path.
+        fam = new_family(3, 7, 2 ** 64 if wide else 1000, seed)
+        assert (fam.p == 2 ** 61 - 1) == wide
+        ids = np.array(list(hist), dtype=np.uint64)
+        counts = np.array(list(hist.values()), dtype=np.int64)
+        a = sketch_stream(fam, ids, counts)
+        b = sketch_stream(fam, np.repeat(ids, counts))
+        assert np.array_equal(a.counts, b.counts) and a.total == b.total == counts.sum()
+
+    def test_count_above_float_precision_is_exact(self, family):
+        big = 2 ** 53 + 1  # float64(big) == 2^53: float weights would lose the 1
+        s = sketch_stream(family, [5, 9], np.array([big, 1], dtype=np.uint64))
+        assert s.total == big + 1
+        for i, h in enumerate(family.functions):
+            expected = np.zeros(family.k, dtype=np.uint64)
+            expected[h.evaluate(5)] += np.uint64(big)
+            expected[h.evaluate(9)] += np.uint64(1)
+            assert np.array_equal(s.counts[i], expected)
+            assert int(s.counts[i].max()) >= big
+
+    def test_total_above_capacity_raises(self, family):
+        assert sketch_stream(family, [1, 2], [MAX_TOTAL - 1, 1]).total == MAX_TOTAL
+        with pytest.raises(OverflowError):
+            sketch_stream(family, [1, 2], [MAX_TOTAL, 1])
+        with pytest.raises(OverflowError):  # the uint64 sum of these wraps to 0
+            sketch_stream(family, [1, 2, 3], [2 ** 63, 2 ** 62, 2 ** 62])
+
+    @pytest.mark.parametrize("bad", [np.array([-1, 3]), [2.0, 1.0], np.array([1.5, 2.5]),
+                                     ["a", "b"], [1, 2 ** 64]])
+    def test_bad_counts_rejected(self, family, bad):
+        with pytest.raises(ValueError, match="item counts"):
+            sketch_stream(family, [1, 2], bad)
+
+    @pytest.mark.parametrize("ids, counts", [([1, 2], [3]), ([1], [1, 1]), ([1, 2], [[1, 2]]),
+                                             ([[1, 2]], [[1, 2]])])
+    def test_misaligned_counts_rejected(self, family, ids, counts):
+        with pytest.raises(ValueError, match="one length"):
+            sketch_stream(family, ids, counts)
+
+    def test_bad_ids_rejected_with_counts(self, family):
+        with pytest.raises(ValueError, match="item ids"):
+            sketch_stream(family, [-1, 2], [1, 1])
+
+    def test_zero_counts_and_repeated_ids(self, family):
+        a = sketch_stream(family, [4, 7, 8, 4], [1, 0, 1, 1])
+        b = sketch_stream(family, [4, 4, 8])
+        assert np.array_equal(a.counts, b.counts) and a.total == b.total == 3
+
+
 class TestReadOnly:
     def test_counts_cannot_be_written_in_place(self, family):
         sk = sketch_stream(family, [1, 2, 3])
