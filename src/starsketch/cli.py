@@ -12,7 +12,7 @@ import sys
 from . import __version__
 from .divergence import available, get_divergence, smoothed
 from .generators import parse_family, read_stream, sample_stream, write_stream
-from .harness import load_plan, read_results, run_plan_to_dir, sweep_summary, write_summary
+from .harness import load_plan, read_results, run_plan_to_dir, sweep_summary, write_csv, write_summary
 from .hashing import new_family
 from .histogram import dump_histogram, from_stream
 from .ingest import frequency_ranks, iter_records, trace_stats
@@ -33,13 +33,9 @@ def _cmd_ingest(args) -> int:
     stats, ids = trace_stats(iter_records(args.infile))
     write_stream(args.out, ids, 0, f"clf:{args.infile}")
     if args.stats:
-        with open(args.stats, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["metric", "value"])
-            writer.writerow(["items", stats.items])
-            writer.writerow(["distinct", stats.distinct])
-            writer.writerow(["max_frequency", stats.max_frequency])
-            writer.writerow(["malformed", stats.malformed])
+        write_csv(args.stats, ["metric", "value"], [
+            ["items", stats.items], ["distinct", stats.distinct],
+            ["max_frequency", stats.max_frequency], ["malformed", stats.malformed]])
     print(f"ingested {stats.items} items ({stats.distinct} distinct, "
           f"{stats.malformed} malformed lines) into {args.out}")
     return 0
@@ -77,10 +73,7 @@ def _cmd_stats(args) -> int:
     if args.histogram:
         dump_histogram(dist, args.histogram)
     if args.ranks:
-        with open(args.ranks, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["rank", "frequency"])
-            writer.writerows(frequency_ranks(dist.counts))
+        write_csv(args.ranks, ["rank", "frequency"], frequency_ranks(dist.counts))
     return 0
 
 

@@ -11,8 +11,11 @@ Every divergence is one row kernel over stacks of distributions, wrapped in
 a :class:`DivergenceSpec` whose keyword fields ``symmetric``, ``triangle``
 and ``f_div`` record the optional properties it honestly claims; the
 property-test suite derives which checks to run from those fields, and
-specs built from Bregman generators claim none of them.  A spec is the only
-way to evaluate a divergence:
+specs built from Bregman generators claim none of them.  ``f_div`` means
+monotone under aggregation and jointly convex, as kl, js, tv and
+bhattacharyya are.  Each registered divergence has exactly one kernel here;
+its generator forms are test cross-checks.  A spec is the only way to
+evaluate a divergence:
 ``get_divergence(name)(p, q)`` for the registered ones ("kl", "js",
 "bhattacharyya", "hellinger", "tv"), and custom divergences enter the same
 machinery through :func:`from_f_generator` / :func:`from_bregman_generator`
@@ -29,11 +32,15 @@ import numpy as np
 
 from .histogram import as_distribution
 
-_LOG2E = math.log2(math.e)
-
-
 class DivergenceDomainError(ValueError):
     """A generator met a zero it has no defined limit for."""
+
+
+def _reject_flagged(flagged: np.ndarray, what: str, why: str) -> None:
+    """Raise DivergenceDomainError at the first flagged cell, naming its column."""
+    if flagged.any():
+        i = int(np.argwhere(flagged)[0][-1])
+        raise DivergenceDomainError(f"{what} at index {i} {why}")
 
 
 def _pair(p, q) -> tuple[np.ndarray, np.ndarray]:
@@ -128,20 +135,14 @@ def _f_div_rows(gen: FGenerator, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
 
     p_only = pp & ~qq
     q_only = qq & ~pp
+    if gen.limit_ratio_inf is None:
+        _reject_flagged(p_only, f"{gen.name}: q is 0 where p > 0", "and lim f(u)/u is undefined")
+    if gen.limit_zero is None:
+        _reject_flagged(q_only, f"{gen.name}: p is 0 where q > 0", "and lim f(u) at 0 is undefined")
     with np.errstate(invalid="ignore"):
         if p_only.any():
-            if gen.limit_ratio_inf is None:
-                i = int(np.argwhere(p_only)[0][-1])
-                raise DivergenceDomainError(
-                    f"{gen.name}: q is 0 where p > 0 at index {i} and lim f(u)/u is undefined"
-                )
             terms = terms + np.where(p_only, P * gen.limit_ratio_inf, 0.0)
         if q_only.any():
-            if gen.limit_zero is None:
-                i = int(np.argwhere(q_only)[0][-1])
-                raise DivergenceDomainError(
-                    f"{gen.name}: p is 0 where q > 0 at index {i} and lim f(u) at 0 is undefined"
-                )
             terms = terms + np.where(q_only, Q * gen.limit_zero, 0.0)
     return terms.sum(axis=1)
 
@@ -186,17 +187,10 @@ class BregmanGenerator:
 def _bregman_rows(gen: BregmanGenerator, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     pp = P > 0.0
     qq = Q > 0.0
-    if (~pp).any() or (~qq).any():
-        if gen.value_at_zero is None:
-            i = int(np.argwhere(~(pp & qq))[0][-1])
-            raise DivergenceDomainError(
-                f"{gen.name}: zero at index {i} but F has no value extension at 0"
-            )
-        if (~qq).any() and gen.deriv_at_zero is None:
-            i = int(np.argwhere(~qq)[0][-1])
-            raise DivergenceDomainError(
-                f"{gen.name}: q is 0 at index {i} but F' has no limit at 0"
-            )
+    if gen.value_at_zero is None:
+        _reject_flagged(~(pp & qq), f"{gen.name}: zero", "but F has no value extension at 0")
+    if gen.deriv_at_zero is None:
+        _reject_flagged(~qq, f"{gen.name}: q is 0", "but F' has no limit at 0")
     F0 = gen.value_at_zero if gen.value_at_zero is not None else 0.0
     Fp = np.where(pp, gen.F(np.where(pp, P, 1.0)), F0)
     Fq = np.where(qq, gen.F(np.where(qq, Q, 1.0)), F0)
@@ -212,40 +206,6 @@ def _bregman_rows(gen: BregmanGenerator, P: np.ndarray, Q: np.ndarray) -> np.nda
     return terms.sum(axis=1)
 
 
-def _xlog2x(x: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(x > 0.0, x * np.log2(np.where(x > 0.0, x, 1.0)), 0.0)
-
-
-KL_GENERATOR = FGenerator(_xlog2x, limit_zero=0.0, limit_ratio_inf=math.inf, name="t*log2(t)")
-TV_GENERATOR = FGenerator(lambda u: 0.5 * np.abs(u - 1.0), limit_zero=0.5,
-                          limit_ratio_inf=0.5, name="|t-1|/2")
-HELLINGER_SQ_GENERATOR = FGenerator(lambda u: 0.5 * (np.sqrt(u) - 1.0) ** 2, limit_zero=0.5,
-                                    limit_ratio_inf=0.5, name="(sqrt(t)-1)^2/2")
-
-
-def _js_generator_f(u: np.ndarray) -> np.ndarray:
-    return 0.5 * (_xlog2x(u) - (1.0 + u) * np.log2((1.0 + u) / 2.0))
-
-
-JS_GENERATOR = FGenerator(_js_generator_f, limit_zero=0.5, limit_ratio_inf=0.5, name="js")
-
-KL_BREGMAN = BregmanGenerator(
-    F=_xlog2x,
-    Fprime=lambda x: np.log2(x) + _LOG2E,
-    value_at_zero=0.0,
-    deriv_at_zero=-math.inf,
-    name="t*log2(t)",
-)
-SQEUCLID_BREGMAN = BregmanGenerator(
-    F=lambda x: x ** 2,
-    Fprime=lambda x: 2.0 * x,
-    value_at_zero=0.0,
-    deriv_at_zero=0.0,
-    name="t^2",
-)
-
-
 # --- named specs and registry -----------------------------------------------
 
 @dataclass(frozen=True)
@@ -253,8 +213,8 @@ class DivergenceSpec:
     """A named divergence: one row kernel and the properties it claims.
 
     ``eval_rows`` maps two (t, k) float64 stacks of distributions to the t
-    row values.  ``symmetric``, ``triangle`` and ``f_div`` (an f-divergence:
-    monotone under aggregation and jointly convex) are the optional
+    row values.  ``symmetric``, ``triangle`` and ``f_div`` (monotone under
+    aggregation and jointly convex, as every f-divergence is) are the optional
     properties it honestly claims; non-negativity and identity of
     indiscernibles are required of every divergence and are not fields.
     ``eval`` is the scalar form, that kernel on one validated pair; it is
@@ -313,7 +273,7 @@ def from_bregman_generator(name: str, gen: BregmanGenerator) -> DivergenceSpec:
 
 register(DivergenceSpec("kl", _kl_rows, f_div=True))
 register(DivergenceSpec("js", _js_rows, symmetric=True, f_div=True))
-register(DivergenceSpec("bhattacharyya", _bhattacharyya_rows, symmetric=True))
+register(DivergenceSpec("bhattacharyya", _bhattacharyya_rows, symmetric=True, f_div=True))
 register(DivergenceSpec("hellinger", _hellinger_rows, symmetric=True, triangle=True))
 register(DivergenceSpec("tv", _tv_rows, symmetric=True, triangle=True, f_div=True))
 

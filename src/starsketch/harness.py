@@ -22,7 +22,7 @@ import math
 import os
 import statistics
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -96,9 +96,9 @@ def parse_source(text: str, n: int, base_dir: str = ".") -> StreamSource:
 @dataclass
 class ExperimentPlan:
     pairs: list[tuple[StreamSource, StreamSource]]
-    divergences: list[str]
-    k_values: list[int]
-    t_values: list[int]
+    divergences: list[str] = field(default_factory=lambda: ["js"])
+    k_values: list[int] = field(default_factory=lambda: [200])
+    t_values: list[int] = field(default_factory=lambda: [4])
     trials: int = 1
     m: int = 200_000
     n: int = 4_000
@@ -122,6 +122,24 @@ class ExperimentPlan:
             get_divergence(name)
 
 
+def _int_list(text: str) -> list[int]:
+    return [int(v) for v in text.split(",")]
+
+
+# Each plan key, the ExperimentPlan field it sets, and the parser of its value.
+# A key the text leaves out keeps the field's default.
+_PLAN_KEYS = {
+    "divergences": ("divergences", lambda text: [v.strip() for v in text.split(",")]),
+    "k": ("k_values", _int_list),
+    "t": ("t_values", _int_list),
+    "trials": ("trials", int),
+    "m": ("m", int),
+    "n": ("n", int),
+    "seed": ("master_seed", int),
+    "alpha": ("alpha", float),
+}
+
+
 def parse_plan(text: str, base_dir: str = ".") -> ExperimentPlan:
     """Flat key=value plan grammar.
 
@@ -131,9 +149,8 @@ def parse_plan(text: str, base_dir: str = ".") -> ExperimentPlan:
     ``uniform``, ``zipf(alpha=1)``, ``pascal(r=3)``, ``binomial(p=0.5)``,
     ``poisson``, or ``file:relative/path``.
     """
-    values: dict[str, str] = {}
+    settings: dict[str, object] = {}
     pair_lines: list[str] = []
-    keys = ("divergences", "k", "t", "trials", "m", "n", "seed", "alpha")
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -144,14 +161,15 @@ def parse_plan(text: str, base_dir: str = ".") -> ExperimentPlan:
         key = key.strip()
         if key == "pair":
             pair_lines.append(value.strip())
-        elif key not in keys:
+        elif key not in _PLAN_KEYS:
             raise ValueError(f"plan line {lineno}: unknown key {key!r}")
-        elif key in values:
+        elif _PLAN_KEYS[key][0] in settings:
             raise ValueError(f"plan line {lineno}: {key!r} is already set")
         else:
-            values[key] = value.strip()
+            name, parse = _PLAN_KEYS[key]
+            settings[name] = parse(value.strip())
 
-    n = int(values.get("n", 4_000))
+    n = settings.get("n", ExperimentPlan.n)
     if not 1 <= n < 2 ** 64:  # the sources take n, and stream files store it as a u64
         raise ValueError(f"n must lie in [1, 2^64), got {n}")
     pairs = []
@@ -160,21 +178,7 @@ def parse_plan(text: str, base_dir: str = ".") -> ExperimentPlan:
         if not sep:
             raise ValueError(f"pair needs two sources separated by '|': {line!r}")
         pairs.append((parse_source(left, n, base_dir), parse_source(right, n, base_dir)))
-
-    def int_list(key: str, default: str) -> list[int]:
-        return [int(v) for v in values.get(key, default).split(",")]
-
-    return ExperimentPlan(
-        pairs=pairs,
-        divergences=[v.strip() for v in values.get("divergences", "js").split(",")],
-        k_values=int_list("k", "200"),
-        t_values=int_list("t", "4"),
-        trials=int(values.get("trials", "1")),
-        m=int(values.get("m", "200000")),
-        n=n,
-        master_seed=int(values.get("seed", "0")),
-        alpha=float(values.get("alpha", "0")),
-    )
+    return ExperimentPlan(pairs=pairs, **settings)
 
 
 def load_plan(path: str) -> ExperimentPlan:
@@ -192,8 +196,8 @@ class ResultRow:
     family_seed: int
     ref: float
     sketch: float
-    build_seconds: float
-    query_seconds: float
+    build_seconds: float = 0.0
+    query_seconds: float = 0.0
     build_items: int = 0  # items absorbed by the build, both streams together
 
     @property
@@ -267,15 +271,23 @@ RESULT_COLUMNS = ("pair", "phi", "k", "t", "trial", "family_seed",
                   "ref", "sketch", "abs_error", "infinite")
 
 
-def write_results(rows: list[ResultRow], path: str) -> None:
-    """Deterministic result rows; identical plan and seed give identical bytes."""
+def write_csv(path: str, header, rows) -> None:
+    """The one CSV form of every table written: a header row, then ``rows``.
+
+    ``csv`` writes None as an empty field and a float as its repr, which
+    ``float`` reads back exactly.
+    """
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(RESULT_COLUMNS)
-        for r in rows:
-            err = "" if r.abs_error is None else repr(r.abs_error)
-            writer.writerow([r.pair, r.phi, r.k, r.t, r.trial, r.family_seed,
-                             repr(r.ref), repr(r.sketch), err, int(r.infinite)])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_results(rows: list[ResultRow], path: str) -> None:
+    """Deterministic result rows; identical plan and seed give identical bytes."""
+    write_csv(path, RESULT_COLUMNS, (
+        [r.pair, r.phi, r.k, r.t, r.trial, r.family_seed,
+         r.ref, r.sketch, r.abs_error, int(r.infinite)] for r in rows))
 
 
 def read_results(path: str) -> list[ResultRow]:
@@ -286,7 +298,6 @@ def read_results(path: str) -> list[ResultRow]:
                 pair=rec["pair"], phi=rec["phi"], k=int(rec["k"]), t=int(rec["t"]),
                 trial=int(rec["trial"]), family_seed=int(rec["family_seed"]),
                 ref=float(rec["ref"]), sketch=float(rec["sketch"]),
-                build_seconds=0.0, query_seconds=0.0,
             ))
     return rows
 
@@ -299,14 +310,13 @@ def write_timings(rows: list[ResultRow], path: str) -> None:
     build is timed from the two histograms: it covers hashing their distinct
     ids and adding the counts, not drawing or reading the streams.
     """
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["pair", "phi", "k", "t", "trial",
-                         "build_seconds", "query_seconds", "updates_per_second"])
-        for r in rows:
-            rate = r.build_items / r.build_seconds if r.build_seconds > 0 else math.inf
-            writer.writerow([r.pair, r.phi, r.k, r.t, r.trial,
-                             f"{r.build_seconds:.6f}", f"{r.query_seconds:.6f}", f"{rate:.0f}"])
+    def timing(r: ResultRow) -> list:
+        rate = r.build_items / r.build_seconds if r.build_seconds > 0 else math.inf
+        return [r.pair, r.phi, r.k, r.t, r.trial,
+                f"{r.build_seconds:.6f}", f"{r.query_seconds:.6f}", f"{rate:.0f}"]
+
+    write_csv(path, ["pair", "phi", "k", "t", "trial",
+                     "build_seconds", "query_seconds", "updates_per_second"], map(timing, rows))
 
 
 @dataclass
@@ -346,19 +356,11 @@ def sweep_summary(rows: list[ResultRow]) -> list[SummaryRow]:
     return out
 
 
-SUMMARY_COLUMNS = ("pair", "phi", "k", "t", "trials", "infinite_rows",
-                   "mean_ref", "mean_sketch", "mean_abs_error", "stdev_abs_error")
+SUMMARY_COLUMNS = tuple(f.name for f in fields(SummaryRow))
 
 
 def write_summary(summaries: list[SummaryRow], path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SUMMARY_COLUMNS)
-        for s in summaries:
-            fmt = lambda v: "" if v is None else repr(v)
-            writer.writerow([s.pair, s.phi, s.k, s.t, s.trials, s.infinite_rows,
-                             fmt(s.mean_ref), fmt(s.mean_sketch),
-                             fmt(s.mean_abs_error), fmt(s.stdev_abs_error)])
+    write_csv(path, SUMMARY_COLUMNS, map(astuple, summaries))
 
 
 def run_plan_to_dir(plan: ExperimentPlan, out_dir: str, plan_text: str = "") -> list[ResultRow]:

@@ -182,10 +182,6 @@ def new_family(t: int, k: int, universe_bound: int, seed: int) -> HashFamily:
     uniformly from [1, P) and b from [0, P).  Reconstruction from the same
     (t, k, universe_bound, seed) yields an identical family.
     """
-    if t < 1:
-        raise ValueError("family size t must be >= 1")
-    if k < 1:
-        raise ValueError("cell count k must be >= 1")
     p = select_prime(universe_bound)
     master = random.Random(seed)
     sub_seeds = [master.getrandbits(64) for _ in range(t)]

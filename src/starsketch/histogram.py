@@ -2,7 +2,9 @@
 
 A stream is summarized exactly by an :class:`EmpiricalDistribution`: its
 distinct item ids, sorted ascending as uint64, and the positive int64 count of
-each, both from one ``np.unique`` over the id array.  Probability vectors are
+each, both from one ``np.unique`` over the id array.  A stream's total is
+summed exactly by :func:`_exact_sum`, here and for sketch rows, so no count
+vector wraps in fixed-width arithmetic.  Probability vectors are
 plain float64 numpy arrays over an explicitly ordered universe.  A partition
 of that universe into k cells is a label array: entry i is the cell (0..k-1)
 of item i, and :func:`aggregate` collapses a vector along one label array or
@@ -43,6 +45,17 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return view
 
 
+def _exact_sum(rows: np.ndarray) -> list[int]:
+    """Exact sum of each row of a uint64 matrix with fewer than 2^32 columns.
+
+    A uint64 sum can wrap; the sums of the values' low and high 32-bit halves
+    cannot, and give the exact sum hi * 2^32 + lo.
+    """
+    lo = (rows & np.uint64(0xFFFFFFFF)).sum(axis=1)
+    hi = (rows >> np.uint64(32)).sum(axis=1)
+    return [(h << 32) + l for h, l in zip(hi.tolist(), lo.tolist())]
+
+
 @dataclass(frozen=True, eq=False)
 class EmpiricalDistribution:
     """Distinct item ids and their counts for one stream.
@@ -64,6 +77,8 @@ class EmpiricalDistribution:
             raise ValueError("ids and counts must be 1-D arrays of one length")
         if counts.size and counts.dtype.kind not in "iu":
             raise ValueError(f"counts must be integers, got dtype {counts.dtype}")
+        if counts.dtype == np.uint64 and np.any(counts > np.iinfo(np.int64).max):
+            raise ValueError("counts must be below 2^63, the int64 limit")
         counts = counts.astype(np.int64, copy=False)
         if np.any(ids[1:] <= ids[:-1]):
             raise ValueError("ids must be sorted and unique")
@@ -71,7 +86,7 @@ class EmpiricalDistribution:
             raise ValueError("counts must be strictly positive")
         object.__setattr__(self, "ids", _read_only(ids))
         object.__setattr__(self, "counts", _read_only(counts))
-        object.__setattr__(self, "total", int(counts.sum()))
+        object.__setattr__(self, "total", _exact_sum(counts.view(np.uint64)[np.newaxis])[0])
 
     @property
     def distinct(self) -> int:

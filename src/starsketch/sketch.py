@@ -7,7 +7,9 @@ matrices are comparable only when built with the same hash family, which the
 matrix and its file form carry.  The matrix is linear in the stream: row i is
 the stream's count vector summed by h_i, whatever the item order.  So a build
 hashes each distinct id once per row and adds its count, and more items, or
-shards of one stream, are absorbed by merging their sketches.
+shards of one stream, are absorbed by merging their sketches.  A build's
+total and a loaded file's row sums are summed exactly, by the same
+``_exact_sum`` that totals a histogram, so neither can wrap in uint64.
 """
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ import numpy as np
 
 from .generators import _pack_file, _unpack_file
 from .hashing import HashFamily, evaluate_batch, item_ids
-from .histogram import _read_only, from_stream
+from .histogram import _exact_sum, _read_only, from_stream
 
 MAX_TOTAL = 2 ** 64 - 1
 
@@ -90,17 +92,6 @@ def sketch_from_bytes(data: bytes) -> SketchMatrix:
         if row_sum != total:
             raise ValueError(f"corrupt sketch file: row sums disagree with total at row {i}")
     return SketchMatrix(family, counts, total)
-
-
-def _exact_sum(rows: np.ndarray) -> list[int]:
-    """Exact sum of each row of a uint64 matrix with fewer than 2^32 columns.
-
-    A uint64 sum can wrap; the sums of the values' low and high 32-bit halves
-    cannot, and give the exact sum hi * 2^32 + lo.
-    """
-    lo = (rows & np.uint64(0xFFFFFFFF)).sum(axis=1)
-    hi = (rows >> np.uint64(32)).sum(axis=1)
-    return [(h << 32) + l for h, l in zip(hi.tolist(), lo.tolist())]
 
 
 def sketch_stream(family: HashFamily, items, counts=None) -> SketchMatrix:

@@ -132,10 +132,9 @@ def reference_distance(
     """phi on the full normalized histograms; the ground truth for a pair.
 
     The universe defaults to the union of both supports; synthetic
-    experiments pass the fixed universe 1..n instead.
+    experiments pass the fixed universe 1..n instead.  An empty stream
+    raises, as :func:`normalize` does.
     """
-    if s1.total == 0 or s2.total == 0:
-        raise ValueError("cannot compare empty streams")
     u = np.union1d(s1.ids, s2.ids) if universe is None else item_ids(universe)
     return phi(normalize(s1, u), normalize(s2, u))
 

@@ -11,12 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from starsketch.divergence import (
-    KL_BREGMAN,
-    SQEUCLID_BREGMAN,
-    from_bregman_generator,
-    get_divergence,
-)
+from starsketch.divergence import from_bregman_generator, get_divergence
 from starsketch.generators import DistributionFamily, sample_histogram, sample_stream
 from starsketch.hashing import evaluate_batch, new_family
 from starsketch.histogram import (
@@ -36,7 +31,7 @@ from starsketch.starmetric import (
     sketch_star_metric,
 )
 
-from bregman_helpers import combine_bregman
+from bregman_helpers import KL_BREGMAN, SQEUCLID_BREGMAN, combine_bregman
 
 
 def report(number: int, name: str, detail: str = "") -> None:

@@ -133,7 +133,8 @@ CLF_LOG = (
 )
 
 # sha256 of the files `generate`, `ingest` and `sketch build` wrote before
-# `--family` took family descriptors (the parameters were separate flags then).
+# `--family` took family descriptors (the parameters were separate flags then),
+# and of the `ingest --stats` and `stats --ranks` CSVs written for CLF_LOG.
 GENERATED_SHA256 = {
     "uniform": "bbb4ec8fc3cd3bf8943e3a7ba930de90c92742c596ace03e4e686c175ea2911a",
     "zipf(alpha=1.5)": "a3194efa66a5f694cb1b8200505cfe632fb256d8bfa82379665c8bd16d48c9bc",
@@ -143,6 +144,8 @@ GENERATED_SHA256 = {
     "poisson(lam=40)": "bce52b943e400563924770c75b766c521abe2f56a3cb46e8c7c1e11a0baf5b75",
 }
 INGESTED_SHA256 = "9c2271706ef3c213a2be5793daa91ffb4a3501f59c767be73c2db2b7ceb80722"
+INGEST_STATS_SHA256 = "62ea32f307153370a8f73868bdaa34ecfde66e7bf9e51d285349dc9cfb1a8359"
+RANKS_SHA256 = "916fe1245228bdda504a695e03ebdd49b7a9198649d56fadfdec012a7bb926ad"
 SKETCH_SHA256 = {
     "zipf(alpha=1.5)": "5261d931e6bde7eda5865285c0ca7d620f3fe20b15f22b41410aec14b816016f",
     "ingested": "b27caab1c04702bff49cba0c2c88f84b18da283de6dfd9956f3fc5549970dec5",
@@ -172,8 +175,12 @@ def test_ingested_stream_bytes_pinned(tmp_path, capsys, monkeypatch):
     # The descriptor records the log path as given, so run beside the log.
     monkeypatch.chdir(tmp_path)
     (tmp_path / "access_log").write_text(CLF_LOG, encoding="latin-1")
-    run_cli(capsys, "ingest", "--in", "access_log", "--out", "log.stream")
+    run_cli(capsys, "ingest", "--in", "access_log", "--out", "log.stream",
+            "--stats", "log.stats")
     assert sha256_of("log.stream") == INGESTED_SHA256
+    assert sha256_of("log.stats") == INGEST_STATS_SHA256
+    run_cli(capsys, "stats", "--in", "log.stream", "--ranks", "log.ranks")
+    assert sha256_of("log.ranks") == RANKS_SHA256
     run_cli(capsys, "sketch", "build", "--in", "log.stream", "--k", "32", "--t", "4",
             "--seed", "9", "--out", "log.sketch")
     assert sha256_of("log.sketch") == SKETCH_SHA256["ingested"]
@@ -273,12 +280,23 @@ def test_version(capsys):
     assert "starsketch" in capsys.readouterr().out
 
 
-def test_cli_import_needs_no_scipy():
+def fresh_python(code):
+    """stdout of ``code`` run in a new interpreter that imports this package."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(starsketch.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, starsketch.cli; print('scipy' in sys.modules)"],
-        capture_output=True, text=True, env=env, timeout=60, check=True,
-    )
-    assert proc.stdout.strip() == "False"
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=env, timeout=60, check=True)
+    return proc.stdout.strip()
+
+
+def test_cli_import_needs_no_scipy():
+    assert fresh_python("import sys, starsketch.cli; print('scipy' in sys.modules)") == "False"
+
+
+def test_cli_import_loads_no_numpy_random():
+    # numpy 1.x imports numpy.random eagerly; only a load by the package counts.
+    out = fresh_python("import sys, numpy; eager = 'numpy.random' in sys.modules\n"
+                       "import starsketch.cli; print(eager, 'numpy.random' in sys.modules)")
+    eager, loaded = out.split()
+    assert loaded == eager

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from starsketch import harness
 from starsketch.generators import DistributionFamily, sample_stream, write_stream
 from starsketch.harness import (
     ExperimentPlan,
@@ -194,7 +195,7 @@ class TestRunPlan:
 class TestSandwichCheck:
     def _row(self, ref, sketch):
         return ResultRow(pair="p", phi="js", k=4, t=2, trial=0, family_seed=1,
-                         ref=ref, sketch=sketch, build_seconds=0.0, query_seconds=0.0)
+                         ref=ref, sketch=sketch)
 
     def test_passes_below(self):
         _check_sandwich(self._row(0.5, 0.3))
@@ -208,11 +209,23 @@ class TestSandwichCheck:
         with pytest.raises(SandwichViolationError):
             _check_sandwich(self._row(0.3, math.inf))
 
+    def test_run_plan_guards_bhattacharyya(self, monkeypatch):
+        real = harness.sketch_star_metric
+
+        def inflated(spec, a, b):
+            result = real(spec, a, b)
+            if spec.name == "bhattacharyya":
+                result.value += 1.0
+            return result
+
+        monkeypatch.setattr(harness, "sketch_star_metric", inflated)
+        with pytest.raises(SandwichViolationError, match="bhattacharyya"):
+            run_plan(parse_plan(TINY_PLAN))
+
 
 class TestSummary:
     def test_single_trial(self):
-        rows = [ResultRow("p", "js", 4, 2, 0, 1, ref=0.5, sketch=0.4,
-                          build_seconds=0.0, query_seconds=0.0)]
+        rows = [ResultRow("p", "js", 4, 2, 0, 1, ref=0.5, sketch=0.4)]
         (s,) = sweep_summary(rows)
         assert s.trials == 1
         assert s.mean_ref == 0.5
@@ -222,8 +235,8 @@ class TestSummary:
 
     def test_infinite_rows_separated(self):
         rows = [
-            ResultRow("p", "kl", 4, 2, 0, 1, ref=math.inf, sketch=0.4, build_seconds=0, query_seconds=0),
-            ResultRow("p", "kl", 4, 2, 1, 2, ref=1.0, sketch=0.5, build_seconds=0, query_seconds=0),
+            ResultRow("p", "kl", 4, 2, 0, 1, ref=math.inf, sketch=0.4),
+            ResultRow("p", "kl", 4, 2, 1, 2, ref=1.0, sketch=0.5),
         ]
         (s,) = sweep_summary(rows)
         assert s.infinite_rows == 1

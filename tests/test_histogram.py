@@ -19,7 +19,7 @@ from starsketch.histogram import (
     normalize,
     stirling,
 )
-from starsketch.starmetric import exact_star_metric
+from starsketch.starmetric import exact_star_metric, reference_distance
 
 
 def stirling_by_formula(n, k):
@@ -92,6 +92,16 @@ class TestEmpiricalDistribution:
             # a view of the caller's array, which keeps its own flags
             assert stored.base is given_array and given_array.flags.writeable
         assert d.total == 4 and normalize(d, [2, 5]).tolist() == [0.75, 0.25]
+
+    def test_total_is_exact_beyond_int64(self):
+        d = EmpiricalDistribution([1, 2], [2 ** 62, 2 ** 62])
+        assert d.total == 2 ** 63
+        assert normalize(d, [1, 2]).tolist() == [0.5, 0.5]
+        assert math.isfinite(reference_distance(get_divergence("kl"), d, from_stream([1, 2, 2])))
+
+    def test_rejects_count_beyond_int64(self):
+        with pytest.raises(ValueError, match="int64"):
+            EmpiricalDistribution([1, 2], np.array([1, 2 ** 63], dtype=np.uint64))
 
 
 class TestNormalize:

@@ -3,12 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from starsketch.divergence import (
-    DivergenceSpec,
-    SQEUCLID_BREGMAN,
-    from_bregman_generator,
-    get_divergence,
-)
+from starsketch.divergence import DivergenceSpec, from_bregman_generator, get_divergence
 from starsketch.generators import DistributionFamily, sample_stream
 from starsketch.hashing import evaluate_batch, new_family
 from starsketch.histogram import (
@@ -24,6 +19,8 @@ from starsketch.starmetric import (
     reference_distance,
     sketch_star_metric,
 )
+
+from bregman_helpers import SQEUCLID_BREGMAN
 
 
 def random_pair(rng, n, floor=0.02):
