@@ -58,7 +58,6 @@ from .histogram import (
 from .ingest import LogRecord, TraceStats, parse_clf_line, target_to_item, trace_stats
 from .sketch import FamilyMismatchError, SketchMatrix, load_sketch, sketch_stream
 from .starmetric import (
-    PreservationReport,
     StarMetricResult,
     exact_star_metric,
     preservation_suite,
@@ -80,6 +79,6 @@ __all__ = [
     "as_distribution", "assignment_blocks", "from_stream", "normalize", "stirling",
     "LogRecord", "TraceStats", "parse_clf_line", "target_to_item", "trace_stats",
     "FamilyMismatchError", "SketchMatrix", "load_sketch", "sketch_stream",
-    "PreservationReport", "StarMetricResult", "exact_star_metric",
+    "StarMetricResult", "exact_star_metric",
     "preservation_suite", "reference_distance", "sketch_star_metric",
 ]

@@ -22,6 +22,7 @@ import math
 import os
 import statistics
 import time
+from contextlib import contextmanager
 from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
@@ -93,6 +94,11 @@ def parse_source(text: str, n: int, base_dir: str = ".") -> StreamSource:
     return StreamSource(family=parse_family(text, n))
 
 
+def _pair_label(a: StreamSource, b: StreamSource) -> str:
+    """A pair's key in result rows; two pairs with one label would collide."""
+    return f"{a.label()}|{b.label()}"
+
+
 @dataclass
 class ExperimentPlan:
     pairs: list[tuple[StreamSource, StreamSource]]
@@ -120,6 +126,12 @@ class ExperimentPlan:
             raise ValueError(f"alpha must be finite and >= 0, got {self.alpha!r}")
         for name in self.divergences:
             get_divergence(name)
+        for what, values in (("pair", [_pair_label(*pair) for pair in self.pairs]),
+                             ("divergence", self.divergences),
+                             ("k value", self.k_values), ("t value", self.t_values)):
+            for i, v in enumerate(values):
+                if v in values[:i]:
+                    raise ValueError(f"plan lists {what} {v!r} twice")
 
 
 def _int_list(text: str) -> list[int]:
@@ -140,6 +152,15 @@ _PLAN_KEYS = {
 }
 
 
+@contextmanager
+def _naming(lineno: int, key: str, value: str):
+    """Prefix a ValueError raised while parsing one plan value with its line and key."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"plan line {lineno}: {key} = {value!r}: {exc}") from exc
+
+
 def parse_plan(text: str, base_dir: str = ".") -> ExperimentPlan:
     """Flat key=value plan grammar.
 
@@ -150,7 +171,7 @@ def parse_plan(text: str, base_dir: str = ".") -> ExperimentPlan:
     ``poisson``, or ``file:relative/path``.
     """
     settings: dict[str, object] = {}
-    pair_lines: list[str] = []
+    pair_lines: list[tuple[int, str]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -158,26 +179,28 @@ def parse_plan(text: str, base_dir: str = ".") -> ExperimentPlan:
         key, sep, value = line.partition("=")
         if not sep:
             raise ValueError(f"plan line {lineno}: expected key = value, got {raw!r}")
-        key = key.strip()
+        key, value = key.strip(), value.strip()
         if key == "pair":
-            pair_lines.append(value.strip())
+            pair_lines.append((lineno, value))
         elif key not in _PLAN_KEYS:
             raise ValueError(f"plan line {lineno}: unknown key {key!r}")
         elif _PLAN_KEYS[key][0] in settings:
             raise ValueError(f"plan line {lineno}: {key!r} is already set")
         else:
             name, parse = _PLAN_KEYS[key]
-            settings[name] = parse(value.strip())
+            with _naming(lineno, key, value):
+                settings[name] = parse(value)
 
     n = settings.get("n", ExperimentPlan.n)
     if not 1 <= n < 2 ** 64:  # the sources take n, and stream files store it as a u64
         raise ValueError(f"n must lie in [1, 2^64), got {n}")
     pairs = []
-    for line in pair_lines:
-        left, sep, right = line.partition("|")
-        if not sep:
-            raise ValueError(f"pair needs two sources separated by '|': {line!r}")
-        pairs.append((parse_source(left, n, base_dir), parse_source(right, n, base_dir)))
+    for lineno, value in pair_lines:
+        with _naming(lineno, "pair", value):
+            left, sep, right = value.partition("|")
+            if not sep:
+                raise ValueError("pair needs two sources separated by '|'")
+            pairs.append((parse_source(left, n, base_dir), parse_source(right, n, base_dir)))
     return ExperimentPlan(pairs=pairs, **settings)
 
 
@@ -227,7 +250,7 @@ def run_plan(plan: ExperimentPlan) -> list[ResultRow]:
     rows: list[ResultRow] = []
 
     for pair_index, (src1, src2) in enumerate(plan.pairs):
-        pair_label = f"{src1.label()}|{src2.label()}"
+        pair_label = _pair_label(src1, src2)
         synthetic = src1.synthetic and src2.synthetic
         for trial in range(plan.trials):
             hist1 = src1.materialize(plan.m, derive_seed(plan.master_seed, "stream", pair_index, 0, trial))

@@ -17,7 +17,7 @@ tie-break would reproduce the serial result exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -74,38 +74,39 @@ def exact_star_metric(
     n-cell identity partition is taken: its value is the plain phi(p || q).
     Ties break to the first maximizer in lexicographic
     restricted-growth-string order, and the maximizing label array is the
-    result's ``argmax``.  Enumerations of more than ``PARTITION_BUDGET``
-    partitions raise :class:`PartitionBudgetError`.
+    result's ``argmax``.  ``evaluated_partitions`` is the number of label
+    rows the enumeration yielded, counted as they are evaluated.
+    Enumerations of more than ``PARTITION_BUDGET`` partitions raise
+    :class:`PartitionBudgetError`.
     """
     p, q = _pair(p, q)
     if k < 1:
         raise ValueError("k must be >= 1")
     n = p.size
     k = min(k, n)
-    if k == 1 or k == n:
-        total = 1
-    elif n > MAX_STIRLING_N:
-        raise PartitionBudgetError(
-            f"exact enumeration is not available for n={n} > {MAX_STIRLING_N}"
-        )
-    else:
-        total = stirling(n, k)
-        if total > PARTITION_BUDGET:
+    if 1 < k < n:
+        if n > MAX_STIRLING_N:
+            raise PartitionBudgetError(
+                f"exact enumeration is not available for n={n} > {MAX_STIRLING_N}"
+            )
+        if (total := stirling(n, k)) > PARTITION_BUDGET:
             raise PartitionBudgetError(
                 f"S({n},{k}) = {total} exceeds the budget of {PARTITION_BUDGET}"
             )
 
     best = -math.inf
     best_assignment: np.ndarray | None = None
+    evaluated = 0
     for block in assignment_blocks(n, k):
         vals = phi.eval_rows(aggregate(p, block), aggregate(q, block))
+        evaluated += block.shape[0]
         i = int(np.argmax(vals))
         if float(vals[i]) > best:
             best = float(vals[i])
             best_assignment = block[i].copy()
     if best_assignment is None:
         raise ValueError(f"{phi.name}: no partition has a value above -inf (n={n}, k={k})")
-    return StarMetricResult(best, best_assignment, total)
+    return StarMetricResult(best, best_assignment, evaluated)
 
 
 def sketch_star_metric(phi: DivergenceSpec, a: SketchMatrix, b: SketchMatrix) -> StarMetricResult:
@@ -144,15 +145,11 @@ def reference_distance(
 
 @dataclass
 class PropertyCheck:
-    name: str
-    applicable: bool
+    """One property's tally: trials run, violations, and the first violation."""
+
     trials: int = 0
     violations: int = 0
     witness: str | None = None
-
-    @property
-    def passed(self) -> bool:
-        return (not self.applicable) or self.violations == 0
 
     def record(self, ok: bool, witness: str) -> None:
         self.trials += 1
@@ -160,37 +157,6 @@ class PropertyCheck:
             self.violations += 1
             if self.witness is None:
                 self.witness = witness
-
-
-@dataclass
-class PreservationReport:
-    phi: str
-    n: int
-    k: int
-    seed: int
-    checks: list[PropertyCheck] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def check(self, name: str) -> PropertyCheck:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
-    def summary(self) -> str:
-        lines = [f"phi={self.phi} n={self.n} k={self.k} seed={self.seed}"]
-        for c in self.checks:
-            if not c.applicable:
-                lines.append(f"  {c.name}: skipped (not claimed)")
-            else:
-                status = "PASS" if c.passed else f"FAIL ({c.violations}/{c.trials})"
-                lines.append(f"  {c.name}: {status}")
-                if c.witness:
-                    lines.append(f"    witness: {c.witness}")
-        return "\n".join(lines)
 
 
 def _positive_distribution(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -217,63 +183,58 @@ def preservation_suite(
     k: int,
     trials: int = 200,
     seed: int = 0,
-) -> PreservationReport:
+) -> dict[str, PropertyCheck]:
     """Check the required axioms and every property phi claims, exactly.
 
     Every check evaluates phi's exact k-cell maximum on freshly drawn
-    positive distributions.  Non-negativity and identity both ways always
-    run; symmetry runs when ``phi.symmetric``, the triangle inequality when
-    ``phi.triangle``, and monotonicity (both coarsening regimes: more cells
-    than k and fewer) and joint convexity when ``phi.f_div``.  A check phi
-    does not claim is recorded as not applicable.
+    positive distributions.  The result maps each check that ran to its
+    tally: non-negativity, identity-zero and identity-distinct always run;
+    then symmetry when ``phi.symmetric``, triangle when ``phi.triangle``, and
+    monotonicity (both coarsening regimes: more cells than k and fewer) and
+    convexity when ``phi.f_div``.  A check phi does not claim is absent.
     """
     rng = np.random.default_rng(seed)
-    report = PreservationReport(phi.name, n, k, seed)
     star = lambda a, b: exact_star_metric(phi, a, b, k).value
-
-    nonnegative = PropertyCheck("non-negativity", True)
-    ident_zero = PropertyCheck("identity-zero", True)
-    ident_distinct = PropertyCheck("identity-distinct", True)
-    symmetry = PropertyCheck("symmetry", phi.symmetric)
-    triangle = PropertyCheck("triangle", phi.triangle)
-    monotone = PropertyCheck("monotonicity", phi.f_div)
-    convex = PropertyCheck("convexity", phi.f_div)
-    report.checks = [nonnegative, ident_zero, ident_distinct, symmetry, triangle,
-                     monotone, convex]
+    checks = {name: PropertyCheck() for name, claimed in (
+        ("non-negativity", True), ("identity-zero", True), ("identity-distinct", True),
+        ("symmetry", phi.symmetric), ("triangle", phi.triangle),
+        ("monotonicity", phi.f_div), ("convexity", phi.f_div),
+    ) if claimed}
 
     for _ in range(trials):
         p = _positive_distribution(rng, n)
         q = _positive_distribution(rng, n)
         pq = star(p, q)
 
-        nonnegative.record(pq >= -_TOL_AXIOM, f"value={pq!r} p={p} q={q}")
+        checks["non-negativity"].record(pq >= -_TOL_AXIOM, f"value={pq!r} p={p} q={q}")
         v = star(p, p)
-        ident_zero.record(abs(v) <= _TOL_AXIOM, f"value={v!r} p={p}")
+        checks["identity-zero"].record(abs(v) <= _TOL_AXIOM, f"value={v!r} p={p}")
         if float(np.abs(p - q).sum()) >= _SEPARATION:
-            ident_distinct.record(pq > _TOL_AXIOM, f"value={pq!r} p={p} q={q}")
-        if symmetry.applicable:
+            checks["identity-distinct"].record(pq > _TOL_AXIOM, f"value={pq!r} p={p} q={q}")
+        if "symmetry" in checks:
             qp = star(q, p)
             ok = (pq == qp) or abs(pq - qp) <= _TOL_AXIOM
-            symmetry.record(ok, f"forward={pq!r} backward={qp!r}")
-        if triangle.applicable:
+            checks["symmetry"].record(ok, f"forward={pq!r} backward={qp!r}")
+        if "triangle" in checks:
             r = _positive_distribution(rng, n)
             pr, rq = star(p, r), star(r, q)
-            triangle.record(pq <= pr + rq + _TOL_AXIOM,
-                            f"d(p,q)={pq!r} d(p,r)={pr!r} d(r,q)={rq!r}")
-        if monotone.applicable:
+            checks["triangle"].record(pq <= pr + rq + _TOL_AXIOM,
+                                      f"d(p,q)={pq!r} d(p,r)={pr!r} d(r,q)={rq!r}")
+        if "monotonicity" in checks:
             for c in (rng.integers(k, n + 1) if k < n else n,
                       rng.integers(1, k) if k > 1 else 1):
                 mu = _random_coarsening(rng, n, int(c))
                 pm, qm = aggregate(p, mu), aggregate(q, mu)
                 v = exact_star_metric(phi, pm, qm, k).value
-                monotone.record(v <= pq + _TOL_MONOTONE,
-                                f"c={c} coarse={v!r} base={pq!r}")
-        if convex.applicable:
+                checks["monotonicity"].record(v <= pq + _TOL_MONOTONE,
+                                              f"c={c} coarse={v!r} base={pq!r}")
+        if "convexity" in checks:
             p2 = _positive_distribution(rng, n)
             q2 = _positive_distribution(rng, n)
             lam = float(rng.uniform())
             lhs = star(lam * p + (1 - lam) * p2, lam * q + (1 - lam) * q2)
             rhs = lam * pq + (1 - lam) * star(p2, q2)
-            convex.record(lhs <= rhs + _TOL_AXIOM, f"lam={lam} lhs={lhs!r} rhs={rhs!r}")
+            checks["convexity"].record(lhs <= rhs + _TOL_AXIOM,
+                                       f"lam={lam} lhs={lhs!r} rhs={rhs!r}")
 
-    return report
+    return checks

@@ -69,11 +69,11 @@ def test_criterion_2_axiom_preservation():
         spec = get_divergence(name)
         for n, k in settings:
             rep = preservation_suite(spec, n, k, trials=200, seed=1000 + n * 10 + k)
-            for check in rep.checks:
-                if check.applicable and not check.passed:
-                    failures.append(f"{name} n={n} k={k} {check.name}: {check.witness}")
-            assert rep.check("triangle").applicable == (name in ("hellinger", "tv"))
-            assert rep.check("symmetry").applicable == (name != "kl")
+            for check_name, check in rep.items():
+                if check.violations:
+                    failures.append(f"{name} n={n} k={k} {check_name}: {check.witness}")
+            assert ("triangle" in rep) == (name in ("hellinger", "tv"))
+            assert ("symmetry" in rep) == (name != "kl")
     assert not failures, "\n".join(failures)
     report(2, "axiom preservation",
            f"{len(settings)} settings x 5 divergences x 200 trials, axioms {axioms}")

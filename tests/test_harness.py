@@ -118,10 +118,33 @@ PAIR = "pair = uniform | zipf(alpha=1)\n"
     (PAIR + "alpha = inf\n", "alpha must be finite"),
     (PAIR + "divergences = js, renyi\n", "unknown divergence 'renyi'"),
     ("pair = file:. | uniform\n", "not a regular file"),
+    (PAIR + "k = 8, x\n", r"^plan line 2: k = '8, x': invalid literal for int\(\)"),
+    (PAIR + "alpha = fast\n", r"^plan line 2: alpha = 'fast': could not convert"),
+    (PAIR + "k =\n", r"^plan line 2: k = '': invalid literal for int\(\)"),
+    (PAIR + "n = 1e3\n", r"^plan line 2: n = '1e3': invalid literal for int\(\)"),
+    ("\npair = uniform |\n", r"^plan line 2: pair = 'uniform \|': cannot parse family"),
+    ("pair = uniform | zipf(alpha=x)\n",
+     r"^plan line 1: pair = 'uniform \| zipf\(alpha=x\)': could not convert"),
+    ("pair = uniform\n", r"^plan line 1: pair = 'uniform': pair needs two sources"),
+    (PAIR + "divergences = js, js\n", "plan lists divergence 'js' twice"),
+    (PAIR + "k = 20, 20\n", "plan lists k value 20 twice"),
+    (PAIR + "t = 2, 2\n", "plan lists t value 2 twice"),
+    (PAIR + "pair = uniform | uniform\n" + PAIR,
+     r"plan lists pair 'uniform\|zipf\(alpha=1\)' twice"),
 ])
 def test_plan_rejection_names_the_fault(text, what):
     with pytest.raises(ValueError, match=what):
         parse_plan(text)
+
+
+def test_plan_rejects_file_sources_sharing_a_basename(tmp_path):
+    # The label keeps only the basename, so both pairs would key the same rows.
+    for sub in ("a", "b"):
+        (tmp_path / sub).mkdir()
+        write_stream(str(tmp_path / sub / "trace.stream"), [1, 2], 50, "x")
+    text = "pair = file:a/trace.stream | uniform\npair = file:b/trace.stream | uniform\n"
+    with pytest.raises(ValueError, match=r"plan lists pair 'file:trace.stream\|uniform' twice"):
+        parse_plan(text, base_dir=str(tmp_path))
 
 
 @given(st.data())

@@ -1,5 +1,10 @@
+import ast
 import importlib.util
+import os
 import pathlib
+import shutil
+import subprocess
+import sys
 import types
 
 import starsketch
@@ -10,7 +15,8 @@ from starsketch.divergence import get_divergence
 from starsketch.hashing import new_family
 from starsketch.starmetric import exact_star_metric, sketch_star_metric
 
-TRACER = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def test_all_lists_exactly_the_public_names():
@@ -49,3 +55,22 @@ def test_benchmark_tracer_finds_every_name_it_wraps():
     b = sketch.sketch_stream(family, range(20, 90))
     assert sketch_star_metric(timed, a, b).value == sketch_star_metric(kl, a, b).value
     assert t.counts["divergence.rows"] == 1 + 25 + 4
+
+
+def test_benchmark_setup_code_runs(tmp_path):
+    # Each benchmark workload times a fresh interpreter that imports
+    # starsketch.cli and runs the workload's setup_code beside a copy of the
+    # benchmark plan; a name that code reads must stay bound in the program.
+    tree = ast.parse((ROOT / "perfbench" / "workloads.py").read_text())
+    setups = [node.value.value for node in ast.walk(tree)
+              if isinstance(node, ast.Assign)
+              and any(isinstance(t, ast.Name) and t.id == "setup_code" for t in node.targets)]
+    assert any("load_plan" in code for code in setups)
+    assert any("build_parser" in code for code in setups)
+    shutil.copy(ROOT / "perfbench" / "allpairs.plan", tmp_path)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
+    for code in setups:
+        proc = subprocess.run([sys.executable, "-c", f"import starsketch.cli\n{code}\n"],
+                              cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, (code, proc.stderr)
