@@ -215,7 +215,8 @@ class DivergenceSpec:
     ``eval_rows`` maps two (t, k) float64 stacks of distributions to the t
     row values.  ``symmetric``, ``triangle`` and ``f_div`` (monotone under
     aggregation and jointly convex, as every f-divergence is) are the optional
-    properties it honestly claims; non-negativity and identity of
+    properties it honestly claims, and every property check reads them alone
+    (:func:`smoothed` clears ``f_div``); non-negativity and identity of
     indiscernibles are required of every divergence and are not fields.
     ``eval`` is the scalar form, that kernel on one validated pair; it is
     derived from ``eval_rows`` unless given (a wrapper that times the kernel
@@ -281,9 +282,10 @@ register(DivergenceSpec("tv", _tv_rows, symmetric=True, triangle=True, f_div=Tru
 def smoothed(spec: DivergenceSpec, alpha: float) -> DivergenceSpec:
     """Additive-alpha variant: add alpha to every cell and renormalize.
 
-    alpha = 0 returns the spec unchanged.  Smoothing removes infinities at
-    the cost of the exact sketch-below-reference ordering, so result files
-    must record the alpha used.
+    alpha = 0 returns the spec itself.  Smoothing removes infinities at the
+    cost of the exact sketch-below-reference ordering, so result files must
+    record the alpha used.  The result keeps ``symmetric`` and ``triangle``
+    (both sides pass one injective map) and claims no ``f_div``.
     """
     if not 0 <= alpha < math.inf:  # also false for NaN
         raise ValueError(f"alpha must be finite and >= 0, got {alpha!r}")
@@ -297,4 +299,5 @@ def smoothed(spec: DivergenceSpec, alpha: float) -> DivergenceSpec:
     def eval_rows(P, Q):
         return spec.eval_rows(smooth_rows(P), smooth_rows(Q))
 
-    return replace(spec, eval_rows=eval_rows, eval=None)
+    # alpha per cell depends on k, so aggregation is no longer monotone.
+    return replace(spec, eval_rows=eval_rows, eval=None, f_div=False)

@@ -88,8 +88,7 @@ class DistributionFamily:
         if self.kind == "zipf":
             return f"zipf(alpha={_number(self.alpha)})"
         if self.kind == "pascal":
-            default_p = self.n / (2 * self.r + self.n)
-            if self.p == default_p:
+            if self == DistributionFamily.pascal(self.n, self.r):
                 return f"pascal(r={self.r})"
             return f"pascal(r={self.r},p={_number(self.p)})"
         if self.kind == "binomial":

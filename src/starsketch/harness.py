@@ -43,7 +43,7 @@ from .starmetric import reference_distance, sketch_star_metric
 
 
 class SandwichViolationError(RuntimeError):
-    """A sketch estimate exceeded its reference value at alpha = 0."""
+    """A sketch estimate exceeded its reference value for an ``f_div`` spec."""
 
 
 def derive_seed(master: int, *parts) -> int:
@@ -122,10 +122,8 @@ class ExperimentPlan:
             raise ValueError("m and n must be >= 1")
         if any(v < 1 for v in self.k_values) or any(v < 1 for v in self.t_values):
             raise ValueError("sweep values must be >= 1")
-        if not 0 <= self.alpha < math.inf:
-            raise ValueError(f"alpha must be finite and >= 0, got {self.alpha!r}")
         for name in self.divergences:
-            get_divergence(name)
+            smoothed(get_divergence(name), self.alpha)
         for what, values in (("pair", [_pair_label(*pair) for pair in self.pairs]),
                              ("divergence", self.divergences),
                              ("k value", self.k_values), ("t value", self.t_values)):
@@ -154,11 +152,11 @@ _PLAN_KEYS = {
 
 @contextmanager
 def _naming(lineno: int, key: str, value: str):
-    """Prefix a ValueError raised while parsing one plan value with its line and key."""
+    """Prefix an error raised while parsing one plan value with its line and key."""
     try:
         yield
-    except ValueError as exc:
-        raise ValueError(f"plan line {lineno}: {key} = {value!r}: {exc}") from exc
+    except (ValueError, FileNotFoundError) as exc:
+        raise type(exc)(f"plan line {lineno}: {key} = {value!r}: {exc}") from exc
 
 
 def parse_plan(text: str, base_dir: str = ".") -> ExperimentPlan:
@@ -282,7 +280,7 @@ def run_plan(plan: ExperimentPlan) -> list[ResultRow]:
                             build_seconds=build_s, query_seconds=query_s,
                             build_items=hist1.total + hist2.total,
                         )
-                        if plan.alpha == 0.0 and specs[name].f_div:
+                        if specs[name].f_div:
                             _check_sandwich(row)
                         rows.append(row)
 

@@ -23,9 +23,8 @@ import numpy as np
 
 from .hashing import item_ids
 
-# Exact Stirling numbers are only served up to this n.  S(26,13) still fits a
-# signed 64-bit counter; one row further does not, and the enumeration budget
-# is unreachable beyond it anyway.
+# stirling() and exact enumeration refuse any n above this, even where S(n, k)
+# is within the partition budget (S(27, 26) = 351); assignment_blocks has no cap.
 MAX_STIRLING_N = 26
 
 _BLOCK_ROWS = 4096
@@ -159,7 +158,7 @@ def stirling(n: int, k: int) -> int:
 
     Computed by the additive recurrence S(n,k) = k S(n-1,k) + S(n-1,k-1),
     which avoids the cancellation of the alternating-sum formula.  Limited to
-    n <= MAX_STIRLING_N so every value fits a 64-bit counter.
+    n <= MAX_STIRLING_N, which also bounds the memoized recursion.
     """
     if not 0 <= k <= n:
         raise ValueError(f"require 0 <= k <= n, got n={n} k={k}")

@@ -52,7 +52,7 @@ def parse_clf_line(line: str) -> LogRecord:
     if m is None:
         return LogRecord("", False)
     tokens = m.group(1).split()
-    if len(tokens) < 2 or not tokens[1]:
+    if len(tokens) < 2:
         return LogRecord("", False)
     return LogRecord(tokens[1], True)
 

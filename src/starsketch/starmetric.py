@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -145,18 +145,18 @@ def reference_distance(
 
 @dataclass
 class PropertyCheck:
-    """One property's tally: trials run, violations, and the first violation."""
+    """One property's tally: trials run, violations, and the first violation's witness."""
 
     trials: int = 0
     violations: int = 0
     witness: str | None = None
 
-    def record(self, ok: bool, witness: str) -> None:
+    def record(self, ok: bool, witness: Callable[[], str]) -> None:
         self.trials += 1
         if not ok:
             self.violations += 1
             if self.witness is None:
-                self.witness = witness
+                self.witness = witness()
 
 
 def _positive_distribution(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -206,20 +206,20 @@ def preservation_suite(
         q = _positive_distribution(rng, n)
         pq = star(p, q)
 
-        checks["non-negativity"].record(pq >= -_TOL_AXIOM, f"value={pq!r} p={p} q={q}")
+        checks["non-negativity"].record(pq >= -_TOL_AXIOM, lambda: f"value={pq!r} p={p} q={q}")
         v = star(p, p)
-        checks["identity-zero"].record(abs(v) <= _TOL_AXIOM, f"value={v!r} p={p}")
+        checks["identity-zero"].record(abs(v) <= _TOL_AXIOM, lambda: f"value={v!r} p={p}")
         if float(np.abs(p - q).sum()) >= _SEPARATION:
-            checks["identity-distinct"].record(pq > _TOL_AXIOM, f"value={pq!r} p={p} q={q}")
+            checks["identity-distinct"].record(pq > _TOL_AXIOM, lambda: f"value={pq!r} p={p} q={q}")
         if "symmetry" in checks:
             qp = star(q, p)
             ok = (pq == qp) or abs(pq - qp) <= _TOL_AXIOM
-            checks["symmetry"].record(ok, f"forward={pq!r} backward={qp!r}")
+            checks["symmetry"].record(ok, lambda: f"forward={pq!r} backward={qp!r}")
         if "triangle" in checks:
             r = _positive_distribution(rng, n)
             pr, rq = star(p, r), star(r, q)
             checks["triangle"].record(pq <= pr + rq + _TOL_AXIOM,
-                                      f"d(p,q)={pq!r} d(p,r)={pr!r} d(r,q)={rq!r}")
+                                      lambda: f"d(p,q)={pq!r} d(p,r)={pr!r} d(r,q)={rq!r}")
         if "monotonicity" in checks:
             for c in (rng.integers(k, n + 1) if k < n else n,
                       rng.integers(1, k) if k > 1 else 1):
@@ -227,7 +227,7 @@ def preservation_suite(
                 pm, qm = aggregate(p, mu), aggregate(q, mu)
                 v = exact_star_metric(phi, pm, qm, k).value
                 checks["monotonicity"].record(v <= pq + _TOL_MONOTONE,
-                                              f"c={c} coarse={v!r} base={pq!r}")
+                                              lambda: f"c={c} coarse={v!r} base={pq!r}")
         if "convexity" in checks:
             p2 = _positive_distribution(rng, n)
             q2 = _positive_distribution(rng, n)
@@ -235,6 +235,6 @@ def preservation_suite(
             lhs = star(lam * p + (1 - lam) * p2, lam * q + (1 - lam) * q2)
             rhs = lam * pq + (1 - lam) * star(p2, q2)
             checks["convexity"].record(lhs <= rhs + _TOL_AXIOM,
-                                       f"lam={lam} lhs={lhs!r} rhs={rhs!r}")
+                                       lambda: f"lam={lam} lhs={lhs!r} rhs={rhs!r}")
 
     return checks

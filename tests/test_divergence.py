@@ -376,6 +376,14 @@ class TestSmoothing:
         spec = smoothed(get_divergence("js"), 1e-6)
         assert spec([0.5, 0.5], [0.5, 0.5]) == 0.0
 
+    def test_smoothing_keeps_only_the_claims_it_preserves(self):
+        # alpha per cell depends on k, so no smoothed spec claims f_div.
+        for name in available():
+            spec = get_divergence(name)
+            sm = smoothed(spec, 0.1)
+            assert (sm.symmetric, sm.triangle, sm.f_div) == (spec.symmetric, spec.triangle, False)
+            assert smoothed(spec, 0.0) is spec
+
     def test_negative_alpha_rejected(self):
         with pytest.raises(ValueError):
             smoothed(get_divergence("js"), -0.1)

@@ -137,6 +137,13 @@ def test_plan_rejection_names_the_fault(text, what):
         parse_plan(text)
 
 
+def test_plan_missing_file_source_names_its_line(tmp_path):
+    text = "pair = uniform | uniform\npair = file:missing.stream | uniform\n"
+    with pytest.raises(FileNotFoundError,
+                       match=r"^plan line 2: pair = 'file:missing.stream \| uniform': stream source"):
+        parse_plan(text, base_dir=str(tmp_path))
+
+
 def test_plan_rejects_file_sources_sharing_a_basename(tmp_path):
     # The label keeps only the basename, so both pairs would key the same rows.
     for sub in ("a", "b"):

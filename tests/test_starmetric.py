@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from starsketch import starmetric
-from starsketch.divergence import DivergenceSpec, from_bregman_generator, get_divergence
+from starsketch.divergence import DivergenceSpec, from_bregman_generator, get_divergence, smoothed
 from starsketch.generators import DistributionFamily, sample_stream
 from starsketch.hashing import evaluate_batch, new_family
 from starsketch.histogram import (
@@ -17,6 +17,7 @@ from starsketch.histogram import (
 )
 from starsketch.sketch import FamilyMismatchError, sketch_stream
 from starsketch.starmetric import (
+    PropertyCheck,
     exact_star_metric,
     preservation_suite,
     reference_distance,
@@ -310,6 +311,21 @@ class TestPreservationSuite:
         assert violations(report) == {}
         assert report["symmetry"].violations == 0
         assert "convexity" in report
+
+    def test_smoothed_tv_drops_monotonicity(self):
+        # tv at alpha = 0.5 breaks monotonicity on these draws (7 of 120), so
+        # the smoothed spec must not claim it; the triangle check still runs.
+        report = preservation_suite(smoothed(get_divergence("tv"), 0.5), n=6, k=3, trials=60, seed=3)
+        assert violations(report) == {}
+        assert "monotonicity" not in report
+        assert "triangle" in report
+
+    def test_witness_is_formatted_only_for_a_violation(self):
+        check = PropertyCheck()
+        check.record(True, lambda: 1 / 0)
+        check.record(False, lambda: "w")
+        check.record(False, lambda: 1 / 0)
+        assert (check.trials, check.violations, check.witness) == (3, 2, "w")
 
     def test_false_claims_are_caught(self):
         # kl claiming symmetry and the triangle inequality it lacks: the suite
