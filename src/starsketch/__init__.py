@@ -41,7 +41,6 @@ from .harness import (
 )
 from .hashing import (
     HashFamily,
-    HashFunction,
     evaluate_batch,
     new_family,
 )
@@ -74,7 +73,7 @@ __all__ = [
     "write_stream",
     "ExperimentPlan", "ResultRow", "StreamSource", "load_plan", "parse_plan",
     "run_plan", "run_plan_to_dir", "sweep_summary",
-    "HashFamily", "HashFunction", "evaluate_batch", "new_family",
+    "HashFamily", "evaluate_batch", "new_family",
     "EmpiricalDistribution", "PartitionBudgetError", "aggregate",
     "as_distribution", "assignment_blocks", "from_stream", "normalize", "stirling",
     "LogRecord", "TraceStats", "parse_clf_line", "target_to_item", "trace_stats",

@@ -1,11 +1,14 @@
 """Carter-Wegman 2-universal hash families mapping item ids into k cells.
 
-Each function is h(x) = ((a*x + b) mod P) mod k with P prime.  P comes from a
-precomputed table holding the smallest prime at or above each power of two,
-topped by the Mersenne prime 2^61 - 1, which dominates every universe we
-target.  Keeping to those two regimes gives a branch-free vectorized
-evaluation: small-table primes fit products in 64 bits directly and the
-Mersenne top entry reduces by shift-and-fold.
+A family is t pairs (a_i, b_i) sharing one prime P and one range k; row i is
+h_i(x) = ((a_i*x + b_i) mod P) mod k, evaluated exactly for one id by
+``HashFamily.evaluate(i, x)`` and over an id array by
+``evaluate_batch(family, ids, i)``.  P comes from a precomputed table holding
+the smallest prime at or above each power of two, topped by the Mersenne
+prime 2^61 - 1, which dominates every universe we target.  Keeping to those
+two regimes gives a branch-free vectorized evaluation: small-table primes fit
+products in 64 bits directly and the Mersenne top entry reduces by
+shift-and-fold.
 
 Ids at or above P are pre-reduced mod P (a negligible universality loss at 61
 bits).  A family is a pure function of (seed, t, k, P) and is immutable, so it
@@ -13,6 +16,7 @@ can be shared and evaluated concurrently without coordination.
 """
 from __future__ import annotations
 
+import numbers
 import random
 from dataclasses import dataclass
 
@@ -41,31 +45,6 @@ def select_prime(universe_bound: int) -> int:
         if p >= universe_bound:
             return p
     return MERSENNE61
-
-
-@dataclass(frozen=True)
-class HashFunction:
-    """One ((a*x + b) mod p) mod k function; equal parameters, equal outputs."""
-
-    a: int
-    b: int
-    p: int
-    k: int
-
-    def __post_init__(self) -> None:
-        if self.p not in PRIME_TABLE:
-            # evaluate_batch's 64-bit arithmetic is exact only for table primes.
-            raise ValueError(f"p = {self.p} is not a prime of PRIME_TABLE")
-        if not 1 <= self.a < self.p:
-            raise ValueError("require 1 <= a < p")
-        if not 0 <= self.b < self.p:
-            raise ValueError("require 0 <= b < p")
-        if self.k < 1:
-            raise ValueError("require k >= 1")
-
-    def evaluate(self, x: int) -> int:
-        """Cell index of x in [0, k); the exact reference for evaluate_batch."""
-        return ((self.a * (x % self.p) + self.b) % self.p) % self.k
 
 
 def _fold_m61(z: np.ndarray) -> np.ndarray:
@@ -115,49 +94,58 @@ def item_ids(items, what: str = "item ids") -> np.ndarray:
     raise ValueError(f"{what} must be integers, got dtype {ids.dtype}")
 
 
-def evaluate_batch(h: HashFunction, xs: np.ndarray) -> np.ndarray:
-    """Vectorized evaluate over an array of item ids; agrees with HashFunction.evaluate."""
+def evaluate_batch(family: "HashFamily", xs: np.ndarray, i: int) -> np.ndarray:
+    """Row i of the family over an array of item ids; agrees with ``family.evaluate(i, x)``."""
     xs = item_ids(xs)
-    if h.p == MERSENNE61:
-        r = _mulmod_m61(h.a, _fold_m61(xs))
-        r = r + np.uint64(h.b)
+    a, b, k = family.a[i], family.b[i], np.uint64(family.k)
+    if family.p == MERSENNE61:
+        r = _mulmod_m61(a, _fold_m61(xs)) + np.uint64(b)
         r = np.where(r >= _M61, r - _M61, r)
-        return (r % np.uint64(h.k)).astype(np.int64)
-    p = np.uint64(h.p)
-    r = (np.uint64(h.a) * (xs % p) + np.uint64(h.b)) % p
-    return (r % np.uint64(h.k)).astype(np.int64)
+        return (r % k).astype(np.int64)
+    p = np.uint64(family.p)
+    r = (np.uint64(a) * (xs % p) + np.uint64(b)) % p
+    return (r % k).astype(np.int64)
 
 
 @dataclass(frozen=True)
 class HashFamily:
-    """t independently seeded functions sharing one range [0, k) and prime."""
+    """t functions h_i(x) = ((a[i]*x + b[i]) mod p) mod k sharing one prime and one range."""
 
-    functions: tuple[HashFunction, ...]
+    a: tuple[int, ...]
+    b: tuple[int, ...]
+    p: int
+    k: int
     seed: int
 
     def __post_init__(self) -> None:
-        if not self.functions:
+        if not isinstance(self.p, numbers.Integral) or self.p not in PRIME_TABLE:
+            # evaluate_batch's 64-bit arithmetic is exact only for table primes.
+            raise ValueError(f"p = {self.p} is not a prime of PRIME_TABLE")
+        if not isinstance(self.k, numbers.Integral):
+            raise ValueError(f"k must be an integer, got {self.k!r}")
+        if self.k < 1:
+            raise ValueError("require k >= 1")
+        if not self.a:
             raise ValueError("family must contain at least one function")
-        k, p = self.functions[0].k, self.functions[0].p
-        if any(f.k != k or f.p != p for f in self.functions):
-            raise ValueError("all functions must share k and p")
+        if len(self.a) != len(self.b):
+            raise ValueError(f"family has {len(self.a)} a values but {len(self.b)} b values")
+        if not all(1 <= a < self.p for a in self.a):
+            raise ValueError("require 1 <= a < p")
+        if not all(0 <= b < self.p for b in self.b):
+            raise ValueError("require 0 <= b < p")
 
     @property
     def t(self) -> int:
-        return len(self.functions)
+        return len(self.a)
 
-    @property
-    def k(self) -> int:
-        return self.functions[0].k
-
-    @property
-    def p(self) -> int:
-        return self.functions[0].p
+    def evaluate(self, i: int, x: int) -> int:
+        """Cell index of x under row i, in [0, k); the exact reference for evaluate_batch."""
+        return ((self.a[i] * (x % self.p) + self.b[i]) % self.p) % self.k
 
     def header(self) -> str:
         """Plain-text serialization: ``t k P seed`` plus t ``a b`` lines."""
         lines = [f"{self.t} {self.k} {self.p} {self.seed}"]
-        lines.extend(f"{f.a} {f.b}" for f in self.functions)
+        lines.extend(f"{a} {b}" for a, b in zip(self.a, self.b))
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -168,11 +156,10 @@ class HashFamily:
         t, k, p, seed = (int(v) for v in lines[0].split())
         if len(lines) != t + 1:
             raise ValueError(f"family header announces {t} functions, found {len(lines) - 1}")
-        functions = []
-        for line in lines[1:]:
-            a, b = (int(v) for v in line.split())
-            functions.append(HashFunction(a, b, p, k))
-        return cls(tuple(functions), seed)
+        pairs = [tuple(int(v) for v in line.split()) for line in lines[1:]]
+        if any(len(pair) != 2 for pair in pairs):
+            raise ValueError("each family header function line must hold two integers: a b")
+        return cls(tuple(a for a, _ in pairs), tuple(b for _, b in pairs), p, k, seed)
 
 
 def new_family(t: int, k: int, universe_bound: int, seed: int) -> HashFamily:
@@ -184,11 +171,7 @@ def new_family(t: int, k: int, universe_bound: int, seed: int) -> HashFamily:
     """
     p = select_prime(universe_bound)
     master = random.Random(seed)
-    sub_seeds = [master.getrandbits(64) for _ in range(t)]
-    functions = []
-    for sub in sub_seeds:
-        rng = random.Random(sub)
-        a = rng.randrange(1, p)
-        b = rng.randrange(0, p)
-        functions.append(HashFunction(a, b, p, k))
-    return HashFamily(tuple(functions), seed)
+    rngs = [random.Random(master.getrandbits(64)) for _ in range(t)]
+    a = tuple(rng.randrange(1, p) for rng in rngs)
+    b = tuple(rng.randrange(0, p) for rng in rngs)
+    return HashFamily(a, b, p, k, seed)

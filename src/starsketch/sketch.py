@@ -1,10 +1,11 @@
 """Online t x k counter matrices: one pass, constant work per item, mergeable.
 
-Every item increments exactly one counter per row (row i uses hash function
-i), so each row always sums to the number of items absorbed.  A matrix is
-built in one call by :func:`sketch_stream` and never changes afterwards.  Two
-matrices are comparable only when built with the same hash family, which the
-matrix and its file form carry.  The matrix is linear in the stream: row i is
+Every item increments exactly one counter per row (row i uses the family's
+pair (a_i, b_i), hashed by ``evaluate_batch(family, ids, i)``), so each row
+always sums to the number of items absorbed.  A matrix is built in one call
+by :func:`sketch_stream` and never changes afterwards.  Two matrices are
+comparable only when built with the same hash family, which the matrix and
+its file form carry.  The matrix is linear in the stream: row i is
 the stream's count vector summed by h_i, whatever the item order.  So a build
 hashes each distinct id once per row and adds its count, and more items, or
 shards of one stream, are absorbed by merging their sketches.  A build's
@@ -77,7 +78,11 @@ class SketchMatrix:
 
 def load_sketch(path: str) -> SketchMatrix:
     with open(path, "rb") as fh:
-        return sketch_from_bytes(fh.read())
+        data = fh.read()
+    try:
+        return sketch_from_bytes(data)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def sketch_from_bytes(data: bytes) -> SketchMatrix:
@@ -117,6 +122,6 @@ def sketch_stream(family: HashFamily, items, counts=None) -> SketchMatrix:
         raise OverflowError(f"stream of {total} items exceeds the counter capacity")
     # No cell can exceed the total, so the uint64 sums below never wrap.
     cells = np.zeros((family.t, family.k), dtype=np.uint64)
-    for i, h in enumerate(family.functions):
-        np.add.at(cells[i], evaluate_batch(h, ids), counts)
+    for i in range(family.t):
+        np.add.at(cells[i], evaluate_batch(family, ids, i), counts)
     return SketchMatrix(family, cells, total)

@@ -190,9 +190,9 @@ def test_criterion_5_sandwich_and_row_consistency():
 
         # integer row consistency against a direct per-cell recount
         for hist, sk in ((h1, s1), (h2, s2)):
-            for i, h in enumerate(fam.functions):
+            for i in range(fam.t):
                 expected = np.zeros(k, dtype=np.uint64)
-                np.add.at(expected, evaluate_batch(h, hist.ids), hist.counts.astype(np.uint64))
+                np.add.at(expected, evaluate_batch(fam, hist.ids, i), hist.counts.astype(np.uint64))
                 assert np.array_equal(sk.counts[i], expected), (trial, i)
 
         universe = range(1, n + 1)

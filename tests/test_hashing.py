@@ -7,7 +7,6 @@ from starsketch.hashing import (
     MERSENNE61,
     PRIME_TABLE,
     HashFamily,
-    HashFunction,
     evaluate_batch,
     new_family,
     select_prime,
@@ -37,9 +36,9 @@ class TestNewFamily:
     def test_fig2_shape(self):
         fam = new_family(4, 200, 4000, seed=1)
         assert fam.t == 4 and fam.k == 200 and fam.p == 4099
-        for h in fam.functions:
+        for i in range(fam.t):
             for x in range(0, 4000, 97):
-                assert 0 <= h.evaluate(x) < 200
+                assert 0 <= fam.evaluate(i, x) < 200
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
@@ -55,67 +54,77 @@ class TestNewFamily:
 
     def test_constant_single_cell(self):
         fam = new_family(1, 1, 50, seed=4)
-        assert all(fam.functions[0].evaluate(x) == 0 for x in range(50))
+        assert all(fam.evaluate(0, x) == 0 for x in range(50))
+
+    def test_rejects_non_integral_k(self):
+        # A float k would hash into float cells and write a header that
+        # from_header cannot read back; numpy integers are integers.
+        with pytest.raises(ValueError, match="k must be an integer"):
+            new_family(2, 4.0, 100, 1)
+        with pytest.raises(ValueError, match="k must be an integer"):
+            HashFamily((3,), (5,), 131, 4.5, 0)
+        assert new_family(2, np.int64(4), 100, 1) == new_family(2, 4, 100, 1)
 
 
 class TestEvaluate:
     def test_repeated_calls_agree(self):
-        h = new_family(1, 7, 1000, seed=2).functions[0]
-        assert h.evaluate(123) == h.evaluate(123)
+        fam = new_family(1, 7, 1000, seed=2)
+        assert fam.evaluate(0, 123) == fam.evaluate(0, 123)
 
     def test_extensional_equality(self):
-        h1 = HashFunction(17, 5, 131, 4)
-        h2 = HashFunction(17, 5, 131, 4)
+        h1 = HashFamily((17,), (5,), 131, 4, 0)
+        h2 = HashFamily((17,), (5,), 131, 4, 0)
         assert h1 == h2
-        assert all(h1.evaluate(x) == h2.evaluate(x) for x in range(131))
+        assert all(h1.evaluate(0, x) == h2.evaluate(0, x) for x in range(131))
 
     def test_golden_vector(self):
         # Regression pin: seed=7 family over a 4000-item universe, P = 4099.
         fam = new_family(1, 4, 4000, seed=7)
-        h = fam.functions[0]
-        assert (h.a, h.b, h.p, h.k) == (2478, 3831, 4099, 4)
-        table = [h.evaluate(x) for x in range(16)]
+        assert (fam.a[0], fam.b[0], fam.p, fam.k) == (2478, 3831, 4099, 4)
+        table = [fam.evaluate(0, x) for x in range(16)]
         assert table == [3, 2, 1, 3, 2, 0, 3, 2, 0, 3, 1, 0, 3, 1, 0, 3]
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
-            HashFunction(0, 1, 131, 4)
+            HashFamily((0,), (1,), 131, 4, 0)
         with pytest.raises(ValueError):
-            HashFunction(1, 131, 131, 4)
+            HashFamily((1,), (131,), 131, 4, 0)
+        with pytest.raises(ValueError, match="2 a values but 1 b values"):
+            HashFamily((1, 2), (0,), 131, 4, 0)
 
 
 class TestBatchEvaluation:
     def test_matches_scalar_small_prime(self):
-        h = new_family(1, 37, 5000, seed=13).functions[0]
+        fam = new_family(1, 37, 5000, seed=13)
         xs = np.arange(5000, dtype=np.uint64)
-        batch = evaluate_batch(h, xs)
-        assert all(batch[x] == h.evaluate(x) for x in range(0, 5000, 61))
+        batch = evaluate_batch(fam, xs, 0)
+        assert all(batch[x] == fam.evaluate(0, x) for x in range(0, 5000, 61))
         assert batch.min() >= 0 and batch.max() < 37
 
     def test_matches_scalar_mersenne(self):
-        h = new_family(1, 211, 2 ** 62, seed=5).functions[0]
-        assert h.p == MERSENNE61
+        fam = new_family(1, 211, 2 ** 62, seed=5)
+        assert fam.p == MERSENNE61
         rng = np.random.default_rng(0)
         xs = rng.integers(0, 2 ** 64, size=2000, dtype=np.uint64)
         edge = np.array([0, 1, MERSENNE61 - 1, MERSENNE61, MERSENNE61 + 1, 2 ** 64 - 1],
                         dtype=np.uint64)
         xs = np.concatenate([xs, edge])
-        batch = evaluate_batch(h, xs)
+        batch = evaluate_batch(fam, xs, 0)
         for x, cell in zip(xs.tolist(), batch.tolist()):
-            assert cell == h.evaluate(x)
+            assert cell == fam.evaluate(0, x)
 
     @pytest.mark.parametrize("bad", [[-1, 3], [2.5, 3], ["x", 3], np.array([-1, 3]),
                                      np.array([2.5, 3.0]), np.array(["x"])])
     def test_rejects_invalid_ids(self, bad):
         # -1 must not wrap to 2^64 - 1, 2.5 must not truncate to 2.
-        h = new_family(1, 37, 5000, seed=13).functions[0]
+        fam = new_family(1, 37, 5000, seed=13)
         with pytest.raises(ValueError):
-            evaluate_batch(h, bad)
+            evaluate_batch(fam, bad, 0)
 
     def test_mersenne_reduction_wraps_ids(self):
         # Pre-reduction: x and x mod P hash identically.
-        h = new_family(1, 1000, 2 ** 62, seed=8).functions[0]
-        assert h.evaluate(MERSENNE61 + 17) == h.evaluate(17)
+        fam = new_family(1, 1000, 2 ** 62, seed=8)
+        assert fam.evaluate(0, MERSENNE61 + 17) == fam.evaluate(0, 17)
 
 
 def test_pairwise_collision_rate():
@@ -125,8 +134,8 @@ def test_pairwise_collision_rate():
     domain = list(range(100))
     pairs = math.comb(len(domain), 2)
     bound = 1 / 8 + 3 * math.sqrt((1 / 8) * (7 / 8) / pairs)
-    for h in fam.functions:
-        cells = np.bincount([h.evaluate(x) for x in domain], minlength=8)
+    for i in range(fam.t):
+        cells = np.bincount([fam.evaluate(i, x) for x in domain], minlength=8)
         collisions = sum(int(c) * (int(c) - 1) // 2 for c in cells)
         assert collisions / pairs <= bound
 
@@ -135,28 +144,28 @@ class TestInducedPartition:
     # A hash function induces a partition of any item set: its cell array.
     def test_constant_function(self):
         fam = new_family(1, 1, 10, seed=3)
-        cells = evaluate_batch(fam.functions[0], np.array([0, 1, 2], dtype=np.uint64))
+        cells = evaluate_batch(fam, np.array([0, 1, 2], dtype=np.uint64), 0)
         assert cells.tolist() == [0, 0, 0]
 
     def test_injective_gives_singletons(self):
-        h = HashFunction(1, 0, 131, 131)
-        cells = evaluate_batch(h, np.array([3, 7, 11], dtype=np.uint64))
+        fam = HashFamily((1,), (0,), 131, 131, 0)
+        cells = evaluate_batch(fam, np.array([3, 7, 11], dtype=np.uint64), 0)
         assert cells.tolist() == [3, 7, 11]
 
     def test_fixture_split(self):
         # Regression pin for seed=7, k=2 over items 0..5: cells {1,4,5} and {0,2,3}.
         fam = new_family(1, 2, 100, seed=7)
-        cells = evaluate_batch(fam.functions[0], np.arange(6, dtype=np.uint64))
+        cells = evaluate_batch(fam, np.arange(6, dtype=np.uint64), 0)
         assert cells.tolist() == [1, 0, 1, 1, 0, 0]
 
     def test_cells_partition_universe(self):
         fam = new_family(4, 5, 1000, seed=21)
         universe = np.arange(0, 1000, 7, dtype=np.uint64)
-        for h in fam.functions:
-            cells = evaluate_batch(h, universe)
+        for i in range(fam.t):
+            cells = evaluate_batch(fam, universe, i)
             assert cells.shape == universe.shape
             assert ((0 <= cells) & (cells < 5)).all()
-            assert cells.tolist() == [h.evaluate(int(x)) for x in universe]
+            assert cells.tolist() == [fam.evaluate(i, int(x)) for x in universe]
 
 
 class TestHeaderSerialization:
@@ -179,6 +188,11 @@ class TestHeaderSerialization:
         with pytest.raises(ValueError, match="empty"):
             HashFamily.from_header("\n")
 
+    def test_function_line_needs_two_integers(self):
+        for line in ("3", "3 5 7", "3 x"):
+            with pytest.raises(ValueError):
+                HashFamily.from_header(f"1 4 131 0\n{line}\n")
+
     def test_non_table_prime_rejected(self):
         # 2^40 + 15 is prime, but a*x overflows uint64 in evaluate_batch for
         # it, which then disagrees with the exact scalar evaluate.
@@ -186,4 +200,7 @@ class TestHeaderSerialization:
         with pytest.raises(ValueError, match="PRIME_TABLE"):
             HashFamily.from_header(f"2 8 {p} 3\n{p - 2} 5\n{p - 9} 1\n")
         with pytest.raises(ValueError, match="PRIME_TABLE"):
-            HashFunction(3, 5, p, 8)
+            HashFamily((3,), (5,), p, 8, 0)
+        # 131.0 equals a table prime but would be written as "131.0".
+        with pytest.raises(ValueError, match="PRIME_TABLE"):
+            HashFamily((3,), (5,), 131.0, 8, 0)

@@ -35,8 +35,12 @@ def test_benchmark_tracer_finds_every_name_it_wraps():
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
     original = sketch.evaluate_batch
-    with tracer.patched(tracer.Tracer()):
+    traced = tracer.Tracer()
+    with tracer.patched(traced):
         assert sketch.evaluate_batch is not original
+        # The tracer counts the ids it finds at evaluate_batch's args[1].
+        sketch.sketch_stream(new_family(4, 8, 100, 1), range(1, 50))
+    assert traced.counts["hashing.evals"] == 4 * 49
     assert sketch.evaluate_batch is original
     t = tracer.Tracer()
     kl = get_divergence("kl")
