@@ -1,4 +1,5 @@
 import csv
+import gzip
 import hashlib
 import io
 import math
@@ -13,6 +14,7 @@ import starsketch
 from starsketch import divergence
 from starsketch.cli import main
 from starsketch.divergence import FGenerator, from_f_generator, register
+from starsketch.generators import read_stream
 from starsketch.sketch import FamilyMismatchError, load_sketch
 
 
@@ -184,6 +186,55 @@ def test_ingested_stream_bytes_pinned(tmp_path, capsys, monkeypatch):
     run_cli(capsys, "sketch", "build", "--in", "log.stream", "--k", "32", "--t", "4",
             "--seed", "9", "--out", "log.sketch")
     assert sha256_of("log.sketch") == SKETCH_SHA256["ingested"]
+
+
+# A log at the edges of text-mode reading: separators that str.split breaks a
+# latin-1 request at (\xa0, \x1c, \x1f, \x85, tab) but bytes.split would not,
+# a lone \r and a \r\n line end (universal newlines end a line at both, so the
+# quoted field of the /x line is cut by its \r), an unterminated quote, an
+# empty "", two quoted fields on one line, latin-1 bytes, repeats and a last
+# line with no newline.
+EDGE_LOG = (
+    b'h - - [d] "GET /a\xa0b HTTP/1.0" 200 1\n'
+    b'h - - [d] "GET /c\x1cd HTTP/1.0" 200 1\n'
+    b'h - - [d] "GET /e\x1ff HTTP/1.0" 200 1\n'
+    b'h - - [d] "GET /g\x85h HTTP/1.0" 200 1\n'
+    b'h - - [d] "GET\t/tab HTTP/1.0" 200 1\n'
+    b'h - - [d] "GET /lone HTTP/1.0" 200 1\r'
+    b'h - - [d] "GET /crlf HTTP/1.0" 200 1\r\n'
+    b'h - - [d] "GET /x\r/y HTTP/1.0" 200 1\n'
+    b'h - - [d] "GET /unterminated HTTP/1.0 200 1\n'
+    b'h - - [d] "" 400 0\n'
+    b'h - - [d] "GET /first HTTP/1.0" 200 1 "-" "agent /second"\n'
+    b'h - - [d] "GET /caf\xe9?q=\xff HTTP/1.0" 200 1\n'
+    b'h - - [d] "GET /a\xa0b HTTP/1.0" 200 1\n'
+    b'h - - [d] "GET /a HTTP/1.1" 304 0\n'
+    b'h - - [d] "GET /lone HTTP/1.0" 200 1\r'
+    b'h - - [d] "GET /caf\xe9?q=\xff HTTP/1.0" 200 1'
+)
+EDGE_STREAM_SHA256 = "a828745fc05f7d27c2b7d090ef57b9d3b1c0354c1d1ade3f5c4a7a0dab79e349"
+EDGE_STATS_SHA256 = "2e54210a987783c3663c7dd00bba6fb33b49001f4a2701147fd18d76b6633993"
+
+
+def test_ingest_edge_log_pinned(tmp_path, capsys, monkeypatch):
+    # The pins were taken when each line went through parse_clf_line whole.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "access_log").write_bytes(EDGE_LOG)
+    run_cli(capsys, "ingest", "--in", "access_log", "--out", "log.stream",
+            "--stats", "log.stats")
+    assert sha256_of("log.stream") == EDGE_STREAM_SHA256
+    assert sha256_of("log.stats") == EDGE_STATS_SHA256
+    # A gzip twin gives the same items and stats; only the descriptor names it.
+    with gzip.open(tmp_path / "access_log.gz", "wb") as fh:
+        fh.write(EDGE_LOG)
+    run_cli(capsys, "ingest", "--in", "access_log.gz", "--out", "gz.stream",
+            "--stats", "gz.stats")
+    items, n, descriptor = read_stream("log.stream")
+    gz_items, gz_n, gz_descriptor = read_stream("gz.stream")
+    assert (descriptor, gz_descriptor) == ("clf:access_log", "clf:access_log.gz")
+    assert gz_n == n == 0
+    assert gz_items.tolist() == items.tolist()
+    assert sha256_of("gz.stats") == EDGE_STATS_SHA256
 
 
 def test_universe_bound_makes_sketches_comparable(tmp_path, capsys):
