@@ -5,13 +5,17 @@ taken verbatim: query string included, case sensitive.  Targets are mapped to
 stable 64-bit ids by a fixed fingerprint so that runs and machines
 agree.  Malformed lines never abort a parse; they are counted and reported.
 
-Gzip-compressed logs are read transparently.  The classic trace archives
+A log is read line by line and each line is cut down to its quoted request;
+a pass parses and fingerprints each distinct request once, so its memory is
+O(distinct requests) plus the id stream.  Gzip-compressed logs are recognised
+by their magic bytes and read transparently.  The classic trace archives
 contain bytes that are not valid UTF-8, so files are decoded as latin-1.
 """
 from __future__ import annotations
 
 import gzip
 import hashlib
+import io
 import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -21,6 +25,7 @@ import numpy as np
 from .histogram import from_stream
 
 _REQUEST_RE = re.compile(r'"([^"]*)"')
+_UNSEEN = object()
 
 
 @dataclass(frozen=True)
@@ -63,29 +68,44 @@ def target_to_item(target: str) -> int:
     return int.from_bytes(digest, "little")
 
 
-def iter_records(path: str) -> Iterator[LogRecord]:
-    """Parse a (possibly gzipped) log file line by line, constant memory."""
-    opener = gzip.open if path.endswith(".gz") else open
-    with opener(path, "rt", encoding="latin-1") as fh:
-        for line in fh:
-            yield parse_clf_line(line)
+def iter_records(path: str) -> Iterator[str]:
+    """The quoted request of each line of a (possibly gzipped) log.
+
+    Each line yields its first quoted field, quotes included, or ``""`` when
+    it has none: exactly the field ``parse_clf_line`` reads, so parsing the
+    yielded string gives the record of the whole line.
+    """
+    with open(path, "rb") as raw:
+        binary = gzip.GzipFile(fileobj=raw) if raw.peek(2)[:2] == b"\x1f\x8b" else raw
+        with io.TextIOWrapper(binary, encoding="latin-1") as fh:
+            for line in fh:
+                i = line.find('"')
+                j = line.find('"', i + 1)
+                yield line[i:j + 1] if j >= 0 else ""
 
 
-def trace_stats(records: Iterable[LogRecord]) -> tuple[TraceStats, np.ndarray]:
-    """Stream size, distinct ids, and peak frequency over valid records.
+def trace_stats(requests: Iterable[str]) -> tuple[TraceStats, np.ndarray]:
+    """Stream size, distinct ids, and peak frequency over valid requests.
 
     Returns the stats together with the stream itself: the uint64 item id of
-    each valid record in stream order, so one pass over a log yields both.
+    each valid request in stream order, so one pass over a log yields both.
     The stats are those of that id array, so ``distinct`` counts 64-bit
-    fingerprints.
+    fingerprints.  Each distinct request is parsed and fingerprinted once;
+    the answers live only for this call.
     """
+    resolved: dict[str, int | None] = {}
+    lookup = resolved.get
     ids: list[int] = []
     malformed = 0
-    for rec in records:
-        if rec.valid:
-            ids.append(target_to_item(rec.request_target))
-        else:
+    for request in requests:
+        item = lookup(request, _UNSEEN)
+        if item is _UNSEEN:
+            rec = parse_clf_line(request)
+            item = resolved[request] = target_to_item(rec.request_target) if rec.valid else None
+        if item is None:
             malformed += 1
+        else:
+            ids.append(item)
     stream = np.array(ids, dtype=np.uint64)
     hist = from_stream(stream)
     stats = TraceStats(

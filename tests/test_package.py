@@ -1,5 +1,6 @@
 import ast
 import importlib.util
+import inspect
 import os
 import pathlib
 import shutil
@@ -10,7 +11,7 @@ import types
 import starsketch
 import numpy as np
 
-from starsketch import sketch
+from starsketch import cli, sketch
 from starsketch.divergence import get_divergence
 from starsketch.hashing import new_family
 from starsketch.starmetric import exact_star_metric, sketch_star_metric
@@ -28,20 +29,33 @@ def test_all_lists_exactly_the_public_names():
         assert hasattr(starsketch, name), name
 
 
-def test_benchmark_tracer_finds_every_name_it_wraps():
+def test_benchmark_tracer_finds_every_name_it_wraps(tmp_path, capsys):
     # The benchmark's tracer replaces program functions by module attribute
     # and raises KeyError on entry when one of them no longer exists.
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
     original = sketch.evaluate_batch
+    log = tmp_path / "access_log"
+    log.write_text('h "GET /a HTTP/1.0" 200\nh "GET /b HTTP/1.0" 200\nh "GET /a HTTP/1.0" 200\n'
+                   'h "GET /a HTTP/1.0" 200\nbroken\nh "GET" 400\nh "GET" 400\n')
+    # It wraps cli.iter_records as a generator: one span per yielded line.
+    assert inspect.isgeneratorfunction(cli.iter_records)
     traced = tracer.Tracer()
     with tracer.patched(traced):
         assert sketch.evaluate_batch is not original
         # The tracer counts the ids it finds at evaluate_batch's args[1].
         sketch.sketch_stream(new_family(4, 8, 100, 1), range(1, 50))
+        assert cli.main(["ingest", "--in", str(log), "--out", str(tmp_path / "s.stream")]) == 0
     assert traced.counts["hashing.evals"] == 4 * 49
     assert sketch.evaluate_batch is original
+    # Ingest parses and fingerprints each distinct request once: '"GET /a
+    # HTTP/1.0"', '"GET /b HTTP/1.0"', '""' and '"GET"', of which two are valid.
+    assert traced.counts["ingest.read.calls"] == 7 + 1  # the last call ends the log
+    assert traced.counts["ingest.parse.calls"] == 4
+    assert traced.counts["ingest.valid"] == 2
+    assert traced.counts["ingest.fingerprint.calls"] == 2
+    assert "ingested 4 items (2 distinct, 3 malformed lines)" in capsys.readouterr().out
     t = tracer.Tracer()
     kl = get_divergence("kl")
     p, q = [0.5, 0.5], [0.25, 0.75]
