@@ -217,7 +217,7 @@ EDGE_STATS_SHA256 = "2e54210a987783c3663c7dd00bba6fb33b49001f4a2701147fd18d76b66
 
 
 def test_ingest_edge_log_pinned(tmp_path, capsys, monkeypatch):
-    # The pins were taken when each line went through parse_clf_line whole.
+    # The pins hold what parse_clf_line gives on each whole line.
     monkeypatch.chdir(tmp_path)
     (tmp_path / "access_log").write_bytes(EDGE_LOG)
     run_cli(capsys, "ingest", "--in", "access_log", "--out", "log.stream",

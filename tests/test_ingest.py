@@ -195,13 +195,13 @@ LOG_PIECES = st.sampled_from([
 def test_trace_stats_equals_per_line_parse(pieces, compress):
     data = "".join(pieces).encode("latin-1")
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "access_log")
+        plain, path = os.path.join(tmp, "plain"), os.path.join(tmp, "access_log")
+        with open(plain, "wb") as fh:
+            fh.write(data)
         with open(path, "wb") as fh:
             fh.write(gzip.compress(data) if compress else data)
         stats, ids = trace_stats(iter_records(path))
-        with open(path, "wb") as fh:
-            fh.write(data)
-        with open(path, encoding="latin-1") as fh:
+        with open(plain, encoding="latin-1") as fh:
             records = [parse_clf_line(line) for line in fh]
     want = [target_to_item(r.request_target) for r in records if r.valid]
     freq = Counter(want)
