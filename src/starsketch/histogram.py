@@ -7,10 +7,10 @@ summed exactly by :func:`_exact_sum`, here and for sketch rows, so no count
 vector wraps in fixed-width arithmetic.  Probability vectors are
 plain float64 numpy arrays over an explicitly ordered universe.  A partition
 of that universe into k cells is a label array: entry i is the cell (0..k-1)
-of item i, and :func:`aggregate` collapses a vector along one label array or
-a block of them.  The enumeration side (:func:`assignment_blocks`,
-:func:`stirling`) is the brute-force oracle used to maximize a divergence
-over every k-cell partition of a small universe.
+of item i, and :func:`aggregate` collapses a vector, or a stack of them,
+along one label array or a block of them.  The enumeration side
+(:func:`assignment_blocks`, :func:`stirling`) is the brute-force oracle used
+to maximize a divergence over every k-cell partition of a small universe.
 """
 from __future__ import annotations
 
@@ -133,23 +133,27 @@ def as_distribution(weights: Sequence[float] | np.ndarray) -> np.ndarray:
 def aggregate(p: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Sum vector entries cell by cell; item i of ``p`` lands in cell ``labels[i]``.
 
-    ``labels`` is one label array of length ``len(p)`` or a (rows, len(p))
-    block of them, giving a (k,) or (rows, k) result with k the largest
-    label plus one.  Each cell adds its items in index order, so a row of a
-    block aggregates to the same bits as that row given alone.
+    ``p`` is one vector of length n or an (m, n) stack of them, and
+    ``labels`` is one label array of length n or a (rows, n) block of them.
+    The result has shape ``p.shape[:-1] + labels.shape[:-1] + (k,)``, with k
+    the largest label plus one: (k,), (rows, k), (m, k) or (m, rows, k).
+    The cell index is built once and each vector takes one ``bincount`` over
+    it, so each cell adds its items in index order and every (vector, row)
+    pair aggregates to the same bits as that vector and row given alone.
     """
     p = np.asarray(p, dtype=np.float64)
     labels = np.asarray(labels)
-    if p.ndim != 1 or p.size == 0 or labels.ndim not in (1, 2) or labels.shape[-1] != p.size:
+    if (p.ndim not in (1, 2) or p.size == 0 or labels.ndim not in (1, 2)
+            or labels.shape[-1] != p.shape[-1]):
         raise ValueError(f"labels of shape {labels.shape} do not match a vector of shape {p.shape}")
     if labels.dtype.kind not in "iu" or labels.min() < 0:
         raise ValueError("cell labels must be nonnegative integers")
     k = int(labels.max()) + 1
-    rows = labels.reshape(-1, p.size)
-    cells = rows + (np.arange(rows.shape[0]) * k)[:, None]
-    out = np.bincount(cells.ravel(), weights=np.broadcast_to(p, rows.shape).ravel(),
-                      minlength=rows.shape[0] * k)
-    return out.reshape(labels.shape[:-1] + (k,))
+    rows = labels.reshape(-1, p.shape[-1])
+    cells = (rows + (np.arange(rows.shape[0]) * k)[:, None]).ravel()
+    sums = [np.bincount(cells, weights=np.broadcast_to(v, rows.shape).ravel(),
+                        minlength=rows.shape[0] * k) for v in p.reshape(-1, rows.shape[1])]
+    return np.stack(sums).reshape(p.shape[:-1] + labels.shape[:-1] + (k,))
 
 
 @lru_cache(maxsize=None)

@@ -9,15 +9,18 @@ hash-induced partition) and takes the row maximum, which lower-bounds the
 exact value for aggregation-monotone divergences.
 
 The oracle reads partitions as blocks of label arrays from
-:func:`assignment_blocks` and aggregates each block with one
-:func:`aggregate` call per distribution.  Enumeration is chunked so memory
-stays bounded, and a parallel reduction with the same first-maximizer
-tie-break would reproduce the serial result exactly.
+:func:`assignment_blocks` and aggregates both distributions over each block
+with one :func:`aggregate` call on their stack.  Enumeration is chunked so
+memory stays bounded, and a parallel reduction with the same first-maximizer
+tie-break would reproduce the serial result exactly.  The concatenated,
+read-only label tables of the two (n, k) used last are kept when each fits
+``_TABLE_BYTES``, so consecutive calls at one (n, k) enumerate it once.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -25,9 +28,11 @@ import numpy as np
 from .divergence import DivergenceSpec, _pair
 from .hashing import item_ids
 from .histogram import (
+    _BLOCK_ROWS,
     MAX_STIRLING_N,
     EmpiricalDistribution,
     PartitionBudgetError,
+    _read_only,
     aggregate,
     assignment_blocks,
     normalize,
@@ -36,6 +41,10 @@ from .histogram import (
 from .sketch import FamilyMismatchError, SketchMatrix
 
 PARTITION_BUDGET = 10_000_000
+
+# Label tables of at most this many bytes (S(n, k) rows of n int8 labels) are
+# kept for reuse; larger enumerations stream from assignment_blocks.
+_TABLE_BYTES = 1 << 20
 
 
 @dataclass
@@ -62,6 +71,12 @@ class StarMetricResult:
         return f"row{self.argmax}"
 
 
+@lru_cache(maxsize=2)
+def _label_table(n: int, k: int) -> np.ndarray:
+    """Every k-cell partition of n items as one read-only (S(n, k), n) block."""
+    return _read_only(np.concatenate(list(assignment_blocks(n, k))))
+
+
 def exact_star_metric(
     phi: DivergenceSpec,
     p,
@@ -84,6 +99,7 @@ def exact_star_metric(
         raise ValueError("k must be >= 1")
     n = p.size
     k = min(k, n)
+    blocks = assignment_blocks(n, k)
     if 1 < k < n:
         if n > MAX_STIRLING_N:
             raise PartitionBudgetError(
@@ -93,12 +109,16 @@ def exact_star_metric(
             raise PartitionBudgetError(
                 f"S({n},{k}) = {total} exceeds the budget of {PARTITION_BUDGET}"
             )
+        if total * n <= _TABLE_BYTES:
+            table = _label_table(n, k)
+            blocks = (table[start:start + _BLOCK_ROWS] for start in range(0, total, _BLOCK_ROWS))
 
     best = -math.inf
     best_assignment: np.ndarray | None = None
     evaluated = 0
-    for block in assignment_blocks(n, k):
-        vals = phi.eval_rows(aggregate(p, block), aggregate(q, block))
+    pq = np.stack((p, q))
+    for block in blocks:
+        vals = phi.eval_rows(*aggregate(pq, block))
         evaluated += block.shape[0]
         i = int(np.argmax(vals))
         if float(vals[i]) > best:

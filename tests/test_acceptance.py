@@ -84,7 +84,9 @@ def test_criterion_3_monotonicity_exhaustive():
     k_values = (2, 3)
     rng = np.random.default_rng(33)
     pairs = [positive_pair(rng, n) for _ in range(3)]
-    specs = [get_divergence(name) for name in ("kl", "js", "tv")]
+    # All five are nondecreasing functions of an f-divergence, so all five
+    # are monotone under aggregation.
+    specs = [get_divergence(name) for name in ("kl", "js", "tv", "hellinger", "bhattacharyya")]
     coarsenings = 0
     branch_low = branch_high = 0
     for spec in specs:
@@ -175,7 +177,7 @@ def test_criterion_5_sandwich_and_row_consistency():
         DistributionFamily.binomial,
         DistributionFamily.poisson,
     ]
-    specs = [get_divergence(name) for name in ("kl", "js", "hellinger", "bhattacharyya")]
+    specs = [get_divergence(name) for name in ("kl", "js", "hellinger", "bhattacharyya", "tv")]
     for trial in range(1000):
         n = int(rng.integers(4, 11))
         k = int(rng.integers(2, min(4, n) + 1))
@@ -205,7 +207,7 @@ def test_criterion_5_sandwich_and_row_consistency():
             assert est <= exact + 1e-12, (trial, spec.name)
             assert exact <= ref + 1e-12, (trial, spec.name)
     report(5, "sandwich + row consistency",
-           "1000 stream pairs, n<=10, m=10^4, k<=4, t<=4, kl/js/hellinger/bhattacharyya")
+           "1000 stream pairs, n<=10, m=10^4, k<=4, t<=4, kl/js/hellinger/bhattacharyya/tv")
 
 
 def test_criterion_6_same_distribution_near_zero():

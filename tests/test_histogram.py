@@ -158,10 +158,23 @@ class TestAggregate:
         for i in (0, 1, 100, block.shape[0] - 1):
             assert out[i].tobytes() == aggregate(v, block[i]).tobytes()
 
+    @pytest.mark.parametrize("labels", [np.array([2, 0, 1, 0, 2, 1, 0]), all_rows(7, 3)],
+                             ids=["labels", "block"])
+    def test_stack_rows_match_single_vectors(self, labels):
+        rng = np.random.default_rng(1)
+        vs = rng.random((3, 7))
+        vs[0, 2] = vs[1, :3] = 0.0
+        out = aggregate(vs, labels)
+        assert out.shape == (3,) + labels.shape[:-1] + (3,)
+        for row, v in zip(out, vs):
+            assert row.tobytes() == aggregate(v, labels).tobytes()
+
     def test_sums_in_index_order(self):
         # 0.1 + 0.2 + 0.3 and 0.3 + 0.2 + 0.1 differ in the last bit.
         out = aggregate([0.1, 0.2, 0.3], np.zeros(3, dtype=np.int8))
         assert out.tolist() == [0.1 + 0.2 + 0.3]
+        stacked = aggregate([[0.1, 0.2, 0.3], [0.3, 0.2, 0.1]], np.zeros(3, dtype=np.int8))
+        assert stacked.tolist() == [[0.1 + 0.2 + 0.3], [0.3 + 0.2 + 0.1]]
 
     def test_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -172,6 +185,10 @@ class TestAggregate:
             aggregate([0.5, 0.5], np.array([0.0, 1.0]))
         with pytest.raises(ValueError):
             aggregate([], np.array([], dtype=np.int8))
+        with pytest.raises(ValueError):
+            aggregate([[0.5, 0.5]] * 2, np.array([0, 1, 2]))
+        with pytest.raises(ValueError):
+            aggregate(np.zeros((2, 2, 2)), np.array([0, 1]))
 
     @given(st.integers(2, 10), st.data())
     @settings(max_examples=50, deadline=None)
@@ -184,6 +201,9 @@ class TestAggregate:
         out = aggregate(v, np.array(labels))
         assert out.size == max(labels) + 1
         assert abs(out.sum() - v.sum()) <= 1e-12
+        stacked = aggregate(np.stack((v, v[::-1])), np.array(labels))
+        assert stacked[0].tobytes() == out.tobytes()
+        assert abs(stacked[1].sum() - v.sum()) <= 1e-12
 
 
 class TestStirling:

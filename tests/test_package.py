@@ -11,9 +11,10 @@ import types
 import starsketch
 import numpy as np
 
-from starsketch import cli, sketch
+from starsketch import cli, sketch, starmetric
 from starsketch.divergence import get_divergence
 from starsketch.hashing import new_family
+from starsketch.histogram import stirling
 from starsketch.starmetric import exact_star_metric, sketch_star_metric
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -47,6 +48,14 @@ def test_benchmark_tracer_finds_every_name_it_wraps(tmp_path, capsys):
         # The tracer counts the ids it finds at evaluate_batch's args[1].
         sketch.sketch_stream(new_family(4, 8, 100, 1), range(1, 50))
         assert cli.main(["ingest", "--in", str(log), "--out", str(tmp_path / "s.stream")]) == 0
+        # The oracle builds its label table through starmetric.assignment_blocks,
+        # so a cache miss shows as histogram.rgs and a hit enumerates nothing.
+        starmetric._label_table.cache_clear()
+        js = traced.timed_spec(get_divergence("js"))
+        for _ in range(2):
+            exact_star_metric(js, [0.1, 0.2, 0.3, 0.15, 0.25, 0.0], [1 / 6] * 6, 3)
+    assert traced.counts["histogram.partitions"] == stirling(6, 3)
+    assert traced.counts["divergence.rows"] == 2 * stirling(6, 3)
     assert traced.counts["hashing.evals"] == 4 * 49
     assert sketch.evaluate_batch is original
     # Ingest parses and fingerprints each distinct request once: '"GET /a

@@ -18,6 +18,7 @@ from starsketch.histogram import (
 from starsketch.sketch import FamilyMismatchError, sketch_stream
 from starsketch.starmetric import (
     PropertyCheck,
+    StarMetricResult,
     exact_star_metric,
     preservation_suite,
     reference_distance,
@@ -31,6 +32,36 @@ def random_pair(rng, n, floor=0.02):
     p = rng.random(n) + floor
     q = rng.random(n) + floor
     return p / p.sum(), q / q.sum()
+
+
+@pytest.fixture
+def fresh_tables():
+    """An empty label-table cache, emptied again when the test ends."""
+    starmetric._label_table.cache_clear()
+    yield
+    starmetric._label_table.cache_clear()
+
+
+def streamed_star_metric(phi, p, q, k):
+    """The oracle as a plain loop: every block straight from the enumerator
+    and one aggregate per vector.  Returns (value, argmax label array)."""
+    best, best_row = -math.inf, None
+    for block in assignment_blocks(p.size, k):
+        vals = phi.eval_rows(aggregate(p, block), aggregate(q, block))
+        i = int(np.argmax(vals))
+        if float(vals[i]) > best:
+            best, best_row = float(vals[i]), block[i].copy()
+    return best, best_row
+
+
+def oracle_inputs(rng, n):
+    """A positive pair, a pair with zeros on both sides, and a pair with ties."""
+    p, q = random_pair(rng, n)
+    zp, zq = random_pair(rng, n)
+    zp[0] = zq[n - 1] = 0.0
+    tied = np.full(n, 1.0 / n)
+    ramp = np.arange(1, n + 1, dtype=np.float64)
+    return [(p, q), (zp / zp.sum(), zq / zq.sum()), (tied, ramp / ramp.sum())]
 
 
 class TestExactStarMetric:
@@ -117,7 +148,7 @@ class TestExactStarMetric:
         with pytest.raises(PartitionBudgetError, match="S\\(14,4\\) = 10391745"):
             exact_star_metric(get_divergence("js"), p, q, 4)
 
-    def test_partition_count_is_measured(self, monkeypatch):
+    def test_partition_count_is_measured(self, monkeypatch, fresh_tables):
         # An enumerator that drops its last block must show in the count.
         yielded = []
 
@@ -132,6 +163,24 @@ class TestExactStarMetric:
         r = exact_star_metric(get_divergence("js"), p, q, 4)
         assert len(yielded) > 1
         assert r.evaluated_partitions == sum(yielded) < stirling(10, 4)
+
+    @pytest.mark.parametrize("n, k", [(n, k) for n in range(3, 10) for k in range(2, n)]
+                             + [(11, 3)])
+    def test_bit_identical_to_streamed_oracle(self, n, k, fresh_tables):
+        # Each case runs twice, so the table is built once and then reused.
+        rng = np.random.default_rng(100 * n + k)
+        for p, q in oracle_inputs(rng, n):
+            for name in ("kl", "js", "bhattacharyya", "hellinger", "tv"):
+                spec = get_divergence(name)
+                value, row = streamed_star_metric(spec, p, q, k)
+                for _ in range(2):
+                    r = exact_star_metric(spec, p, q, k)
+                    assert r.value == value, (name, p, q)
+                    assert r.argmax_label() == StarMetricResult(value, row, 0).argmax_label()
+                    assert r.evaluated_partitions == stirling(n, k)
+                    # The argmax is the caller's own array, not a view of the table.
+                    assert r.argmax.flags.writeable
+                    r.argmax[:] = 0
 
     def test_large_universe_rejected(self):
         rng = np.random.default_rng(6)
