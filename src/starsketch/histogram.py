@@ -153,7 +153,7 @@ def aggregate(p: np.ndarray, labels: np.ndarray) -> np.ndarray:
     cells = (rows + (np.arange(rows.shape[0]) * k)[:, None]).ravel()
     sums = [np.bincount(cells, weights=np.broadcast_to(v, rows.shape).ravel(),
                         minlength=rows.shape[0] * k) for v in p.reshape(-1, rows.shape[1])]
-    return np.stack(sums).reshape(p.shape[:-1] + labels.shape[:-1] + (k,))
+    return np.array(sums).reshape(p.shape[:-1] + labels.shape[:-1] + (k,))
 
 
 @lru_cache(maxsize=None)

@@ -116,7 +116,7 @@ def exact_star_metric(
     best = -math.inf
     best_assignment: np.ndarray | None = None
     evaluated = 0
-    pq = np.stack((p, q))
+    pq = np.array((p, q))
     for block in blocks:
         vals = phi.eval_rows(*aggregate(pq, block))
         evaluated += block.shape[0]
