@@ -111,7 +111,8 @@ def exact_star_metric(
             )
         if total * n <= _TABLE_BYTES:
             table = _label_table(n, k)
-            blocks = (table[start:start + _BLOCK_ROWS] for start in range(0, total, _BLOCK_ROWS))
+            blocks = (table[start:start + _BLOCK_ROWS]
+                      for start in range(0, len(table), _BLOCK_ROWS))
 
     best = -math.inf
     best_assignment: np.ndarray | None = None
@@ -244,7 +245,7 @@ def preservation_suite(
             for c in (rng.integers(k, n + 1) if k < n else n,
                       rng.integers(1, k) if k > 1 else 1):
                 mu = _random_coarsening(rng, n, int(c))
-                pm, qm = aggregate(p, mu), aggregate(q, mu)
+                pm, qm = aggregate(np.array((p, q)), mu)
                 v = exact_star_metric(phi, pm, qm, k).value
                 checks["monotonicity"].record(v <= pq + _TOL_MONOTONE,
                                               lambda: f"c={c} coarse={v!r} base={pq!r}")
