@@ -183,6 +183,19 @@ class TestExactStarMetric:
                     assert r.argmax.flags.writeable
                     r.argmax[:] = 0
 
+    def test_tables_above_the_bound_stream(self, monkeypatch, fresh_tables):
+        # With the bound at 0 every enumeration streams and no table is kept.
+        monkeypatch.setattr(starmetric, "_TABLE_BYTES", 0)
+        rng = np.random.default_rng(12)
+        p, q = random_pair(rng, 9)
+        for name in ("kl", "js", "bhattacharyya", "hellinger", "tv"):
+            spec = get_divergence(name)
+            value, row = streamed_star_metric(spec, p, q, 4)
+            r = exact_star_metric(spec, p, q, 4)
+            assert r.value == value and np.array_equal(r.argmax, row)
+            assert r.evaluated_partitions == stirling(9, 4)
+        assert starmetric._label_table.cache_info().currsize == 0
+
     def test_large_universe_rejected(self):
         rng = np.random.default_rng(6)
         p, q = random_pair(rng, 30)
