@@ -376,3 +376,36 @@ def test_output_bytes_pinned(tmp_path):
     dump_histogram(from_stream(sample_stream(DistributionFamily.zipf(4000, 1.0), 20000, 3)),
                    str(hist))
     assert _sha256(hist) == "e7e2b0ead927ea1ecc1926e74367b7447e85872e0b94fb6dd115f84ae45e5673"
+
+
+def test_multi_trial_output_bytes_pinned(tmp_path):
+    # Three trials of the shipped allpairs plan draw each family again per
+    # trial and per pair; every one of those draws is fixed by the seed.
+    with open(os.path.join(PLANS, "allpairs.plan")) as fh:
+        text = fh.read()
+    text = re.sub(r"(?m)^trials = .*$", "trials = 3", text)
+    text = re.sub(r"(?m)^m = .*$", "m = 20000", text)
+    out = tmp_path / "allpairs"
+    run_plan_to_dir(parse_plan(text), str(out))
+    assert _sha256(out / "results.csv") == \
+        "edf2cf7ff61a9b1b2b0df98253cbaf198e75707f1fd95f1a3d134a1cd0d9ec0a"
+    assert _sha256(out / "summary.csv") == \
+        "7e3828ce33c9e1aeee79d127aca1afd60a13d1000b40c04ca60a2081bfb29bb9"
+
+
+def test_file_source_output_bytes_pinned(tmp_path):
+    # A file: source is read for every trial of every pair it appears in.
+    write_stream(str(tmp_path / "one.stream"),
+                 sample_stream(DistributionFamily.uniform(64), 500, 1), 64, "u")
+    write_stream(str(tmp_path / "two.stream"),
+                 sample_stream(DistributionFamily.zipf(64, 1.0), 700, 2), 64, "z")
+    plan_text = ("pair = file:one.stream | file:two.stream\n"
+                 "pair = file:one.stream | zipf(alpha=1)\n"
+                 "divergences = js, bhattacharyya\nk = 8, 16\nt = 2\n"
+                 "trials = 3\nm = 1000\nn = 64\nseed = 5\n")
+    out = tmp_path / "files"
+    run_plan_to_dir(parse_plan(plan_text, base_dir=str(tmp_path)), str(out))
+    assert _sha256(out / "results.csv") == \
+        "f702ee9ca8a29b49bccd60564390c9f70cf564f78fd3e7764d0870b8b30cfa02"
+    assert _sha256(out / "summary.csv") == \
+        "158a94d10cf016f6439be6bab8d58af919d080ba7d148ffc569a131d0afa0e8e"
