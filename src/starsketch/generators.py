@@ -145,11 +145,16 @@ def pmf(d: DistributionFamily) -> np.ndarray:
     return w / total
 
 
-def _draws(d: DistributionFamily, m: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """The cdf of ``d`` and the m seeded uniforms that both samplers map to items."""
+def _cdf(d: DistributionFamily) -> np.ndarray:
+    """The cumulative pmf both samplers invert; the part of a draw no seed changes."""
+    return np.cumsum(pmf(d))
+
+
+def _uniforms(m: int, seed: int) -> np.ndarray:
+    """The m seeded uniforms that both samplers map to items."""
     if m < 0:
         raise ValueError("stream length must be >= 0")
-    return np.cumsum(pmf(d)), np.random.default_rng(seed).random(m)
+    return np.random.default_rng(seed).random(m)
 
 
 def sample_stream(d: DistributionFamily, m: int, seed: int) -> np.ndarray:
@@ -158,20 +163,26 @@ def sample_stream(d: DistributionFamily, m: int, seed: int) -> np.ndarray:
     Rank 1 maps to item 1 (and so on); hashing makes the placement
     irrelevant to the sketch.
     """
-    cdf, u = _draws(d, m, seed)
-    idx = np.minimum(np.searchsorted(cdf, u, side="right"), d.n - 1)
+    u = _uniforms(m, seed)
+    idx = np.minimum(np.searchsorted(_cdf(d), u, side="right"), d.n - 1)
     return (idx + 1).astype(np.uint64)
 
 
 def sample_histogram(d: DistributionFamily, m: int, seed: int) -> EmpiricalDistribution:
-    """The histogram of ``sample_stream(d, m, seed)``, drawn without ordering the items.
+    """The histogram of ``sample_stream(d, m, seed)``, drawn without ordering the items."""
+    return _draw_histogram(_cdf(d), m, seed)
+
+
+def _draw_histogram(cdf: np.ndarray, m: int, seed: int) -> EmpiricalDistribution:
+    """``sample_histogram(d, m, seed)`` given ``cdf = _cdf(d)``.
 
     Item i + 1 (i < n - 1) is drawn for a uniform u with cdf[i-1] <= u <
     cdf[i], so #{u < cdf[i]} items lie at or below it; the sorted uniforms
     give those cumulative counts with one ``searchsorted``, and item n takes
-    the remainder, as ``sample_stream`` clamps to it.
+    the remainder, as ``sample_stream`` clamps to it.  A caller drawing one
+    family many times computes its cdf once and passes it here.
     """
-    cdf, u = _draws(d, m, seed)
+    u = _uniforms(m, seed)
     u.sort()
     below = np.append(np.searchsorted(u, cdf[:-1], side="left"), m)
     counts = np.diff(below, prepend=0)

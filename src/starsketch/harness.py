@@ -4,10 +4,12 @@ A plan names stream pairs, divergences, and (k, t) sweep values; running it
 produces one row per (pair, divergence, k, t, trial).  Every trial draws a
 fresh hash family and, for synthetic sources, fresh streams, with all seeds
 split deterministically from the master seed, so a plan plus its seed fully
-determines the result bytes.  Each stream is reduced to its histogram
-(distinct ids and counts) once per trial, and the references and every (k, t)
-sketch are computed from it: a synthetic stream is drawn as a histogram, and
-a build hashes distinct ids, not items.  Wall-clock timings go to a separate
+determines the result bytes.  What no trial changes is computed once per
+``run_plan`` call and kept only for that call: each family's cdf and each
+file's histogram.  Each stream is reduced to its histogram (distinct ids and
+counts) once per trial, and the references and every (k, t) sketch are
+computed from it: a synthetic stream is drawn as a histogram from the kept
+cdf, and a build hashes distinct ids, not items.  Wall-clock timings go to a separate
 file to keep the result and summary files byte-reproducible.
 
 Trials are independent: a scheduler may run them in parallel as long as the
@@ -31,9 +33,10 @@ from . import __version__
 from .divergence import get_divergence, smoothed
 from .generators import (
     DistributionFamily,
+    _cdf,
+    _draw_histogram,
     parse_family,
     read_stream,
-    sample_histogram,
     sample_stream,  # unused here; bound for perfbench/tracer.py, which wraps it by this name
 )
 from .hashing import new_family
@@ -72,12 +75,22 @@ class StreamSource:
             return self.family.label()
         return f"file:{os.path.basename(self.path)}"
 
-    def materialize(self, m: int, seed: int) -> EmpiricalDistribution:
-        """The stream's histogram: m fresh draws, or the file's items."""
+    def materialize(self, m: int, seed: int, fixed: dict) -> EmpiricalDistribution:
+        """The stream's histogram: m fresh draws, or the file's items.
+
+        ``fixed`` maps each source to the part of it that no draw changes: a
+        family's cdf or a file's histogram.  A missing entry is computed and
+        stored, so one dict kept through a run computes each part once.
+        """
+        if self not in fixed:
+            if self.family is not None:
+                fixed[self] = _cdf(self.family)
+            else:
+                items, _, _ = read_stream(self.path)
+                fixed[self] = from_stream(items)
         if self.family is not None:
-            return sample_histogram(self.family, m, seed)
-        items, _, _ = read_stream(self.path)
-        return from_stream(items)
+            return _draw_histogram(fixed[self], m, seed)
+        return fixed[self]
 
 
 def parse_source(text: str, n: int, base_dir: str = ".") -> StreamSource:
@@ -245,14 +258,17 @@ def _check_sandwich(row: ResultRow) -> None:
 def run_plan(plan: ExperimentPlan) -> list[ResultRow]:
     """Execute every (pair, divergence, k, t, trial) cell of the plan."""
     specs = {name: smoothed(get_divergence(name), plan.alpha) for name in plan.divergences}
+    fixed: dict[StreamSource, object] = {}  # local: a rerun of the plan recomputes it
     rows: list[ResultRow] = []
 
     for pair_index, (src1, src2) in enumerate(plan.pairs):
         pair_label = _pair_label(src1, src2)
         synthetic = src1.synthetic and src2.synthetic
         for trial in range(plan.trials):
-            hist1 = src1.materialize(plan.m, derive_seed(plan.master_seed, "stream", pair_index, 0, trial))
-            hist2 = src2.materialize(plan.m, derive_seed(plan.master_seed, "stream", pair_index, 1, trial))
+            hist1 = src1.materialize(plan.m, derive_seed(plan.master_seed, "stream", pair_index, 0, trial),
+                                     fixed)
+            hist2 = src2.materialize(plan.m, derive_seed(plan.master_seed, "stream", pair_index, 1, trial),
+                                     fixed)
             universe = np.arange(1, plan.n + 1, dtype=np.uint64) if synthetic else None
             refs = {
                 name: reference_distance(spec, hist1, hist2, universe)

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from starsketch import harness
-from starsketch.generators import DistributionFamily, sample_stream, write_stream
+from starsketch import generators, harness
+from starsketch.generators import DistributionFamily, sample_histogram, sample_stream, write_stream
 from starsketch.harness import (
     ExperimentPlan,
     ResultRow,
@@ -220,6 +220,68 @@ class TestRunPlan:
         assert len(rows) == 1
         assert math.isfinite(rows[0].ref)
         assert rows[0].sketch <= rows[0].ref + 1e-12
+
+
+class TestFixedParts:
+    """run_plan computes each source's cdf or file histogram once per call, and no longer."""
+
+    @staticmethod
+    def _counting(monkeypatch, module, name):
+        calls = []
+        real = getattr(module, name)
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(module, name, counted)
+        return calls
+
+    def test_one_pmf_per_family_per_call(self, monkeypatch):
+        with open(os.path.join(PLANS, "allpairs.plan")) as fh:
+            text = fh.read()
+        text = re.sub(r"(?m)^trials = .*$", "trials = 2", text)
+        text = re.sub(r"(?m)^m = .*$", "m = 2000", text)
+        plan = parse_plan(text)
+        calls = self._counting(monkeypatch, generators, "pmf")
+        run_plan(plan)
+        assert len(calls) == 7
+        assert len({d for (d,) in calls}) == 7
+        run_plan(plan)
+        assert len(calls) == 14
+
+    def test_file_read_once_per_call(self, tmp_path, monkeypatch):
+        write_stream(str(tmp_path / "one.stream"),
+                     sample_stream(DistributionFamily.uniform(64), 500, 1), 64, "u")
+        plan = parse_plan("pair = file:one.stream | uniform\ndivergences = js\nk = 8\nt = 2\n"
+                          "trials = 3\nm = 1000\nn = 64\n", base_dir=str(tmp_path))
+        calls = self._counting(monkeypatch, harness, "read_stream")
+        rows = run_plan(plan)
+        assert len(calls) == 1
+        assert len({r.ref for r in rows}) == 3  # the uniform side is drawn afresh per trial
+        run_plan(plan)
+        assert len(calls) == 2
+
+    def test_run_draws_equal_sample_histogram(self, monkeypatch):
+        drawn = []
+        real = harness._draw_histogram
+
+        def recorded(cdf, m, seed):
+            drawn.append((m, seed, real(cdf, m, seed)))
+            return drawn[-1][2]
+
+        monkeypatch.setattr(harness, "_draw_histogram", recorded)
+        plan = parse_plan(TINY_PLAN)
+        run_plan(plan)
+        expected = [(src.family, derive_seed(plan.master_seed, "stream", i, side, trial))
+                    for i, pair in enumerate(plan.pairs) for trial in range(plan.trials)
+                    for side, src in enumerate(pair)]
+        assert [(m, seed) for m, seed, _ in drawn] == [(plan.m, seed) for _, seed in expected]
+        for (_, _, got), (family, seed) in zip(drawn, expected):
+            want = sample_histogram(family, plan.m, seed)
+            assert got.ids.dtype == want.ids.dtype and got.counts.dtype == want.counts.dtype
+            assert got.ids.tobytes() == want.ids.tobytes()
+            assert got.counts.tobytes() == want.counts.tobytes()
 
 
 class TestSandwichCheck:
