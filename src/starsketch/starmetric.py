@@ -19,6 +19,7 @@ read-only label tables of the two (n, k) used last are kept when each fits
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -94,6 +95,8 @@ def exact_star_metric(
     Enumerations of more than ``PARTITION_BUDGET`` partitions raise
     :class:`PartitionBudgetError`.
     """
+    if not isinstance(k, numbers.Integral):
+        raise ValueError(f"k must be an integer, got {k!r}")
     p, q = _pair(p, q)
     if k < 1:
         raise ValueError("k must be >= 1")

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -102,6 +103,23 @@ class TestExactStarMetric:
         assert np.array_equal(r.argmax, np.arange(4))
         assert r.argmax_label() == "{1}|{2}|{3}|{4}"
         assert r.evaluated_partitions == 1
+
+    @pytest.mark.parametrize("k", [2.5, 3.0, "3", None])
+    def test_non_integral_k_rejected(self, k):
+        # Rejected before any n is derived, with k named: a float k used to
+        # fail inside stirling or pass as the integer it equals.
+        p = [0.25, 0.25, 0.25, 0.25]
+        with pytest.raises(ValueError, match=re.escape(f"k must be an integer, got {k!r}")):
+            exact_star_metric(get_divergence("js"), p, p, k)
+
+    def test_numpy_integer_k_accepted(self):
+        spec = get_divergence("kl")
+        p, q = [0.5, 0.3, 0.2], [0.2, 0.3, 0.5]
+        r = exact_star_metric(spec, p, q, np.int64(2))
+        plain = exact_star_metric(spec, p, q, 2)
+        assert r.value == plain.value
+        assert r.argmax.tolist() == plain.argmax.tolist() == [0, 1, 1]
+        assert r.evaluated_partitions == plain.evaluated_partitions == 3
 
     @pytest.mark.parametrize("name", ["kl", "js", "bhattacharyya", "hellinger", "tv"])
     def test_identity_partition_beyond_int8_labels(self, name):
