@@ -9,8 +9,8 @@ determines the result bytes.  What no trial changes is computed once per
 file's histogram.  Each stream is reduced to its histogram (distinct ids and
 counts) once per trial, and the references and every (k, t) sketch are
 computed from it: a synthetic stream is drawn as a histogram from the kept
-cdf, and a build hashes distinct ids, not items.  Wall-clock timings go to a separate
-file to keep the result and summary files byte-reproducible.
+cdf, and a build hashes distinct ids, not items.  Wall-clock timings go to a
+separate file to keep the result and summary files byte-reproducible.
 
 Trials are independent: a scheduler may run them in parallel as long as the
 final rows are ordered by (pair, divergence, k, t, trial), which is the order
@@ -258,7 +258,7 @@ def _check_sandwich(row: ResultRow) -> None:
 def run_plan(plan: ExperimentPlan) -> list[ResultRow]:
     """Execute every (pair, divergence, k, t, trial) cell of the plan."""
     specs = {name: smoothed(get_divergence(name), plan.alpha) for name in plan.divergences}
-    fixed: dict[StreamSource, object] = {}  # local: a rerun of the plan recomputes it
+    fixed: dict[StreamSource, object] = {}  # per call: a rerun of the plan recomputes it
     rows: list[ResultRow] = []
 
     for pair_index, (src1, src2) in enumerate(plan.pairs):
