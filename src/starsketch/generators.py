@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import inspect
 import math
+import numbers
 import re
 import struct
 from dataclasses import dataclass
@@ -48,8 +49,8 @@ class DistributionFamily:
         if self.kind == "zipf" and (self.alpha is None or not 0 < self.alpha < math.inf):
             raise ValueError("zipf requires a finite alpha > 0")
         if self.kind == "pascal":
-            if self.r is None or not 1 <= self.r < math.inf:
-                raise ValueError("pascal requires a finite r >= 1")
+            if isinstance(self.r, bool) or not isinstance(self.r, numbers.Integral) or self.r < 1:
+                raise ValueError(f"pascal requires an integer r >= 1, got {self.r!r}")
             if self.p is None or not 0 < self.p < 1:
                 raise ValueError("pascal requires 0 < p < 1")
         if self.kind == "binomial" and (self.p is None or not 0 <= self.p <= 1):

@@ -4,12 +4,13 @@ A plan names stream pairs, divergences, and (k, t) sweep values; running it
 produces one row per (pair, divergence, k, t, trial).  Every trial draws a
 fresh hash family and, for synthetic sources, fresh streams, with all seeds
 split deterministically from the master seed, so a plan plus its seed fully
-determines the result bytes.  What no trial changes is computed once per
-``run_plan`` call and kept only for that call: each family's cdf and each
-file's histogram.  Each stream is reduced to its histogram (distinct ids and
-counts) once per trial, and the references and every (k, t) sketch are
-computed from it: a synthetic stream is drawn as a histogram from the kept
-cdf, and a build hashes distinct ids, not items.  Wall-clock timings go to a
+determines the result bytes.  Each distinct source's fixed part, the part
+no trial changes, is computed once per ``run_plan`` call, before the first
+trial, and kept only for that call: a family's cdf or a file's histogram.
+Each stream is reduced to its histogram (distinct ids and counts) once per
+trial, and the references and every (k, t) sketch are computed from it: a
+synthetic stream is drawn as a histogram from the kept cdf, and a build
+hashes distinct ids, not items.  Wall-clock timings go to a
 separate file to keep the result and summary files byte-reproducible.
 
 Trials are independent: a scheduler may run them in parallel as long as the
@@ -40,7 +41,7 @@ from .generators import (
     sample_stream,  # unused here; bound for perfbench/tracer.py, which wraps it by this name
 )
 from .hashing import new_family
-from .histogram import EmpiricalDistribution, from_stream
+from .histogram import from_stream
 from .sketch import sketch_stream
 from .starmetric import reference_distance, sketch_star_metric
 
@@ -74,23 +75,6 @@ class StreamSource:
         if self.family is not None:
             return self.family.label()
         return f"file:{os.path.basename(self.path)}"
-
-    def materialize(self, m: int, seed: int, fixed: dict) -> EmpiricalDistribution:
-        """The stream's histogram: m fresh draws, or the file's items.
-
-        ``fixed`` maps each source to the part of it that no draw changes: a
-        family's cdf or a file's histogram.  A missing entry is computed and
-        stored, so one dict kept through a run computes each part once.
-        """
-        if self not in fixed:
-            if self.family is not None:
-                fixed[self] = _cdf(self.family)
-            else:
-                items, _, _ = read_stream(self.path)
-                fixed[self] = from_stream(items)
-        if self.family is not None:
-            return _draw_histogram(fixed[self], m, seed)
-        return fixed[self]
 
 
 def parse_source(text: str, n: int, base_dir: str = ".") -> StreamSource:
@@ -258,17 +242,22 @@ def _check_sandwich(row: ResultRow) -> None:
 def run_plan(plan: ExperimentPlan) -> list[ResultRow]:
     """Execute every (pair, divergence, k, t, trial) cell of the plan."""
     specs = {name: smoothed(get_divergence(name), plan.alpha) for name in plan.divergences}
-    fixed: dict[StreamSource, object] = {}  # per call: a rerun of the plan recomputes it
+    # Each distinct source's fixed part, computed once per call before any trial:
+    # a family's cdf to draw from, or a file's histogram as it is.
+    fixed = {src: _cdf(src.family) if src.synthetic else from_stream(read_stream(src.path)[0])
+             for src in dict.fromkeys(src for pair in plan.pairs for src in pair)}
     rows: list[ResultRow] = []
 
     for pair_index, (src1, src2) in enumerate(plan.pairs):
         pair_label = _pair_label(src1, src2)
         synthetic = src1.synthetic and src2.synthetic
         for trial in range(plan.trials):
-            hist1 = src1.materialize(plan.m, derive_seed(plan.master_seed, "stream", pair_index, 0, trial),
-                                     fixed)
-            hist2 = src2.materialize(plan.m, derive_seed(plan.master_seed, "stream", pair_index, 1, trial),
-                                     fixed)
+            hist1, hist2 = (
+                _draw_histogram(fixed[src], plan.m,
+                                derive_seed(plan.master_seed, "stream", pair_index, side, trial))
+                if src.synthetic else fixed[src]
+                for side, src in enumerate((src1, src2))
+            )
             universe = np.arange(1, plan.n + 1, dtype=np.uint64) if synthetic else None
             refs = {
                 name: reference_distance(spec, hist1, hist2, universe)

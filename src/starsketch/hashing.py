@@ -121,7 +121,7 @@ class HashFamily:
         if not isinstance(self.p, numbers.Integral) or self.p not in PRIME_TABLE:
             # evaluate_batch's 64-bit arithmetic is exact only for table primes.
             raise ValueError(f"p = {self.p} is not a prime of PRIME_TABLE")
-        if not isinstance(self.k, numbers.Integral):
+        if isinstance(self.k, bool) or not isinstance(self.k, numbers.Integral):
             raise ValueError(f"k must be an integer, got {self.k!r}")
         if self.k < 1:
             raise ValueError("require k >= 1")

@@ -16,7 +16,6 @@ from __future__ import annotations
 import gzip
 import hashlib
 import io
-import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -24,7 +23,6 @@ import numpy as np
 
 from .histogram import from_stream
 
-_REQUEST_RE = re.compile(r'"([^"]*)"')
 _UNSEEN = object()
 
 
@@ -46,6 +44,13 @@ class TraceStats:
             raise ValueError("inconsistent trace statistics")
 
 
+def _request(line: str) -> str:
+    """The first quoted field of ``line``, quotes included, or ``""`` when it has none."""
+    i = line.find('"')
+    j = line.find('"', i + 1)
+    return line[i:j + 1] if j >= 0 else ""
+
+
 def parse_clf_line(line: str) -> LogRecord:
     """Extract the request target from one CLF line; total, never raises.
 
@@ -53,10 +58,7 @@ def parse_clf_line(line: str) -> LogRecord:
     ``"GET /x HTTP/1.0"`` and the protocol-less ``"GET /x"`` resolve to
     ``/x``.  Anything else comes back with valid=False.
     """
-    m = _REQUEST_RE.search(line)
-    if m is None:
-        return LogRecord("", False)
-    tokens = m.group(1).split()
+    tokens = _request(line)[1:-1].split()
     if len(tokens) < 2:
         return LogRecord("", False)
     return LogRecord(tokens[1], True)
@@ -78,10 +80,7 @@ def iter_records(path: str) -> Iterator[str]:
     with open(path, "rb") as raw:
         binary = gzip.GzipFile(fileobj=raw) if raw.peek(2)[:2] == b"\x1f\x8b" else raw
         with io.TextIOWrapper(binary, encoding="latin-1") as fh:
-            for line in fh:
-                i = line.find('"')
-                j = line.find('"', i + 1)
-                yield line[i:j + 1] if j >= 0 else ""
+            yield from map(_request, fh)
 
 
 def trace_stats(requests: Iterable[str]) -> tuple[TraceStats, np.ndarray]:

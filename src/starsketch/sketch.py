@@ -9,8 +9,9 @@ its file form carry.  The matrix is linear in the stream: row i is
 the stream's count vector summed by h_i, whatever the item order.  So a build
 hashes each distinct id once per row and adds its count, and more items, or
 shards of one stream, are absorbed by merging their sketches.  A build's
-total and a loaded file's row sums are summed exactly, by the same
-``_exact_sum`` that totals a histogram, so neither can wrap in uint64.
+total and each matrix's row sums are summed exactly, by the same
+``_exact_sum`` that totals a histogram, so neither can wrap in uint64; the
+constructor rejects a matrix whose rows do not each sum to its total.
 """
 from __future__ import annotations
 
@@ -41,6 +42,13 @@ class SketchMatrix:
     total: int
 
     def __post_init__(self) -> None:
+        shape = (self.family.t, self.family.k)
+        if not (isinstance(self.counts, np.ndarray) and self.counts.dtype == np.uint64
+                and self.counts.shape == shape):
+            raise ValueError(f"counts must be a {shape} uint64 array")
+        for i, row_sum in enumerate(_exact_sum(self.counts)):
+            if row_sum != self.total:
+                raise ValueError(f"row sums disagree with total at row {i}")
         object.__setattr__(self, "counts", _read_only(self.counts))
 
     @property
@@ -92,11 +100,10 @@ def sketch_from_bytes(data: bytes) -> SketchMatrix:
     family = HashFamily.from_header(header)
     if (t, k) != (family.t, family.k):
         raise ValueError("sketch file dimensions disagree with the family header")
-    counts = counts.reshape(t, k)
-    for i, row_sum in enumerate(_exact_sum(counts)):
-        if row_sum != total:
-            raise ValueError(f"corrupt sketch file: row sums disagree with total at row {i}")
-    return SketchMatrix(family, counts, total)
+    try:
+        return SketchMatrix(family, counts.reshape(t, k), total)
+    except ValueError as exc:
+        raise ValueError(f"corrupt sketch file: {exc}") from None
 
 
 def sketch_stream(family: HashFamily, items, counts=None) -> SketchMatrix:

@@ -95,7 +95,7 @@ def exact_star_metric(
     Enumerations of more than ``PARTITION_BUDGET`` partitions raise
     :class:`PartitionBudgetError`.
     """
-    if not isinstance(k, numbers.Integral):
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral):
         raise ValueError(f"k must be an integer, got {k!r}")
     p, q = _pair(p, q)
     if k < 1:

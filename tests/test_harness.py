@@ -262,6 +262,37 @@ class TestFixedParts:
         run_plan(plan)
         assert len(calls) == 2
 
+    def test_one_source_on_both_sides(self, monkeypatch):
+        # uniform is both sides of one pair and a side of another: one cdf serves
+        # all three, and each side of a trial still draws with its own seed.
+        plan = parse_plan("pair = uniform | uniform\npair = zipf(alpha=1) | uniform\n"
+                          "divergences = js\nk = 8\nt = 2\ntrials = 2\nm = 2000\nn = 100\n")
+        calls = self._counting(monkeypatch, generators, "pmf")
+        drawn = {}
+        real = harness._draw_histogram
+
+        def recorded(cdf, m, seed):
+            drawn[seed] = real(cdf, m, seed)
+            return drawn[seed]
+
+        monkeypatch.setattr(harness, "_draw_histogram", recorded)
+        for runs in (1, 2):
+            run_plan(plan)
+            assert len(calls) == 2 * runs
+            assert {d.kind for (d,) in calls[-2:]} == {"uniform", "zipf"}
+        uniform = DistributionFamily.uniform(plan.n)
+        for pair_index, sides in ((0, (0, 1)), (1, (1,))):
+            for trial in range(plan.trials):
+                seeds = [derive_seed(plan.master_seed, "stream", pair_index, side, trial)
+                         for side in sides]
+                for seed in seeds:
+                    want = sample_histogram(uniform, plan.m, seed)
+                    assert drawn[seed].ids.tobytes() == want.ids.tobytes()
+                    assert drawn[seed].counts.tobytes() == want.counts.tobytes()
+                if pair_index == 0:
+                    a, b = (drawn[seed] for seed in seeds)
+                    assert (a.ids.tobytes(), a.counts.tobytes()) != (b.ids.tobytes(), b.counts.tobytes())
+
     def test_run_draws_equal_sample_histogram(self, monkeypatch):
         drawn = []
         real = harness._draw_histogram

@@ -63,6 +63,8 @@ class TestNewFamily:
             new_family(2, 4.0, 100, 1)
         with pytest.raises(ValueError, match="k must be an integer"):
             HashFamily((3,), (5,), 131, 4.5, 0)
+        with pytest.raises(ValueError, match="k must be an integer, got True"):
+            new_family(2, True, 100, 1)  # a bool would write the header "2 True 131 1"
         assert new_family(2, np.int64(4), 100, 1) == new_family(2, 4, 100, 1)
 
 

@@ -84,7 +84,9 @@ class TestUpdate:
 
     def test_overflow_aborts(self, family):
         # A saturated sketch: its total is the largest a file can record.
-        full = SketchMatrix(family, np.zeros((4, 16), dtype=np.uint64), MAX_TOTAL)
+        counts = np.zeros((4, 16), dtype=np.uint64)
+        counts[:, 0] = MAX_TOTAL
+        full = SketchMatrix(family, counts, MAX_TOTAL)
         assert full.merge(sketch_stream(family, [])).total == MAX_TOTAL
         for items in ([1], [1, 2]):
             with pytest.raises(OverflowError):
@@ -169,6 +171,19 @@ class TestReadOnly:
         sk = SketchMatrix(family, counts, 2)
         assert sk.counts.base is counts and counts.flags.writeable
         assert not sk.counts.flags.writeable
+
+    def test_constructor_checks_rows_against_total(self, family):
+        # A wrong total would skew every row distribution and so the estimate.
+        a = sketch_stream(family, [1, 2, 3, 4, 5, 6])
+        with pytest.raises(ValueError, match="row sums disagree with total at row 0"):
+            SketchMatrix(family, a.counts, 3)
+
+    @pytest.mark.parametrize("counts", [np.zeros((1, 3), np.uint64), np.zeros((4, 16), np.int64),
+                                        np.zeros(64, np.uint64), [[0] * 16] * 4])
+    def test_constructor_checks_shape_and_dtype(self, family, counts):
+        # A (1, 3) matrix under a 4 x 16 family would write a file read back as truncated.
+        with pytest.raises(ValueError, match=r"counts must be a \(4, 16\) uint64 array"):
+            SketchMatrix(family, counts, 0)
 
 
 class TestMerge:
@@ -282,12 +297,11 @@ class TestSerialization:
     def test_rejects_row_sum_that_wraps(self, family):
         # Row 0 = [2^64-1, 6, 0, ...] sums to 5 only modulo 2^64.
         s = sketch_stream(family, [1, 2, 3, 4, 5])
-        counts = s.counts.copy()
-        counts[0] = 0
-        counts[0, :2] = [2 ** 64 - 1, 6]
-        blob = SketchMatrix(family, counts, 5).to_bytes()
+        blob = bytearray(s.to_bytes())
+        row0 = len(blob) - 8 * s.t * s.k
+        blob[row0:row0 + 8 * s.k] = np.array([2 ** 64 - 1, 6] + [0] * (s.k - 2), "<u8").tobytes()
         with pytest.raises(ValueError, match="row sums disagree with total at row 0"):
-            sketch_from_bytes(blob)
+            sketch_from_bytes(bytes(blob))
 
     def test_rejects_truncation(self, family):
         blob = sketch_stream(family, [1, 2, 3]).to_bytes()

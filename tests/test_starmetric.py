@@ -104,7 +104,7 @@ class TestExactStarMetric:
         assert r.argmax_label() == "{1}|{2}|{3}|{4}"
         assert r.evaluated_partitions == 1
 
-    @pytest.mark.parametrize("k", [2.5, 3.0, "3", None])
+    @pytest.mark.parametrize("k", [2.5, 3.0, "3", None, True, False])
     def test_non_integral_k_rejected(self, k):
         # Rejected before any n is derived, with k named: a float k used to
         # fail inside stirling or pass as the integer it equals.
