@@ -84,10 +84,10 @@ class TestPmf:
     @pytest.mark.parametrize("kind,params", [
         ("zipf", {"alpha": math.nan}), ("zipf", {"alpha": math.inf}),
         ("pascal", {"r": math.nan, "p": 0.5}), ("pascal", {"r": math.inf, "p": 0.5}),
-        # A label such as pascal(r=2.5) would not parse back.
-        ("pascal", {"r": 2.5, "p": 0.5}), ("pascal", {"r": True, "p": 0.5}),
         ("binomial", {"p": math.nan}),
         ("poisson", {"lam": math.nan}), ("poisson", {"lam": math.inf}),
+        # A label such as pascal(r=2.5) would not parse back.
+        ("pascal", {"r": 2.5, "p": 0.5}), ("pascal", {"r": True, "p": 0.5}),
     ])
     def test_non_finite_parameters_rejected(self, kind, params):
         # A NaN pmf would make sample_stream return a stream of item 1 only.
