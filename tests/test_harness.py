@@ -502,3 +502,26 @@ def test_file_source_output_bytes_pinned(tmp_path):
         "f702ee9ca8a29b49bccd60564390c9f70cf564f78fd3e7764d0870b8b30cfa02"
     assert _sha256(out / "summary.csv") == \
         "158a94d10cf016f6439be6bab8d58af919d080ba7d148ffc569a131d0afa0e8e"
+
+
+# Full sha256 of (results.csv, summary.csv) for each shipped plan as it stands.
+# Like the pins above, these bytes hold for one numpy version and SIMD dispatch
+# level (numpy 2.4, AVX-512); on a CPU without AVX-512 the floats differ by a
+# few ulp and so do the digests (ROADMAP item 4).
+SHIPPED_PLAN_DIGESTS = {
+    "allpairs.plan": ("5a9560656242c21ade6a27bc83d457c608a62d63d898b9b7180ffe7a50572206",
+                      "620e636e79120b6a3c614b4e073e9fe7e27237e9e38fc0c97e8e971f4c37880e"),
+    "k-sweep.plan": ("0917c03cdc908f68947da481f9b2fb2e2313889e379c93945155a2c2d865dd74",
+                     "31e2722cc68b51b3148e28fbf4711566bd1d8e9c457e017e948cdc4469182528"),
+    "r-sweep.plan": ("e5e62ec79c37dedb7501ff09b7084b3cb6205ad086b4fc1fb6b09f2b895506d0",
+                     "b2823a818f68b634b9fd337ca9430242ea0331beee3e9bd6abf4787842a59a4a"),
+    "t-sweep.plan": ("0ed2ed3806994fcb708346187dfe6163572a1b7da1b114762b83aaebe3461355",
+                     "6d7a92dadd48c6ea5752b681155876049bfb7c5e7e943cd735483c9457ba9e9e"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(n for n in os.listdir(PLANS) if n.endswith(".plan")))
+def test_shipped_plan_bytes_pinned(name, tmp_path):
+    run_plan_to_dir(load_plan(os.path.join(PLANS, name)), str(tmp_path))
+    assert (_sha256(tmp_path / "results.csv"),
+            _sha256(tmp_path / "summary.csv")) == SHIPPED_PLAN_DIGESTS[name]
