@@ -32,7 +32,6 @@ from .generators import (
 from .harness import (
     ExperimentPlan,
     ResultRow,
-    StreamSource,
     load_plan,
     parse_plan,
     run_plan,
@@ -71,7 +70,7 @@ __all__ = [
     "register", "smoothed",
     "DistributionFamily", "pmf", "read_stream", "sample_histogram", "sample_stream",
     "write_stream",
-    "ExperimentPlan", "ResultRow", "StreamSource", "load_plan", "parse_plan",
+    "ExperimentPlan", "ResultRow", "load_plan", "parse_plan",
     "run_plan", "run_plan_to_dir", "sweep_summary",
     "HashFamily", "evaluate_batch", "new_family",
     "EmpiricalDistribution", "PartitionBudgetError", "aggregate",

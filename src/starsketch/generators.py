@@ -51,7 +51,9 @@ class DistributionFamily:
         if self.kind == "pascal":
             if isinstance(self.r, bool) or not isinstance(self.r, numbers.Integral) or self.r < 1:
                 raise ValueError(f"pascal requires an integer r >= 1, got {self.r!r}")
-            if self.p is None or not 0 < self.p < 1:
+            if self.p is None:
+                object.__setattr__(self, "p", self.n / (2 * self.r + self.n))
+            if not 0 < self.p < 1:
                 raise ValueError("pascal requires 0 < p < 1")
         if self.kind == "binomial" and (self.p is None or not 0 <= self.p <= 1):
             raise ValueError("binomial requires 0 <= p <= 1")
@@ -68,8 +70,6 @@ class DistributionFamily:
 
     @classmethod
     def pascal(cls, n: int, r: int, p: float | None = None) -> "DistributionFamily":
-        if p is None:
-            p = n / (2 * r + n)
         return cls("pascal", n, r=r, p=p)
 
     @classmethod
@@ -277,7 +277,7 @@ def write_stream(path: str, items, n: int, descriptor: str) -> None:
     ``n`` is the universe size for synthetic streams and 0 for streams over
     the full 64-bit id space (ingested traces).
     """
-    if not (isinstance(n, (int, np.integer)) and 0 <= n < 2 ** 64):
+    if isinstance(n, bool) or not (isinstance(n, (int, np.integer)) and 0 <= n < 2 ** 64):
         raise ValueError(f"universe size must be an integer in [0, 2^64), got {n!r}")
     ids = item_ids(items)
     with open(path, "wb") as fh:

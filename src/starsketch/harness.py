@@ -1,9 +1,11 @@
 """Experiment driver: reference-vs-sketch comparisons over parameter sweeps.
 
 A plan names stream pairs, divergences, and (k, t) sweep values; running it
-produces one row per (pair, divergence, k, t, trial).  Every trial draws a
-fresh hash family and, for synthetic sources, fresh streams, with all seeds
-split deterministically from the master seed, so a plan plus its seed fully
+produces one row per (pair, divergence, k, t, trial).  A source is what the
+plan names: a ``DistributionFamily`` over the plan's universe 1..n, or the
+path of a stream file as a ``str``.  Every trial draws a fresh hash family
+and, for synthetic sources, fresh streams, with all seeds split
+deterministically from the master seed, so a plan plus its seed fully
 determines the result bytes.  Each distinct source's fixed part, the part
 no trial changes, is computed once per ``run_plan`` call, before the first
 trial, and kept only for that call: a family's cdf or a file's histogram.
@@ -56,28 +58,8 @@ def derive_seed(master: int, *parts) -> int:
     return int.from_bytes(hashlib.blake2b(text, digest_size=8).digest(), "little") >> 1
 
 
-@dataclass(frozen=True)
-class StreamSource:
-    """Either a synthetic family (resampled per trial) or a stream file."""
-
-    family: DistributionFamily | None = None
-    path: str | None = None
-
-    def __post_init__(self) -> None:
-        if (self.family is None) == (self.path is None):
-            raise ValueError("a source is exactly one of family or file")
-
-    @property
-    def synthetic(self) -> bool:
-        return self.family is not None
-
-    def label(self) -> str:
-        if self.family is not None:
-            return self.family.label()
-        return f"file:{os.path.basename(self.path)}"
-
-
-def parse_source(text: str, n: int, base_dir: str = ".") -> StreamSource:
+def parse_source(text: str, n: int, base_dir: str = ".") -> DistributionFamily | str:
+    """A plan source: the family a descriptor names over 1..n, or the path of a ``file:`` stream."""
     text = text.strip()
     if text.startswith("file:"):
         path = text[len("file:"):]
@@ -87,18 +69,19 @@ def parse_source(text: str, n: int, base_dir: str = ".") -> StreamSource:
             raise FileNotFoundError(f"stream source {path!r} does not exist")
         if not os.path.isfile(path):
             raise ValueError(f"stream source {path!r} is not a regular file")
-        return StreamSource(path=path)
-    return StreamSource(family=parse_family(text, n))
+        return path
+    return parse_family(text, n)
 
 
-def _pair_label(a: StreamSource, b: StreamSource) -> str:
+def _pair_label(a: DistributionFamily | str, b: DistributionFamily | str) -> str:
     """A pair's key in result rows; two pairs with one label would collide."""
-    return f"{a.label()}|{b.label()}"
+    return "|".join(f"file:{os.path.basename(src)}" if isinstance(src, str) else src.label()
+                    for src in (a, b))
 
 
 @dataclass
 class ExperimentPlan:
-    pairs: list[tuple[StreamSource, StreamSource]]
+    pairs: list[tuple[DistributionFamily | str, DistributionFamily | str]]
     divergences: list[str] = field(default_factory=lambda: ["js"])
     k_values: list[int] = field(default_factory=lambda: [200])
     t_values: list[int] = field(default_factory=lambda: [4])
@@ -121,6 +104,10 @@ class ExperimentPlan:
             raise ValueError("sweep values must be >= 1")
         for name in self.divergences:
             smoothed(get_divergence(name), self.alpha)
+        for src in (src for pair in self.pairs for src in pair):
+            if not (isinstance(src, str) or isinstance(src, DistributionFamily) and src.n == self.n):
+                raise ValueError(f"a source is a stream file path or a family over "
+                                 f"n = {self.n}, got {src!r}")
         for what, values in (("pair", [_pair_label(*pair) for pair in self.pairs]),
                              ("divergence", self.divergences),
                              ("k value", self.k_values), ("t value", self.t_values)):
@@ -244,29 +231,27 @@ def run_plan(plan: ExperimentPlan) -> list[ResultRow]:
     specs = {name: smoothed(get_divergence(name), plan.alpha) for name in plan.divergences}
     # Each distinct source's fixed part, computed once per call before any trial:
     # a family's cdf to draw from, or a file's histogram as it is.
-    fixed = {src: _cdf(src.family) if src.synthetic else from_stream(read_stream(src.path)[0])
+    fixed = {src: from_stream(read_stream(src)[0]) if isinstance(src, str) else _cdf(src)
              for src in dict.fromkeys(src for pair in plan.pairs for src in pair)}
     rows: list[ResultRow] = []
 
     for pair_index, (src1, src2) in enumerate(plan.pairs):
         pair_label = _pair_label(src1, src2)
-        synthetic = src1.synthetic and src2.synthetic
+        # Two drawn streams share the universe 1..n; a file's ids may span 64 bits.
+        synthetic = not isinstance(src1, str) and not isinstance(src2, str)
+        universe = np.arange(1, plan.n + 1, dtype=np.uint64) if synthetic else None
+        bound = plan.n + 1 if synthetic else 2 ** 64
         for trial in range(plan.trials):
             hist1, hist2 = (
+                fixed[src] if isinstance(src, str) else
                 _draw_histogram(fixed[src], plan.m,
                                 derive_seed(plan.master_seed, "stream", pair_index, side, trial))
-                if src.synthetic else fixed[src]
                 for side, src in enumerate((src1, src2))
             )
-            universe = np.arange(1, plan.n + 1, dtype=np.uint64) if synthetic else None
             refs = {
                 name: reference_distance(spec, hist1, hist2, universe)
                 for name, spec in specs.items()
             }
-            if synthetic:
-                bound = plan.n + 1
-            else:
-                bound = 2 ** 64
             for k in plan.k_values:
                 for t in plan.t_values:
                     family_seed = derive_seed(plan.master_seed, "family", pair_index, k, t, trial)

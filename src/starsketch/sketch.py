@@ -11,7 +11,8 @@ hashes each distinct id once per row and adds its count, and more items, or
 shards of one stream, are absorbed by merging their sketches.  A build's
 total and each matrix's row sums are summed exactly, by the same
 ``_exact_sum`` that totals a histogram, so neither can wrap in uint64; the
-constructor rejects a matrix whose rows do not each sum to its total.
+constructor, which every build and merge goes through, rejects a total above
+the counter capacity and a matrix whose rows do not each sum to its total.
 """
 from __future__ import annotations
 
@@ -46,6 +47,8 @@ class SketchMatrix:
         if not (isinstance(self.counts, np.ndarray) and self.counts.dtype == np.uint64
                 and self.counts.shape == shape):
             raise ValueError(f"counts must be a {shape} uint64 array")
+        if self.total > MAX_TOTAL:
+            raise OverflowError(f"total of {self.total} items exceeds the counter capacity")
         for i, row_sum in enumerate(_exact_sum(self.counts)):
             if row_sum != self.total:
                 raise ValueError(f"row sums disagree with total at row {i}")
@@ -63,8 +66,6 @@ class SketchMatrix:
         """Cellwise sum; exactly the sketch of the concatenated streams."""
         if self.family != other.family:
             raise FamilyMismatchError("cannot merge sketches built with different hash families")
-        if self.total + other.total > MAX_TOTAL:
-            raise OverflowError("counter capacity exhausted")
         return SketchMatrix(self.family, self.counts + other.counts, self.total + other.total)
 
     def row_distribution(self, i: int) -> np.ndarray:
@@ -125,9 +126,8 @@ def sketch_stream(family: HashFamily, items, counts=None) -> SketchMatrix:
     if ids.ndim != 1 or counts.shape != ids.shape:
         raise ValueError("ids and counts must be 1-D arrays of one length")
     total = _exact_sum(counts[np.newaxis, :])[0]
-    if total > MAX_TOTAL:
-        raise OverflowError(f"stream of {total} items exceeds the counter capacity")
-    # No cell can exceed the total, so the uint64 sums below never wrap.
+    # No cell can exceed the total, so the uint64 sums below wrap only for a
+    # total the constructor rejects as above the counter capacity.
     cells = np.zeros((family.t, family.k), dtype=np.uint64)
     for i in range(family.t):
         np.add.at(cells[i], evaluate_batch(family, ids, i), counts)

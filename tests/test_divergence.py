@@ -234,6 +234,12 @@ class TestFDivergence:
         with pytest.raises(DivergenceDomainError, match="index 1"):
             f_spec(gen)([1.0, 0.0], [0.5, 0.5])
 
+    def test_undefined_ratio_limit_reports_index(self):
+        gen = FGenerator(lambda u: u - 1.0, limit_zero=-1.0, limit_ratio_inf=None, name="t-1")
+        with pytest.raises(DivergenceDomainError,
+                           match="q is 0 where p > 0 at index 1 and lim f\\(u\\)/u is undefined"):
+            f_spec(gen)([0.5, 0.5], [1.0, 0.0])
+
     def test_generator_validation(self):
         with pytest.raises(ValueError, match="f\\(1\\)"):
             FGenerator(lambda u: u, limit_zero=0.0, limit_ratio_inf=1.0)
@@ -302,6 +308,13 @@ class TestBregman:
                                name="-log2")
         with pytest.raises(DivergenceDomainError):
             bregman_spec(gen)([1.0, 0.0], [0.5, 0.5])
+
+    def test_missing_derivative_extension_rejected(self):
+        # F extends to 0 but F' has no limit there, so a q of 0 is a domain error.
+        gen = BregmanGenerator(F=lambda x: x ** 2, Fprime=lambda x: 2.0 * x, value_at_zero=0.0,
+                               name="t^2")
+        with pytest.raises(DivergenceDomainError, match="q is 0 at index 1 but F' has no limit"):
+            bregman_spec(gen)([0.5, 0.5], [1.0, 0.0])
 
     def test_pointwise_linearity(self):
         b1, b2 = bregman_spec(KL_BREGMAN), bregman_spec(SQEUCLID_BREGMAN)

@@ -68,6 +68,8 @@ class TestPmf:
         assert mean == pytest.approx((10 - 1) * 0.5 + 1, abs=1e-12)
 
     def test_invalid_parameters(self):
+        with pytest.raises(ValueError, match="universe size n must be >= 1"):
+            DistributionFamily.uniform(0)
         with pytest.raises(ValueError):
             DistributionFamily.zipf(10, 0.0)
         with pytest.raises(ValueError):
@@ -88,11 +90,20 @@ class TestPmf:
         ("poisson", {"lam": math.nan}), ("poisson", {"lam": math.inf}),
         # A label such as pascal(r=2.5) would not parse back.
         ("pascal", {"r": 2.5, "p": 0.5}), ("pascal", {"r": True, "p": 0.5}),
+        # The default p is derived from r, so r is checked first.
+        ("pascal", {"r": None}), ("pascal", {"r": "x"}),
     ])
     def test_non_finite_parameters_rejected(self, kind, params):
         # A NaN pmf would make sample_stream return a stream of item 1 only.
         with pytest.raises(ValueError, match=f"{kind} requires"):
             DistributionFamily(kind, 10, **params)
+        with pytest.raises(ValueError, match=f"{kind} requires"):
+            getattr(DistributionFamily, kind)(10, **params)
+
+    def test_no_mass_inside_universe_rejected(self):
+        # A rate far above n puts every weight inside 1..n below the float range.
+        with pytest.raises(ValueError, match=r"poisson\(lam=1000\): no probability mass inside 1..10"):
+            pmf(DistributionFamily.poisson(10, 1000))
 
 
 LOG_SPACE_FAMILIES = [
@@ -301,7 +312,7 @@ def test_stream_file_rejects_bad_ids(tmp_path, bad):
         write_stream(str(tmp_path / "s.stream"), bad, 9, "x")
 
 
-@pytest.mark.parametrize("n", [2 ** 64, -1, 2.5])
+@pytest.mark.parametrize("n", [2 ** 64, -1, 2.5, True])
 def test_stream_file_rejects_out_of_range_universe(tmp_path, n):
     path = tmp_path / "s.stream"
     with pytest.raises(ValueError, match="universe size"):

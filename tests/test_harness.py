@@ -15,7 +15,6 @@ from starsketch.harness import (
     ExperimentPlan,
     ResultRow,
     SandwichViolationError,
-    StreamSource,
     _check_sandwich,
     derive_seed,
     load_plan,
@@ -83,8 +82,8 @@ class TestPlanParsing:
         stream = tmp_path / "a.stream"
         write_stream(str(stream), sample_stream(DistributionFamily.uniform(50), 100, 1), 50, "x")
         src = parse_source("file:a.stream", 50, base_dir=str(tmp_path))
-        assert not src.synthetic
-        assert src.label() == "file:a.stream"
+        assert src == str(stream)
+        assert harness._pair_label(src, DistributionFamily.uniform(50)) == "file:a.stream|uniform"
         with pytest.raises(FileNotFoundError):
             parse_source("file:missing.stream", 50, base_dir=str(tmp_path))
 
@@ -94,7 +93,7 @@ class TestPlanParsing:
         plan_file = tmp_path / "plan.txt"
         plan_file.write_text("pair = file:trace.stream | uniform\nn = 50\nm = 100\n")
         plan = load_plan(str(plan_file))
-        assert plan.pairs[0][0].path == str(stream)
+        assert plan.pairs[0] == (str(stream), DistributionFamily.uniform(50))
 
 
 SHIPPED_PLANS = [pathlib.Path(PLANS, name).read_text() for name in sorted(os.listdir(PLANS))]
@@ -304,7 +303,7 @@ class TestFixedParts:
         monkeypatch.setattr(harness, "_draw_histogram", recorded)
         plan = parse_plan(TINY_PLAN)
         run_plan(plan)
-        expected = [(src.family, derive_seed(plan.master_seed, "stream", i, side, trial))
+        expected = [(src, derive_seed(plan.master_seed, "stream", i, side, trial))
                     for i, pair in enumerate(plan.pairs) for trial in range(plan.trials)
                     for side, src in enumerate(pair)]
         assert [(m, seed) for m, seed, _ in drawn] == [(plan.m, seed) for _, seed in expected]
@@ -435,15 +434,21 @@ def test_timings_rate_counts_materialized_file_items(tmp_path):
 
 
 def test_plan_validation():
-    src = StreamSource(family=DistributionFamily.uniform(10))
+    src = DistributionFamily.uniform(ExperimentPlan.n)
     with pytest.raises(ValueError):
         ExperimentPlan(pairs=[], divergences=["js"], k_values=[4], t_values=[2])
+    with pytest.raises(ValueError, match="at least one divergence"):
+        ExperimentPlan(pairs=[(src, src)], divergences=[], k_values=[4], t_values=[2])
     with pytest.raises(ValueError):
         ExperimentPlan(pairs=[(src, src)], divergences=["js"], k_values=[0], t_values=[2])
     with pytest.raises(ValueError):
         ExperimentPlan(pairs=[(src, src)], divergences=["js"], k_values=[4], t_values=[2], trials=0)
-    with pytest.raises(ValueError):
-        StreamSource()
+    # A source is a stream file path or a family over the plan's universe 1..n;
+    # a uniform(n = 10) side of a plan over n = 5 would fail only inside run_plan.
+    for bad in (None, DistributionFamily.uniform(10), b"a.stream"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"a source is a stream file path or a family over n = 5, got {bad!r}")):
+            ExperimentPlan(pairs=[(bad, DistributionFamily.uniform(5))], n=5)
 
 
 def _sha256(path) -> str:

@@ -73,6 +73,8 @@ class TestEmpiricalDistribution:
             EmpiricalDistribution([3, 1], [1, 1])
         with pytest.raises(ValueError):  # duplicate
             EmpiricalDistribution([1, 1], [1, 1])
+        with pytest.raises(ValueError, match="counts must be integers, got dtype float64"):
+            EmpiricalDistribution([1, 2], [1.0, 2.0])
         with pytest.raises(ValueError):  # nonpositive count
             EmpiricalDistribution([1], [0])
         with pytest.raises(ValueError):  # negative count

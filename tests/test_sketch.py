@@ -178,6 +178,11 @@ class TestReadOnly:
         with pytest.raises(ValueError, match="row sums disagree with total at row 0"):
             SketchMatrix(family, a.counts, 3)
 
+    def test_constructor_checks_total_against_capacity(self):
+        # Rows summing exactly to 2^64 would write a total no file can record.
+        with pytest.raises(OverflowError, match="exceeds the counter capacity"):
+            SketchMatrix(new_family(1, 2, 10, 1), np.array([[2 ** 63, 2 ** 63]], np.uint64), 2 ** 64)
+
     @pytest.mark.parametrize("counts", [np.zeros((1, 3), np.uint64), np.zeros((4, 16), np.int64),
                                         np.zeros(64, np.uint64), [[0] * 16] * 4])
     def test_constructor_checks_shape_and_dtype(self, family, counts):
@@ -322,6 +327,15 @@ class TestSerialization:
         dims_at = len(blob) - 8 * s.t * s.k - 16
         blob[dims_at:dims_at + 8] = struct.pack("<II", 1 << 20, 1 << 20)
         with pytest.raises(ValueError, match="truncated sketch file: .* needs"):
+            sketch_from_bytes(bytes(blob))
+
+    def test_rejects_dimensions_disagreeing_with_header(self, family):
+        # 2 x 32 counters fill the length of 4 x 16, but the family hashes into 4 x 16.
+        s = sketch_stream(family, [1, 2, 3])
+        blob = bytearray(s.to_bytes())
+        dims_at = len(blob) - 8 * s.t * s.k - 16
+        blob[dims_at:dims_at + 8] = struct.pack("<II", 2, 32)
+        with pytest.raises(ValueError, match="dimensions disagree with the family header"):
             sketch_from_bytes(bytes(blob))
 
     def test_rejects_non_table_prime(self):

@@ -112,6 +112,11 @@ class TestExactStarMetric:
         with pytest.raises(ValueError, match=re.escape(f"k must be an integer, got {k!r}")):
             exact_star_metric(get_divergence("js"), p, p, k)
 
+    def test_k_below_one_rejected(self):
+        p = [0.25, 0.25, 0.25, 0.25]
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            exact_star_metric(get_divergence("js"), p, p, 0)
+
     def test_numpy_integer_k_accepted(self):
         spec = get_divergence("kl")
         p, q = [0.5, 0.3, 0.2], [0.2, 0.3, 0.5]
