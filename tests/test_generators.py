@@ -102,7 +102,7 @@ class TestPmf:
 
     def test_no_mass_inside_universe_rejected(self):
         # A rate far above n puts every weight inside 1..n below the float range.
-        with pytest.raises(ValueError, match=r"poisson\(lam=1000\): no probability mass inside 1..10"):
+        with pytest.raises(ValueError, match=r"poisson\(lam=1000\): no probability mass inside"):
             pmf(DistributionFamily.poisson(10, 1000))
 
 

@@ -181,7 +181,7 @@ class TestReadOnly:
     def test_constructor_checks_total_against_capacity(self):
         # Rows summing exactly to 2^64 would write a total no file can record.
         with pytest.raises(OverflowError, match="exceeds the counter capacity"):
-            SketchMatrix(new_family(1, 2, 10, 1), np.array([[2 ** 63, 2 ** 63]], np.uint64), 2 ** 64)
+            SketchMatrix(new_family(1, 2, 10, 1), np.array([[2 ** 63] * 2], np.uint64), 2 ** 64)
 
     @pytest.mark.parametrize("counts", [np.zeros((1, 3), np.uint64), np.zeros((4, 16), np.int64),
                                         np.zeros(64, np.uint64), [[0] * 16] * 4])
