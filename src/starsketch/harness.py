@@ -24,6 +24,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
+import numbers
 import os
 import statistics
 import time
@@ -96,6 +97,11 @@ class ExperimentPlan:
             raise ValueError("plan needs at least one pair")
         if not self.divergences:
             raise ValueError("plan needs at least one divergence")
+        for name in ("trials", "m", "n", "k_values", "t_values"):
+            value = getattr(self, name)
+            for v in value if name.endswith("_values") else [value]:
+                if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+                    raise ValueError(f"{name}: {v!r} is not an integer")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.m < 1 or self.n < 1:

@@ -13,15 +13,17 @@ The oracle reads partitions as blocks of label arrays from
 with one :func:`aggregate` call on their stack.  Enumeration is chunked so
 memory stays bounded, and a parallel reduction with the same first-maximizer
 tie-break would reproduce the serial result exactly.  The concatenated,
-read-only label tables of the two (n, k) used last are kept when each fits
-``_TABLE_BYTES``, so consecutive calls at one (n, k) enumerate it once.
+read-only label table of an (n, k) is kept when it fits ``_TABLE_BYTES``,
+and the tables used most recently are kept while their total stays within
+2 x ``_TABLE_BYTES``, so calls that cycle through a few small (n, k)
+enumerate each once.
 """
 from __future__ import annotations
 
 import math
 import numbers
+import threading
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -44,7 +46,8 @@ from .sketch import FamilyMismatchError, SketchMatrix
 PARTITION_BUDGET = 10_000_000
 
 # Label tables of at most this many bytes (S(n, k) rows of n int8 labels) are
-# kept for reuse; larger enumerations stream from assignment_blocks.
+# kept for reuse, up to twice this in all; larger enumerations stream from
+# assignment_blocks.
 _TABLE_BYTES = 1 << 20
 
 
@@ -72,10 +75,28 @@ class StarMetricResult:
         return f"row{self.argmax}"
 
 
-@lru_cache(maxsize=2)
+# The kept label tables, least recently used first, and the lock that makes
+# each lookup and each insertion with its evictions one step across threads.
+_tables: dict[tuple[int, int], np.ndarray] = {}
+_tables_lock = threading.Lock()
+
+
 def _label_table(n: int, k: int) -> np.ndarray:
-    """Every k-cell partition of n items as one read-only (S(n, k), n) block."""
-    return _read_only(np.concatenate(list(assignment_blocks(n, k))))
+    """Every k-cell partition of n items as one read-only (S(n, k), n) block.
+
+    The table, at most ``_TABLE_BYTES`` itself, is kept, and the least
+    recently used tables are dropped until the kept ones total at most
+    2 x ``_TABLE_BYTES``.
+    """
+    with _tables_lock:
+        table = _tables.pop((n, k), None)
+    if table is None:
+        table = _read_only(np.concatenate(list(assignment_blocks(n, k))))
+    with _tables_lock:
+        _tables[n, k] = table
+        while sum(t.nbytes for t in _tables.values()) > 2 * _TABLE_BYTES:
+            del _tables[next(iter(_tables))]
+    return table
 
 
 def exact_star_metric(

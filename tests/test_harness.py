@@ -5,6 +5,7 @@ import os
 import pathlib
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -449,6 +450,29 @@ def test_plan_validation():
         with pytest.raises(ValueError, match=re.escape(
                 f"a source is a stream file path or a family over n = 5, got {bad!r}")):
             ExperimentPlan(pairs=[(bad, DistributionFamily.uniform(5))], n=5)
+
+
+@pytest.mark.parametrize("field_name, value", [
+    ("trials", True), ("trials", 1.5), ("trials", 2.0), ("m", 100.0), ("m", False),
+    ("n", 50.0), ("n", True), ("k_values", [4, True]), ("k_values", [2.5]),
+    ("t_values", [True]), ("t_values", [2, np.float64(3)]),
+])
+def test_plan_rejects_non_integral_counts(field_name, value):
+    # A bool t ran as t = 1 and wrote True into results.csv; a float trials or
+    # m failed only inside run_plan, with a TypeError.
+    bad = value[-1] if isinstance(value, list) else value
+    n = value if field_name == "n" else 50
+    src = DistributionFamily.uniform(50)
+    with pytest.raises(ValueError, match=f"^{field_name}: {re.escape(repr(bad))} is not an integer$"):
+        ExperimentPlan(pairs=[(src, src)], **{"n": n, field_name: value})
+
+
+def test_plan_accepts_numpy_integers():
+    src = DistributionFamily.uniform(50)
+    plan = ExperimentPlan(pairs=[(src, src)], k_values=[np.int64(4)], t_values=[np.int32(2)],
+                          trials=np.int64(1), m=np.int64(100), n=np.int64(50))
+    rows = run_plan(plan)
+    assert [(row.k, row.t) for row in rows] == [(4, 2)]
 
 
 def _sha256(path) -> str:

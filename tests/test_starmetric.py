@@ -38,17 +38,19 @@ def random_pair(rng, n, floor=0.02):
 @pytest.fixture
 def fresh_tables():
     """An empty label-table cache, emptied again when the test ends."""
-    starmetric._label_table.cache_clear()
+    starmetric._tables.clear()
     yield
-    starmetric._label_table.cache_clear()
+    starmetric._tables.clear()
 
 
 def streamed_star_metric(phi, p, q, k):
     """The oracle as a plain loop: every block straight from the enumerator
-    and one aggregate per vector.  Returns (value, argmax label array)."""
+    and one aggregate per vector, each evaluated as a row-major copy.
+    Returns (value, argmax label array)."""
     best, best_row = -math.inf, None
     for block in assignment_blocks(p.size, k):
-        vals = phi.eval_rows(aggregate(p, block), aggregate(q, block))
+        vals = phi.eval_rows(np.ascontiguousarray(aggregate(p, block)),
+                             np.ascontiguousarray(aggregate(q, block)))
         i = int(np.argmax(vals))
         if float(vals[i]) > best:
             best, best_row = float(vals[i]), block[i].copy()
@@ -188,7 +190,7 @@ class TestExactStarMetric:
         assert r.evaluated_partitions == sum(yielded) < stirling(10, 4)
 
     @pytest.mark.parametrize("n, k", [(n, k) for n in range(3, 10) for k in range(2, n)]
-                             + [(11, 3)])
+                             + [(11, 3), (10, 8), (10, 9), (11, 8), (12, 10)])
     def test_bit_identical_to_streamed_oracle(self, n, k, fresh_tables):
         rng = np.random.default_rng(100 * n + k)
         for p, q in oracle_inputs(rng, n):
@@ -196,7 +198,7 @@ class TestExactStarMetric:
                 spec = get_divergence(name)
                 value, row = streamed_star_metric(spec, p, q, k)
                 # The first call builds the table, the second reuses it.
-                starmetric._label_table.cache_clear()
+                starmetric._tables.clear()
                 for _ in range(2):
                     r = exact_star_metric(spec, p, q, k)
                     assert r.value == value, (name, p, q)
@@ -217,7 +219,55 @@ class TestExactStarMetric:
             r = exact_star_metric(spec, p, q, 4)
             assert r.value == value and np.array_equal(r.argmax, row)
             assert r.evaluated_partitions == stirling(9, 4)
-        assert starmetric._label_table.cache_info().currsize == 0
+        assert len(starmetric._tables) == 0
+
+    @staticmethod
+    def counted_enumerations(monkeypatch):
+        """The (n, k) of every enumeration the oracle runs, in order."""
+        enumerated = []
+
+        def counted(n, k):
+            enumerated.append((n, k))  # runs when the first block is taken
+            yield from assignment_blocks(n, k)
+
+        monkeypatch.setattr(starmetric, "assignment_blocks", counted)
+        return enumerated
+
+    def test_recent_tables_kept_within_twice_the_bound(self, monkeypatch, fresh_tables):
+        enumerated = self.counted_enumerations(monkeypatch)
+        js = get_divergence("js")
+        rng = np.random.default_rng(13)
+        pairs = {n: random_pair(rng, n) for n in range(8, 13)}
+        # The benchmark's five (n, k) take 1,157,469 bytes: all stay kept.
+        five = [(10, 4), (11, 3), (10, 5), (8, 3), (9, 4)]
+        for _ in range(2):
+            for n, k in five:
+                exact_star_metric(js, *pairs[n], k)
+        assert enumerated == five
+        assert list(starmetric._tables) == five
+        # (12, 3) takes 1,038,312 bytes, so the least recently used (10, 4)
+        # goes; then (11, 3) is used again and (10, 4) comes back in place of
+        # (10, 5), now the least recently used.
+        for n, k in [(12, 3), (11, 3), (10, 4)]:
+            exact_star_metric(js, *pairs[n], k)
+        assert enumerated == five + [(12, 3), (10, 4)]
+        assert list(starmetric._tables) == [(8, 3), (9, 4), (12, 3), (11, 3), (10, 4)]
+        kept = sum(t.nbytes for t in starmetric._tables.values())
+        assert kept == 1_770_531 <= 2 * starmetric._TABLE_BYTES
+
+    def test_table_above_the_bound_is_never_kept(self, monkeypatch, fresh_tables):
+        enumerated = self.counted_enumerations(monkeypatch)
+        js = get_divergence("js")
+        p, q = random_pair(np.random.default_rng(14), 12)
+        table_bytes = stirling(12, 3) * 12
+        monkeypatch.setattr(starmetric, "_TABLE_BYTES", table_bytes - 1)
+        for _ in range(2):
+            exact_star_metric(js, p, q, 3)
+        assert enumerated == [(12, 3)] * 2 and not starmetric._tables
+        monkeypatch.setattr(starmetric, "_TABLE_BYTES", table_bytes)
+        for _ in range(2):
+            exact_star_metric(js, p, q, 3)
+        assert enumerated == [(12, 3)] * 3 and list(starmetric._tables) == [(12, 3)]
 
     def test_large_universe_rejected(self):
         rng = np.random.default_rng(6)
