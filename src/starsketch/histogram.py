@@ -160,12 +160,14 @@ def aggregate(p: np.ndarray, labels: np.ndarray) -> np.ndarray:
     rows = labels.reshape(-1, p.shape[-1])
     r = rows.shape[0]
     cell_major = k < 8
-    cells = rows.astype(np.intp)  # in-place steps below: no int8 -> intp cast per step
+    # The index runs item by item over every row: each cell still meets its
+    # items in index order, and the weights are each value repeated r times.
+    cells = rows.T.astype(np.intp, order="C")
     if cell_major:
         cells *= r
-    cells += np.arange(r)[:, None] * (1 if cell_major else k)
-    sums = np.array([np.bincount(cells.ravel(), weights=np.broadcast_to(v, rows.shape).ravel(),
-                                 minlength=r * k) for v in p.reshape(-1, rows.shape[1])])
+    cells += np.arange(r) * (1 if cell_major else k)
+    sums = np.array([np.bincount(cells.ravel(), weights=np.repeat(v, r), minlength=r * k)
+                     for v in p.reshape(-1, rows.shape[1])])
     if cell_major:
         sums = sums.reshape(-1, k, r).swapaxes(1, 2)
     return sums.reshape(p.shape[:-1] + labels.shape[:-1] + (k,))

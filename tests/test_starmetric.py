@@ -57,6 +57,18 @@ def streamed_star_metric(phi, p, q, k):
     return best, best_row
 
 
+def counted_enumerations(monkeypatch):
+    """The (n, k) of every enumeration the oracle runs, in order."""
+    enumerated = []
+
+    def counted(n, k):
+        enumerated.append((n, k))  # runs when the first block is taken
+        yield from assignment_blocks(n, k)
+
+    monkeypatch.setattr(starmetric, "assignment_blocks", counted)
+    return enumerated
+
+
 def oracle_inputs(rng, n):
     """A positive pair, a pair with zeros on both sides, and a pair with ties."""
     p, q = random_pair(rng, n)
@@ -221,20 +233,8 @@ class TestExactStarMetric:
             assert r.evaluated_partitions == stirling(9, 4)
         assert len(starmetric._tables) == 0
 
-    @staticmethod
-    def counted_enumerations(monkeypatch):
-        """The (n, k) of every enumeration the oracle runs, in order."""
-        enumerated = []
-
-        def counted(n, k):
-            enumerated.append((n, k))  # runs when the first block is taken
-            yield from assignment_blocks(n, k)
-
-        monkeypatch.setattr(starmetric, "assignment_blocks", counted)
-        return enumerated
-
     def test_recent_tables_kept_within_twice_the_bound(self, monkeypatch, fresh_tables):
-        enumerated = self.counted_enumerations(monkeypatch)
+        enumerated = counted_enumerations(monkeypatch)
         js = get_divergence("js")
         rng = np.random.default_rng(13)
         pairs = {n: random_pair(rng, n) for n in range(8, 13)}
@@ -256,7 +256,7 @@ class TestExactStarMetric:
         assert kept == 1_770_531 <= 2 * starmetric._TABLE_BYTES
 
     def test_table_above_the_bound_is_never_kept(self, monkeypatch, fresh_tables):
-        enumerated = self.counted_enumerations(monkeypatch)
+        enumerated = counted_enumerations(monkeypatch)
         js = get_divergence("js")
         p, q = random_pair(np.random.default_rng(14), 12)
         table_bytes = stirling(12, 3) * 12
