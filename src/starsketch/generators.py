@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import inspect
 import math
-import numbers
 import re
 import struct
 from dataclasses import dataclass
@@ -23,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .hashing import item_ids
+from .hashing import is_integer, item_ids
 from .histogram import EmpiricalDistribution
 
 STREAM_MAGIC = b"SSTR"
@@ -43,13 +42,15 @@ class DistributionFamily:
     def __post_init__(self) -> None:
         if self.kind not in FAMILY_KINDS:
             raise ValueError(f"unknown family kind {self.kind!r}")
+        if not is_integer(self.n):
+            raise ValueError(f"universe size n must be an integer, got {self.n!r}")
         if self.n < 1:
             raise ValueError("universe size n must be >= 1")
         # Chained comparisons are false for NaN, so each check also rejects it.
         if self.kind == "zipf" and (self.alpha is None or not 0 < self.alpha < math.inf):
             raise ValueError("zipf requires a finite alpha > 0")
         if self.kind == "pascal":
-            if isinstance(self.r, bool) or not isinstance(self.r, numbers.Integral) or self.r < 1:
+            if not is_integer(self.r) or self.r < 1:
                 raise ValueError(f"pascal requires an integer r >= 1, got {self.r!r}")
             if self.p is None:
                 object.__setattr__(self, "p", self.n / (2 * self.r + self.n))
@@ -151,11 +152,20 @@ def _cdf(d: DistributionFamily) -> np.ndarray:
     return np.cumsum(pmf(d))
 
 
-def _uniforms(m: int, seed: int) -> np.ndarray:
-    """The m seeded uniforms that both samplers map to items."""
+def _buffer(m: int) -> np.ndarray:
+    """An unfilled float64 buffer for the m uniforms of one stream."""
     if m < 0:
         raise ValueError("stream length must be >= 0")
-    return np.random.default_rng(seed).random(m)
+    return np.empty(m)
+
+
+def _uniforms(u: np.ndarray, seed: int) -> np.ndarray:
+    """``u`` filled with the seeded uniforms that both samplers map to items.
+
+    Each seed owns its generator, so draws made in any order, or at once in
+    several threads, give the same values.
+    """
+    return np.random.default_rng(seed).random(out=u)
 
 
 def sample_stream(d: DistributionFamily, m: int, seed: int) -> np.ndarray:
@@ -164,28 +174,33 @@ def sample_stream(d: DistributionFamily, m: int, seed: int) -> np.ndarray:
     Rank 1 maps to item 1 (and so on); hashing makes the placement
     irrelevant to the sketch.
     """
-    u = _uniforms(m, seed)
+    u = _uniforms(_buffer(m), seed)
     idx = np.minimum(np.searchsorted(_cdf(d), u, side="right"), d.n - 1)
     return (idx + 1).astype(np.uint64)
 
 
 def sample_histogram(d: DistributionFamily, m: int, seed: int) -> EmpiricalDistribution:
     """The histogram of ``sample_stream(d, m, seed)``, drawn without ordering the items."""
-    return _draw_histogram(_cdf(d), m, seed)
+    return _draw_histogram(_cdf(d), _buffer(m), seed)
 
 
-def _draw_histogram(cdf: np.ndarray, m: int, seed: int) -> EmpiricalDistribution:
-    """``sample_histogram(d, m, seed)`` given ``cdf = _cdf(d)``.
+def _draw_histogram(cdf: np.ndarray, u: np.ndarray, seed: int) -> EmpiricalDistribution:
+    """``sample_histogram(d, m, seed)`` given ``cdf = _cdf(d)`` and a float64
+    buffer ``u`` of length m, which the draw fills with its uniforms and sorts.
 
     Item i + 1 (i < n - 1) is drawn for a uniform u with cdf[i-1] <= u <
     cdf[i], so #{u < cdf[i]} items lie at or below it; the sorted uniforms
     give those cumulative counts with one ``searchsorted``, and item n takes
     the remainder, as ``sample_stream`` clamps to it.  A caller drawing one
-    family many times computes its cdf once and passes it here.
+    family many times computes its cdf once and passes it here, and may
+    reuse one buffer for every draw of length m: the histogram returned
+    shares no memory with it.  Its fill, sort and ``searchsorted`` release
+    the GIL, and it calls nothing perfbench's single-threaded tracer wraps,
+    so ``run_plan`` draws a trial's two sides at once in two threads, each
+    into its own buffer: 16 * m bytes for the two.
     """
-    u = _uniforms(m, seed)
-    u.sort()
-    below = np.append(np.searchsorted(u, cdf[:-1], side="left"), m)
+    _uniforms(u, seed).sort()
+    below = np.append(np.searchsorted(u, cdf[:-1], side="left"), u.size)
     counts = np.diff(below, prepend=0)
     seen = np.flatnonzero(counts)
     return EmpiricalDistribution((seen + 1).astype(np.uint64), counts[seen])
@@ -277,7 +292,7 @@ def write_stream(path: str, items, n: int, descriptor: str) -> None:
     ``n`` is the universe size for synthetic streams and 0 for streams over
     the full 64-bit id space (ingested traces).
     """
-    if isinstance(n, bool) or not (isinstance(n, (int, np.integer)) and 0 <= n < 2 ** 64):
+    if not (is_integer(n) and 0 <= n < 2 ** 64):
         raise ValueError(f"universe size must be an integer in [0, 2^64), got {n!r}")
     ids = item_ids(items)
     with open(path, "wb") as fh:

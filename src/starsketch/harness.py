@@ -12,21 +12,24 @@ trial, and kept only for that call: a family's cdf or a file's histogram.
 Each stream is reduced to its histogram (distinct ids and counts) once per
 trial, and the references and every (k, t) sketch are computed from it: a
 synthetic stream is drawn as a histogram from the kept cdf, and a build
-hashes distinct ids, not items.  Wall-clock timings go to a
-separate file to keep the result and summary files byte-reproducible.
+hashes distinct ids, not items.  When both sides of a pair are synthetic,
+the two sides of each trial are drawn at once, one of them in a worker
+thread, into two m-length buffers reused by every trial.  Wall-clock
+timings go to a separate file to keep the result and summary files
+byte-reproducible.
 
 Trials are independent: a scheduler may run them in parallel as long as the
 final rows are ordered by (pair, divergence, k, t, trial), which is the order
-this serial implementation emits.
+this implementation emits.
 """
 from __future__ import annotations
 
 import csv
 import hashlib
 import math
-import numbers
 import os
 import statistics
+import threading
 import time
 from contextlib import contextmanager
 from dataclasses import astuple, dataclass, field, fields
@@ -43,7 +46,7 @@ from .generators import (
     read_stream,
     sample_stream,  # unused here; bound for perfbench/tracer.py, which wraps it by this name
 )
-from .hashing import new_family
+from .hashing import is_integer, new_family
 from .histogram import from_stream
 from .sketch import sketch_stream
 from .starmetric import reference_distance, sketch_star_metric
@@ -100,7 +103,7 @@ class ExperimentPlan:
         for name in ("trials", "m", "n", "k_values", "t_values"):
             value = getattr(self, name)
             for v in value if name.endswith("_values") else [value]:
-                if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+                if not is_integer(v):
                     raise ValueError(f"{name}: {v!r} is not an integer")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
@@ -232,13 +235,49 @@ def _check_sandwich(row: ResultRow) -> None:
         )
 
 
+def _draw_both(cdfs, buffers: np.ndarray, seeds) -> tuple:
+    """The histograms of a trial's two synthetic sides, drawn at once.
+
+    Side 1 is drawn in a worker thread while side 0 is drawn in this one,
+    each into its own row of ``buffers``.  The worker is joined before this
+    returns or raises, and an exception from either side is raised here.
+    """
+    drawn: list = [None]
+
+    def side1() -> None:
+        try:
+            drawn[0] = _draw_histogram(cdfs[1], buffers[1], seeds[1])
+        except BaseException as exc:  # raised again in the calling thread
+            drawn[0] = exc
+
+    worker = threading.Thread(target=side1)
+    worker.start()
+    try:
+        hist0 = _draw_histogram(cdfs[0], buffers[0], seeds[0])
+    finally:
+        worker.join()
+    if isinstance(drawn[0], BaseException):
+        raise drawn[0]
+    return hist0, drawn[0]
+
+
 def run_plan(plan: ExperimentPlan) -> list[ResultRow]:
-    """Execute every (pair, divergence, k, t, trial) cell of the plan."""
+    """Execute every (pair, divergence, k, t, trial) cell of the plan.
+
+    When both sides of a pair are synthetic, each trial draws side 1 in a
+    worker thread while this thread draws side 0, and joins the worker before
+    going on; a draw's exception is raised here.  The draws fill two
+    ``plan.m``-length float64 buffers, 16 * m bytes, allocated once per call.
+    """
     specs = {name: smoothed(get_divergence(name), plan.alpha) for name in plan.divergences}
     # Each distinct source's fixed part, computed once per call before any trial:
     # a family's cdf to draw from, or a file's histogram as it is.
     fixed = {src: from_stream(read_stream(src)[0]) if isinstance(src, str) else _cdf(src)
              for src in dict.fromkeys(src for pair in plan.pairs for src in pair)}
+    # The uniforms of a trial's two draws, allocated once per call and in this
+    # thread: a worker's own allocations would come from its own malloc arena
+    # and raise the peak resident size.
+    buffers = np.empty((2, plan.m))
     rows: list[ResultRow] = []
 
     for pair_index, (src1, src2) in enumerate(plan.pairs):
@@ -248,12 +287,14 @@ def run_plan(plan: ExperimentPlan) -> list[ResultRow]:
         universe = np.arange(1, plan.n + 1, dtype=np.uint64) if synthetic else None
         bound = plan.n + 1 if synthetic else 2 ** 64
         for trial in range(plan.trials):
-            hist1, hist2 = (
-                fixed[src] if isinstance(src, str) else
-                _draw_histogram(fixed[src], plan.m,
-                                derive_seed(plan.master_seed, "stream", pair_index, side, trial))
-                for side, src in enumerate((src1, src2))
-            )
+            seeds = [derive_seed(plan.master_seed, "stream", pair_index, side, trial)
+                     for side in (0, 1)]
+            if synthetic:
+                hist1, hist2 = _draw_both((fixed[src1], fixed[src2]), buffers, seeds)
+            else:
+                hist1, hist2 = (fixed[src] if isinstance(src, str) else
+                                _draw_histogram(fixed[src], buffers[0], seeds[side])
+                                for side, src in enumerate((src1, src2)))
             refs = {
                 name: reference_distance(spec, hist1, hist2, universe)
                 for name, spec in specs.items()

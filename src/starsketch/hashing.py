@@ -67,6 +67,15 @@ def _mulmod_m61(a: int, x: np.ndarray) -> np.ndarray:
     return np.where(acc >= _M61, acc - _M61, acc)
 
 
+def is_integer(value) -> bool:
+    """Whether ``value`` is an integer: a Python or numpy integer, not a bool.
+
+    This is the one integer check for sizes and parameters (k, t, n, r, p
+    and plan counts); a float equal to an integer is not one.
+    """
+    return not isinstance(value, bool) and isinstance(value, numbers.Integral)
+
+
 def item_ids(items, what: str = "item ids") -> np.ndarray:
     """``items`` as a uint64 array, rejecting negative and non-integer ids.
 
@@ -118,10 +127,10 @@ class HashFamily:
     seed: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.p, numbers.Integral) or self.p not in PRIME_TABLE:
+        if not is_integer(self.p) or self.p not in PRIME_TABLE:
             # evaluate_batch's 64-bit arithmetic is exact only for table primes.
             raise ValueError(f"p = {self.p} is not a prime of PRIME_TABLE")
-        if isinstance(self.k, bool) or not isinstance(self.k, numbers.Integral):
+        if not is_integer(self.k):
             raise ValueError(f"k must be an integer, got {self.k!r}")
         if self.k < 1:
             raise ValueError("require k >= 1")
@@ -169,6 +178,8 @@ def new_family(t: int, k: int, universe_bound: int, seed: int) -> HashFamily:
     uniformly from [1, P) and b from [0, P).  Reconstruction from the same
     (t, k, universe_bound, seed) yields an identical family.
     """
+    if not is_integer(t):
+        raise ValueError(f"t must be an integer, got {t!r}")
     p = select_prime(universe_bound)
     master = random.Random(seed)
     rngs = [random.Random(master.getrandbits(64)) for _ in range(t)]

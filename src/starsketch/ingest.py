@@ -17,7 +17,7 @@ import gzip
 import hashlib
 import io
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -26,8 +26,7 @@ from .histogram import from_stream
 _UNSEEN = object()
 
 
-@dataclass(frozen=True)
-class LogRecord:
+class LogRecord(NamedTuple):
     request_target: str
     valid: bool
 

@@ -21,7 +21,6 @@ enumerate each once.
 from __future__ import annotations
 
 import math
-import numbers
 import threading
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -29,7 +28,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .divergence import DivergenceSpec, _pair
-from .hashing import item_ids
+from .hashing import is_integer, item_ids
 from .histogram import (
     _BLOCK_ROWS,
     MAX_STIRLING_N,
@@ -116,7 +115,7 @@ def exact_star_metric(
     Enumerations of more than ``PARTITION_BUDGET`` partitions raise
     :class:`PartitionBudgetError`.
     """
-    if isinstance(k, bool) or not isinstance(k, numbers.Integral):
+    if not is_integer(k):
         raise ValueError(f"k must be an integer, got {k!r}")
     p, q = _pair(p, q)
     if k < 1:

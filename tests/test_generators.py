@@ -1,6 +1,7 @@
 import hashlib
 import math
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -99,6 +100,20 @@ class TestPmf:
             DistributionFamily(kind, 10, **params)
         with pytest.raises(ValueError, match=f"{kind} requires"):
             getattr(DistributionFamily, kind)(10, **params)
+
+    @pytest.mark.parametrize("kind,params", [
+        ("uniform", {}), ("zipf", {"alpha": 1.0}), ("binomial", {"p": 0.5}),
+    ])
+    @pytest.mark.parametrize("n", [2.5, 3.0, True, np.float64(4)])
+    def test_non_integral_universe_rejected(self, kind, params, n):
+        # A float or bool n constructed, and pmf then raised a TypeError or
+        # built a one-item universe.
+        with pytest.raises(ValueError, match=f"^universe size n must be an integer, "
+                                             f"got {re.escape(repr(n))}$"):
+            DistributionFamily(kind, n, **params)
+
+    def test_numpy_integer_universe_accepted(self):
+        assert DistributionFamily.zipf(np.int64(50), 1.0) == DistributionFamily.zipf(50, 1.0)
 
     def test_no_mass_inside_universe_rejected(self):
         # A rate far above n puts every weight inside 1..n below the float range.

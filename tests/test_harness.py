@@ -4,6 +4,7 @@ import math
 import os
 import pathlib
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -271,8 +272,8 @@ class TestFixedParts:
         drawn = {}
         real = harness._draw_histogram
 
-        def recorded(cdf, m, seed):
-            drawn[seed] = real(cdf, m, seed)
+        def recorded(cdf, u, seed):
+            drawn[seed] = real(cdf, u, seed)
             return drawn[seed]
 
         monkeypatch.setattr(harness, "_draw_histogram", recorded)
@@ -297,9 +298,10 @@ class TestFixedParts:
         drawn = []
         real = harness._draw_histogram
 
-        def recorded(cdf, m, seed):
-            drawn.append((m, seed, real(cdf, m, seed)))
-            return drawn[-1][2]
+        def recorded(cdf, u, seed):
+            got = real(cdf, u, seed)
+            drawn.append((u.size, seed, got))
+            return got
 
         monkeypatch.setattr(harness, "_draw_histogram", recorded)
         plan = parse_plan(TINY_PLAN)
@@ -307,12 +309,42 @@ class TestFixedParts:
         expected = [(src, derive_seed(plan.master_seed, "stream", i, side, trial))
                     for i, pair in enumerate(plan.pairs) for trial in range(plan.trials)
                     for side, src in enumerate(pair)]
-        assert [(m, seed) for m, seed, _ in drawn] == [(plan.m, seed) for _, seed in expected]
-        for (_, _, got), (family, seed) in zip(drawn, expected):
+
+        def trials(draws):  # a trial's two sides are drawn at once, in either order
+            return [sorted(draws[i:i + 2]) for i in range(0, len(draws), 2)]
+
+        assert (trials([(m, seed) for m, seed, _ in drawn])
+                == trials([(plan.m, seed) for _, seed in expected]))
+        drawn_by_seed = {seed: got for _, seed, got in drawn}
+        for family, seed in expected:
+            got = drawn_by_seed[seed]
             want = sample_histogram(family, plan.m, seed)
             assert got.ids.dtype == want.ids.dtype and got.counts.dtype == want.counts.dtype
             assert got.ids.tobytes() == want.ids.tobytes()
             assert got.counts.tobytes() == want.counts.tobytes()
+
+
+@pytest.mark.parametrize("failing_side", [0, 1])
+def test_failed_draw_raises_and_leaves_no_thread(monkeypatch, failing_side):
+    # Side 1 is drawn in a worker thread, side 0 in the calling one; a draw
+    # that raises on either side surfaces from run_plan, with the worker joined.
+    plan = parse_plan(TINY_PLAN)
+    bad_seed = derive_seed(plan.master_seed, "stream", 0, failing_side, 0)
+    real = harness._draw_histogram
+
+    class DrawFailed(Exception):
+        pass
+
+    def failing(cdf, u, seed):
+        if seed == bad_seed:
+            raise DrawFailed(seed)
+        return real(cdf, u, seed)
+
+    monkeypatch.setattr(harness, "_draw_histogram", failing)
+    threads = threading.active_count()
+    with pytest.raises(DrawFailed, match=f"^{bad_seed}$"):
+        run_plan(plan)
+    assert threading.active_count() == threads
 
 
 class TestSandwichCheck:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -67,6 +68,15 @@ class TestNewFamily:
             new_family(2, True, 100, 1)  # a bool would write the header "2 True 131 1"
         assert new_family(2, np.int64(4), 100, 1) == new_family(2, 4, 100, 1)
 
+    @pytest.mark.parametrize("t", [True, 2.0, 1.5, "2"])
+    def test_rejects_non_integral_t(self, t):
+        # True built a one-row family and 2.0 failed inside range() with a TypeError.
+        with pytest.raises(ValueError, match=f"^t must be an integer, got {re.escape(repr(t))}$"):
+            new_family(t, 4, 10, 1)
+
+    def test_numpy_integer_t_accepted(self):
+        assert new_family(np.int32(3), 4, 10, 1) == new_family(3, 4, 10, 1)
+
 
 class TestEvaluate:
     def test_repeated_calls_agree(self):
@@ -91,6 +101,8 @@ class TestEvaluate:
             HashFamily((0,), (1,), 131, 4, 0)
         with pytest.raises(ValueError):
             HashFamily((1,), (131,), 131, 4, 0)
+        with pytest.raises(ValueError, match="1 <= a < p"):
+            HashFamily((131,), (0,), 131, 4, 0)
         with pytest.raises(ValueError, match="2 a values but 1 b values"):
             HashFamily((1, 2), (0,), 131, 4, 0)
 

@@ -63,6 +63,12 @@ class TestParseClfLine:
             rec = parse_clf_line(line)
             assert isinstance(rec, LogRecord)
 
+    def test_record_is_immutable(self):
+        rec = parse_clf_line('"GET /x HTTP/1.0"')
+        with pytest.raises(AttributeError):
+            rec.valid = False
+        assert rec == LogRecord("/x", True)
+
 
 class TestTargetToItem:
     def test_stable(self):

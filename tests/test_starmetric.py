@@ -269,6 +269,20 @@ class TestExactStarMetric:
             exact_star_metric(js, p, q, 3)
         assert enumerated == [(12, 3)] * 3 and list(starmetric._tables) == [(12, 3)]
 
+    def test_largest_universe_enumerated(self, fresh_tables):
+        # n = MAX_STIRLING_N is the largest universe the oracle enumerates:
+        # S(26, 25) = C(26, 2) = 325 partitions; one more item is rejected.
+        rng = np.random.default_rng(26)
+        p, q = random_pair(rng, 26)
+        js = get_divergence("js")
+        r = exact_star_metric(js, p, q, 25)
+        assert r.evaluated_partitions == 325
+        value, argmax = streamed_star_metric(js, p, q, 25)
+        assert r.value == value and np.array_equal(r.argmax, argmax)
+        p, q = random_pair(rng, 27)
+        with pytest.raises(PartitionBudgetError, match="n=27 > 26"):
+            exact_star_metric(js, p, q, 26)
+
     def test_large_universe_rejected(self):
         rng = np.random.default_rng(6)
         p, q = random_pair(rng, 30)
@@ -340,6 +354,8 @@ class TestSketchStarMetric:
         b = sketch_stream(fam, [1])
         with pytest.raises(ValueError):
             sketch_star_metric(get_divergence("js"), a, b)
+        with pytest.raises(ValueError, match="empty"):
+            sketch_star_metric(get_divergence("js"), b, a)
 
     def test_all_infinite_rows_argmax_zero(self):
         fam = new_family(3, 4, 100, seed=6)
