@@ -154,8 +154,8 @@ def _cdf(d: DistributionFamily) -> np.ndarray:
 
 def _buffer(m: int) -> np.ndarray:
     """An unfilled float64 buffer for the m uniforms of one stream."""
-    if m < 0:
-        raise ValueError("stream length must be >= 0")
+    if not is_integer(m) or m < 0:
+        raise ValueError(f"stream length must be an integer >= 0, got {m!r}")
     return np.empty(m)
 
 

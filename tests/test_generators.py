@@ -106,8 +106,8 @@ class TestPmf:
     ])
     @pytest.mark.parametrize("n", [2.5, 3.0, True, np.float64(4)])
     def test_non_integral_universe_rejected(self, kind, params, n):
-        # A float or bool n constructed, and pmf then raised a TypeError or
-        # built a one-item universe.
+        # A float or bool n constructed; pmf then raised a TypeError (uniform)
+        # or silently built a pmf over ceil(n) items (zipf at n = 2.5 over 3).
         with pytest.raises(ValueError, match=f"^universe size n must be an integer, "
                                              f"got {re.escape(repr(n))}$"):
             DistributionFamily(kind, n, **params)
@@ -251,6 +251,14 @@ class TestSampleHistogram:
     def test_negative_length_rejected(self):
         with pytest.raises(ValueError, match="stream length"):
             sample_histogram(DistributionFamily.uniform(10), -1, 1)
+
+    @pytest.mark.parametrize("m", [True, 2.0, 2.5])
+    def test_non_integral_length_rejected(self, m):
+        # A bool or a float failed inside numpy with a TypeError.
+        for sample in (sample_histogram, sample_stream):
+            with pytest.raises(ValueError, match=f"^stream length must be an integer >= 0, "
+                                                 f"got {re.escape(repr(m))}$"):
+                sample(DistributionFamily.uniform(10), m, 1)
 
 
 class TestParseFamily:

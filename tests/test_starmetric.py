@@ -185,6 +185,16 @@ class TestExactStarMetric:
         with pytest.raises(PartitionBudgetError, match="S\\(14,4\\) = 10391745"):
             exact_star_metric(get_divergence("js"), p, q, 4)
 
+    def test_budget_is_inclusive(self, monkeypatch):
+        # Exactly PARTITION_BUDGET partitions are enumerated; one more is not.
+        rng = np.random.default_rng(7)
+        p, q = random_pair(rng, 6)
+        monkeypatch.setattr(starmetric, "PARTITION_BUDGET", stirling(6, 3))
+        assert exact_star_metric(get_divergence("js"), p, q, 3).evaluated_partitions == 90
+        monkeypatch.setattr(starmetric, "PARTITION_BUDGET", stirling(6, 3) - 1)
+        with pytest.raises(PartitionBudgetError, match="S\\(6,3\\) = 90"):
+            exact_star_metric(get_divergence("js"), p, q, 3)
+
     def test_partition_count_is_measured(self, monkeypatch, fresh_tables):
         # An enumerator that drops its last block must show in the count.
         yielded = []
