@@ -43,24 +43,19 @@ from .hashing import (
     evaluate_batch,
     new_family,
 )
-from .histogram import (
-    EmpiricalDistribution,
-    PartitionBudgetError,
-    aggregate,
-    as_distribution,
-    assignment_blocks,
-    from_stream,
-    normalize,
-    stirling,
-)
+from .histogram import EmpiricalDistribution, as_distribution, from_stream, normalize
 from .ingest import LogRecord, TraceStats, parse_clf_line, target_to_item, trace_stats
 from .sketch import FamilyMismatchError, SketchMatrix, load_sketch, sketch_stream
 from .starmetric import (
+    PartitionBudgetError,
     StarMetricResult,
+    aggregate,
+    assignment_blocks,
     exact_star_metric,
     preservation_suite,
     reference_distance,
     sketch_star_metric,
+    stirling,
 )
 
 __all__ = [
@@ -73,10 +68,10 @@ __all__ = [
     "ExperimentPlan", "ResultRow", "load_plan", "parse_plan",
     "run_plan", "run_plan_to_dir", "sweep_summary",
     "HashFamily", "evaluate_batch", "new_family",
-    "EmpiricalDistribution", "PartitionBudgetError", "aggregate",
-    "as_distribution", "assignment_blocks", "from_stream", "normalize", "stirling",
+    "EmpiricalDistribution", "as_distribution", "from_stream", "normalize",
     "LogRecord", "TraceStats", "parse_clf_line", "target_to_item", "trace_stats",
     "FamilyMismatchError", "SketchMatrix", "load_sketch", "sketch_stream",
-    "StarMetricResult", "exact_star_metric",
-    "preservation_suite", "reference_distance", "sketch_star_metric",
+    "PartitionBudgetError", "StarMetricResult", "aggregate", "assignment_blocks",
+    "exact_star_metric", "preservation_suite", "reference_distance",
+    "sketch_star_metric", "stirling",
 ]

@@ -48,14 +48,15 @@ def select_prime(universe_bound: int) -> int:
 
 
 def _fold_m61(z: np.ndarray) -> np.ndarray:
-    # Reduce values < 2^64 modulo 2^61 - 1.
-    z = (z & _M61) + (z >> np.uint64(61))
-    return np.where(z >= _M61, z - _M61, z)
+    # Partly reduce z < 2^64 modulo P = 2^61 - 1, to a congruent value of at
+    # most (2^61 - 1) + 7; _mulmod_m61 reduces its own result into [0, P).
+    return (z & _M61) + (z >> np.uint64(61))
 
 
 def _mulmod_m61(a: int, x: np.ndarray) -> np.ndarray:
     # 128-bit product via 32-bit limbs, folded with 2^61 = 1 and 2^64 = 8
-    # modulo the Mersenne prime.  All intermediates stay below 2^63.
+    # modulo the Mersenne prime.  For a < P and x <= 2^61 + 6, x's high limb
+    # is at most 2^29, so all intermediates stay below 2^63.
     a64 = np.uint64(a)
     ah, al = a64 >> np.uint64(32), a64 & _U32_MASK
     xh, xl = x >> np.uint64(32), x & _U32_MASK
@@ -63,7 +64,7 @@ def _mulmod_m61(a: int, x: np.ndarray) -> np.ndarray:
     mid = ah * xl + al * xh
     lo = _fold_m61(al * xl)
     acc = hi * np.uint64(8) + (mid >> np.uint64(29)) + ((mid & _U29_MASK) << np.uint64(32)) + lo
-    acc = (acc & _M61) + (acc >> np.uint64(61))
+    acc = _fold_m61(acc)
     return np.where(acc >= _M61, acc - _M61, acc)
 
 

@@ -44,9 +44,18 @@ class TraceStats:
 
 
 def _request(line: str) -> str:
-    """The first quoted field of ``line``, quotes included, or ``""`` when it has none."""
+    """The first quoted field of ``line``, quotes included, or ``""`` when it has none.
+
+    A quote behind an odd run of backslashes is escaped (``\\"``) and does
+    not end the field; the field keeps its escapes verbatim.
+    """
     i = line.find('"')
     j = line.find('"', i + 1)
+    while j >= 0 and line[j - 1] == "\\":
+        field = line[i + 1:j]
+        if (len(field) - len(field.rstrip("\\"))) % 2 == 0:
+            break  # an even run of backslashes escapes itself, not the quote
+        j = line.find('"', j + 1)
     return line[i:j + 1] if j >= 0 else ""
 
 

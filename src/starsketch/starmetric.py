@@ -8,11 +8,15 @@ divergence on the t matching counter rows of two sketches (each row is one
 hash-induced partition) and takes the row maximum, which lower-bounds the
 exact value for aggregation-monotone divergences.
 
-The oracle reads partitions as blocks of label arrays from
-:func:`assignment_blocks` and aggregates both distributions over each block
-with one :func:`aggregate` call on their stack.  Enumeration is chunked so
-memory stays bounded, and a parallel reduction with the same first-maximizer
-tie-break would reproduce the serial result exactly.  The concatenated,
+A partition of the universe into k cells is a label array: entry i is the
+cell (0..k-1) of item i.  :func:`assignment_blocks` enumerates every k-cell
+partition of n items as blocks of label arrays, :func:`stirling` counts
+them, and :func:`aggregate` collapses a vector, or a stack of them, along
+one label array or a block of them.  The oracle aggregates both
+distributions over each block with one :func:`aggregate` call on their
+stack.  Enumeration is chunked so memory stays bounded, and a parallel
+reduction with the same first-maximizer tie-break would reproduce the
+serial result exactly.  The concatenated,
 read-only label table of an (n, k) is kept when it fits ``_TABLE_BYTES``,
 and the tables used most recently are kept while their total stays within
 2 x ``_TABLE_BYTES``, so calls that cycle through a few small (n, k)
@@ -23,31 +27,140 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from functools import lru_cache
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .divergence import DivergenceSpec, _pair
 from .hashing import is_integer, item_ids
-from .histogram import (
-    _BLOCK_ROWS,
-    MAX_STIRLING_N,
-    EmpiricalDistribution,
-    PartitionBudgetError,
-    _read_only,
-    aggregate,
-    assignment_blocks,
-    normalize,
-    stirling,
-)
+from .histogram import EmpiricalDistribution, _read_only, normalize
 from .sketch import FamilyMismatchError, SketchMatrix
 
 PARTITION_BUDGET = 10_000_000
+
+# stirling() and exact enumeration refuse any n above this, even where S(n, k)
+# is within the partition budget (S(27, 26) = 351); assignment_blocks has no cap.
+MAX_STIRLING_N = 26
+
+_BLOCK_ROWS = 4096
 
 # Label tables of at most this many bytes (S(n, k) rows of n int8 labels) are
 # kept for reuse, up to twice this in all; larger enumerations stream from
 # assignment_blocks.
 _TABLE_BYTES = 1 << 20
+
+
+class PartitionBudgetError(RuntimeError):
+    """Exhaustive enumeration would exceed the partition budget."""
+
+
+def aggregate(p: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Sum vector entries cell by cell; item i of ``p`` lands in cell ``labels[i]``.
+
+    ``p`` is one vector of length n or an (m, n) stack of them, and
+    ``labels`` is one label array of length n or a (rows, n) block of them.
+    The result has shape ``p.shape[:-1] + labels.shape[:-1] + (k,)``, with k
+    the largest label plus one: (k,), (rows, k), (m, k) or (m, rows, k).
+    The cell index is built once and each vector takes one ``bincount`` over
+    it, so each cell adds its items in index order and every (vector, row)
+    pair aggregates to the same bits as that vector and row given alone.
+
+    Below 8 cells the (…, rows, k) result is a view of a cell-major buffer,
+    bin ``label * rows + row``, so each cell's values are contiguous and a
+    kernel's ``sum(axis=1)`` runs about 10x faster.  numpy adds fewer than 8
+    values left to right in either layout, so every row sum keeps its bits.
+    From 8 cells up it adds a contiguous row pairwise, so the result stays
+    row-major there, and row sums, and the oracle's values and argmaxes,
+    keep their bits too.
+    """
+    p = np.asarray(p, dtype=np.float64)
+    labels = np.asarray(labels)
+    if (p.ndim not in (1, 2) or p.size == 0 or labels.ndim not in (1, 2)
+            or labels.shape[-1] != p.shape[-1]):
+        raise ValueError(f"labels of shape {labels.shape} do not match a vector of shape {p.shape}")
+    if labels.dtype.kind not in "iu" or labels.min() < 0:
+        raise ValueError("cell labels must be nonnegative integers")
+    k = int(labels.max()) + 1
+    rows = labels.reshape(-1, p.shape[-1])
+    r = rows.shape[0]
+    cell_major = k < 8
+    # The index runs item by item over every row: each cell still meets its
+    # items in index order, and the weights are each value repeated r times.
+    cells = rows.T.astype(np.intp, order="C")
+    if cell_major:
+        cells *= r
+    cells += np.arange(r) * (1 if cell_major else k)
+    sums = np.array([np.bincount(cells.ravel(), weights=np.repeat(v, r), minlength=r * k)
+                     for v in p.reshape(-1, rows.shape[1])])
+    if cell_major:
+        sums = sums.reshape(-1, k, r).swapaxes(1, 2)
+    return sums.reshape(p.shape[:-1] + labels.shape[:-1] + (k,))
+
+
+@lru_cache(maxsize=None)
+def stirling(n: int, k: int) -> int:
+    """Stirling number of the second kind S(n, k), exact.
+
+    Computed by the additive recurrence S(n,k) = k S(n-1,k) + S(n-1,k-1),
+    which avoids the cancellation of the alternating-sum formula.  Limited to
+    n <= MAX_STIRLING_N, which also bounds the memoized recursion.
+    """
+    if not 0 <= k <= n:
+        raise ValueError(f"require 0 <= k <= n, got n={n} k={k}")
+    if n > MAX_STIRLING_N:
+        raise ValueError(f"n={n} exceeds the exact bound {MAX_STIRLING_N}")
+    if n == 0:
+        return 1 if k == 0 else 0
+    if k == 0:
+        return 0
+    if k == n:
+        return 1
+    return k * stirling(n - 1, k) + stirling(n - 1, k - 1)
+
+
+def assignment_blocks(
+    n: int,
+    k: int,
+) -> Iterator[np.ndarray]:
+    """Every k-cell partition of n items as (rows, n) label blocks.
+
+    Rows are the length-n restricted growth strings with exactly k labels, in
+    lexicographic order: labels appear in first-use order, so each row is the
+    one canonical label array of its partition.  Blocks hold at most 4096
+    rows, of dtype int8 for k <= 127 and int64 above.  Rows
+    are grown depth-first from a stack of prefix blocks; a prefix using
+    ``used`` labels takes any next label <= ``used`` while the remaining
+    positions can still introduce the missing labels.
+    """
+    if not 1 <= k <= n:
+        raise ValueError(f"require 1 <= k <= n, got n={n} k={k}")
+    # The dtype must hold the label count k itself, which ``used`` reaches.
+    dtype = np.int8 if k <= np.iinfo(np.int8).max else np.int64
+    if k == 1 or k == n:
+        # The one partition: every item in cell 0, or every item alone.
+        # exact_star_metric asks for it at any n (k = 1, or k >= n), and the
+        # general path below grows it one position per step: at n = 4000
+        # that takes 0.1-0.2 s, against a few microseconds here.
+        yield np.arange(n, dtype=dtype)[None, :] if k == n else np.zeros((1, n), dtype)
+        return
+    labels = np.arange(k, dtype=dtype)
+    stack = [(np.zeros((1, 1), dtype=dtype), np.ones(1, dtype=dtype))]
+    while stack:
+        prefix, used = stack.pop()
+        d = prefix.shape[1]
+        if d == n:
+            yield prefix
+            continue
+        u = used[:, None]
+        fresh = labels == u
+        src, label = np.nonzero((labels <= u) & (k - u - fresh <= n - d - 1))
+        child = np.empty((src.size, d + 1), dtype=dtype)
+        child[:, :d] = prefix[src]
+        child[:, d] = label
+        child_used = used[src] + fresh[src, label]
+        for start in reversed(range(0, src.size, _BLOCK_ROWS)):
+            stack.append((child[start:start + _BLOCK_ROWS], child_used[start:start + _BLOCK_ROWS]))
 
 
 @dataclass

@@ -14,21 +14,18 @@ import pytest
 from starsketch.divergence import from_bregman_generator, get_divergence
 from starsketch.generators import DistributionFamily, sample_histogram, sample_stream
 from starsketch.hashing import evaluate_batch, new_family
-from starsketch.histogram import (
-    aggregate,
-    assignment_blocks,
-    from_stream,
-    normalize,
-    stirling,
-)
+from starsketch.histogram import from_stream, normalize
 from starsketch.ingest import iter_records, trace_stats
 from starsketch.harness import parse_plan, run_plan, sweep_summary
 from starsketch.sketch import sketch_stream
 from starsketch.starmetric import (
+    aggregate,
+    assignment_blocks,
     exact_star_metric,
     preservation_suite,
     reference_distance,
     sketch_star_metric,
+    stirling,
 )
 
 from bregman_helpers import KL_BREGMAN, SQEUCLID_BREGMAN, combine_bregman

@@ -4,6 +4,9 @@ import hashlib
 import io
 import math
 import os
+import pathlib
+import re
+import shlex
 import subprocess
 import sys
 
@@ -18,10 +21,29 @@ from starsketch.generators import read_stream
 from starsketch.sketch import FamilyMismatchError, load_sketch
 
 
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def test_readme_cli_example_prints_what_it_shows(tmp_path, capsys, monkeypatch):
+    # The README's first sh block that calls starsketch (generate, sketch
+    # build, distance), run command by command; its "# " lines are what the
+    # last command, distance, prints.
+    blocks = re.findall(r"^```sh\n(.*?)^```", README.read_text(encoding="utf-8"), re.M | re.S)
+    lines = next(b for b in blocks if "starsketch " in b).splitlines()
+    commands = [line for line in lines if line.startswith("starsketch ")]
+    shown = [line[2:] for line in lines if line.startswith("# ")]
+    assert commands[-1].startswith("starsketch distance ") and len(shown) == 2
+    monkeypatch.chdir(tmp_path)
+    for command in commands:
+        code, out = run_cli(capsys, *shlex.split(command)[1:])
+        assert code == 0, command
+    assert out.splitlines() == shown
 
 
 def test_generate_sketch_distance_pipeline(tmp_path, capsys):

@@ -228,6 +228,11 @@ class TestFDivergence:
         assert spec([1.0, 0.0], [0.5, 0.5]) == pytest.approx(1.0)
         assert spec([0.5, 0.5], [1.0, 0.0]) == math.inf
 
+    def test_finite_ratio_limit_prices_q_zero(self):
+        # |t-1|/2 has lim f(u)/u = 1/2, so the q = 0 < p cell costs p/2 = 0.25
+        # and the shared cell q f(p/q) = 1 * 0.25: tv = (0.5 + 0.5) / 2.
+        assert f_spec(TV_GENERATOR)([0.5, 0.5], [1.0, 0.0]) == 0.5
+
     def test_undefined_limit_reports_index(self):
         gen = FGenerator(lambda u: u - 1.0, limit_zero=None, limit_ratio_inf=1.0,
                          name="t-1")
@@ -302,6 +307,19 @@ class TestBregman:
         assert bregman_spec(KL_BREGMAN)([0.5, 0.5], [1.0, 0.0]) == math.inf
         # finite derivative extension keeps t^2 finite
         assert math.isfinite(bregman_spec(SQEUCLID_BREGMAN)([0.5, 0.5], [1.0, 0.0]))
+
+    def test_infinite_derivative_spares_empty_cells(self):
+        # A cell with p = q = 0 adds nothing even when F'(0) = -inf, so the
+        # t*log2(t) form is kl([0.5, 0.5] || [0.25, 0.75]) = 1 - log2(3) / 2.
+        value = bregman_spec(KL_BREGMAN)([0.5, 0.5, 0.0], [0.25, 0.75, 0.0])
+        assert value == pytest.approx(1.0 - 0.5 * math.log2(3.0), abs=1e-12)
+
+    def test_finite_derivative_at_zero(self):
+        # F = (t+1)^2 has F(0) = 1 and F'(0) = 2; its divergence is squared
+        # Euclidean, and the q = 0 cell is F(0.5) - F(0) - 0.5 F'(0) = 0.25.
+        gen = BregmanGenerator(F=lambda x: (x + 1.0) ** 2, Fprime=lambda x: 2.0 * (x + 1.0),
+                               value_at_zero=1.0, deriv_at_zero=2.0, name="(t+1)^2")
+        assert bregman_spec(gen)([0.5, 0.5], [1.0, 0.0]) == 0.5
 
     def test_missing_extension_rejected(self):
         gen = BregmanGenerator(F=lambda x: -np.log2(x), Fprime=lambda x: -1.0 / (x * math.log(2)),

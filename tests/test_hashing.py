@@ -127,6 +127,19 @@ class TestBatchEvaluation:
         for x, cell in zip(xs.tolist(), batch.tolist()):
             assert cell == fam.evaluate(0, x)
 
+    def test_mersenne_sums_at_the_prime(self):
+        # x = a^-1 * s mod P makes a*x = s mod P.  With s = P - b, a*x + b is
+        # exactly P, which must wrap to cell 0, not P mod 7 = 1; s <= 3 and
+        # the ids x + P (folded before the product) probe the reductions.
+        fam = new_family(8, 7, 2 ** 62, seed=3)
+        for i, (a, b) in enumerate(zip(fam.a, fam.b)):
+            targets = [MERSENNE61 - b, 0, 1, 2, 3]
+            xs = [pow(a, -1, MERSENNE61) * s % MERSENNE61 for s in targets]
+            xs += [x + MERSENNE61 for x in xs]
+            batch = evaluate_batch(fam, np.array(xs, dtype=np.uint64), i)
+            assert batch.tolist() == [fam.evaluate(i, x) for x in xs]
+            assert batch[0] == batch[5] == 0
+
     @pytest.mark.parametrize("bad", [[-1, 3], [2.5, 3], ["x", 3], np.array([-1, 3]),
                                      np.array([2.5, 3.0]), np.array(["x"])])
     def test_rejects_invalid_ids(self, bad):

@@ -6,20 +6,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from starsketch import histogram
+from starsketch import starmetric
 from starsketch.divergence import get_divergence
 from starsketch.histogram import (
     EmpiricalDistribution,
-    PartitionBudgetError,
-    aggregate,
     as_distribution,
-    assignment_blocks,
     dump_histogram,
     from_stream,
     normalize,
+)
+from starsketch.starmetric import (
+    PartitionBudgetError,
+    aggregate,
+    assignment_blocks,
+    exact_star_metric,
+    reference_distance,
     stirling,
 )
-from starsketch.starmetric import exact_star_metric, reference_distance
 
 
 def stirling_by_formula(n, k):
@@ -286,7 +289,7 @@ class TestEnumeration:
     def test_block_size_keeps_rows(self, block_size, monkeypatch):
         # The block size is a module constant; any value must leave the
         # concatenated rows unchanged.
-        monkeypatch.setattr(histogram, "_BLOCK_ROWS", block_size)
+        monkeypatch.setattr(starmetric, "_BLOCK_ROWS", block_size)
         blocks = list(assignment_blocks(8, 3))
         assert all(0 < b.shape[0] <= block_size for b in blocks)
         assert np.concatenate(blocks).tolist() == [list(r) for r in reference_rgs(8, 3)]

@@ -176,6 +176,29 @@ class TestIterRecords:
                                                   malformed=1)
             assert ids.tolist() == want[1].tolist()
 
+    @pytest.mark.parametrize("compress", [False, True])
+    def test_escaped_quotes_keep_requests_apart(self, tmp_path, compress):
+        # Apache writes a quote inside the request as \"; it does not end the
+        # field, so the two targets differ and keep their escapes verbatim.
+        data = b'h - - [d] "GET /a\\"b HTTP/1.0" 200 1\nh - - [d] "GET /a\\"c HTTP/1.0" 200 1\n'
+        path = tmp_path / "access_log"
+        path.write_bytes(gzip.compress(data) if compress else data)
+        requests = list(iter_records(str(path)))
+        assert requests == ['"GET /a\\"b HTTP/1.0"', '"GET /a\\"c HTTP/1.0"']
+        stats, ids = trace_stats(requests)
+        assert stats == TraceStats(items=2, distinct=2, max_frequency=1)
+        assert ids.tolist() == [target_to_item('/a\\"b'), target_to_item('/a\\"c')]
+        for line in data.decode("latin-1").splitlines():
+            assert parse_clf_line(line).request_target == line.split()[5]
+
+    def test_backslash_runs_before_a_quote(self):
+        # An even run escapes itself and the quote ends the field; an odd run
+        # escapes the quote, and an escaped quote with no closing one is no field.
+        assert parse_clf_line('h "GET /a\\\\" 200 "x y"') == LogRecord("/a\\\\", True)
+        assert parse_clf_line('h "GET /a\\\\\\" z" 200') == LogRecord('/a\\\\\\"', True)
+        assert parse_clf_line('h "GET /a\\" 200') == LogRecord("", False)
+        assert parse_clf_line('h "GET /a\\b" 200') == LogRecord("/a\\b", True)
+
     def test_non_utf8_bytes_survive(self, tmp_path):
         path = tmp_path / "access_log"
         raw = b'h - - [d] "GET /caf\xe9 HTTP/1.0" 200 1\n'

@@ -14,8 +14,7 @@ import numpy as np
 from starsketch import cli, sketch, starmetric
 from starsketch.divergence import get_divergence
 from starsketch.hashing import new_family
-from starsketch.histogram import stirling
-from starsketch.starmetric import exact_star_metric, sketch_star_metric
+from starsketch.starmetric import exact_star_metric, sketch_star_metric, stirling
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 TRACER = ROOT / "perfbench" / "tracer.py"

@@ -8,22 +8,19 @@ from starsketch import starmetric
 from starsketch.divergence import DivergenceSpec, from_bregman_generator, get_divergence, smoothed
 from starsketch.generators import DistributionFamily, sample_stream
 from starsketch.hashing import evaluate_batch, new_family
-from starsketch.histogram import (
-    PartitionBudgetError,
-    aggregate,
-    assignment_blocks,
-    from_stream,
-    normalize,
-    stirling,
-)
+from starsketch.histogram import from_stream, normalize
 from starsketch.sketch import FamilyMismatchError, sketch_stream
 from starsketch.starmetric import (
+    PartitionBudgetError,
     PropertyCheck,
     StarMetricResult,
+    aggregate,
+    assignment_blocks,
     exact_star_metric,
     preservation_suite,
     reference_distance,
     sketch_star_metric,
+    stirling,
 )
 
 from bregman_helpers import SQEUCLID_BREGMAN
