@@ -12,9 +12,9 @@ trial, and kept only for that call: a family's cdf or a file's histogram.
 Each stream is reduced to its histogram (distinct ids and counts) once per
 trial, and the references and every (k, t) sketch are computed from it: a
 synthetic stream is drawn as a histogram from the kept cdf, and a build
-hashes distinct ids, not items.  When both sides of a pair are synthetic,
-the two sides of each trial are drawn at once, one of them in a worker
-thread, into two m-length buffers reused by every trial.  Wall-clock
+hashes distinct ids, not items.  Each trial draws side 1 in one worker
+thread kept for the run while the calling thread draws side 0, into two
+m-length buffers reused by every trial.  Wall-clock
 timings go to a separate file to keep the result and summary files
 byte-reproducible.
 
@@ -26,11 +26,12 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import math
 import os
 import statistics
-import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import astuple, dataclass, field, fields
 
@@ -235,38 +236,12 @@ def _check_sandwich(row: ResultRow) -> None:
         )
 
 
-def _draw_both(cdfs, buffers: np.ndarray, seeds) -> tuple:
-    """The histograms of a trial's two synthetic sides, drawn at once.
-
-    Side 1 is drawn in a worker thread while side 0 is drawn in this one,
-    each into its own row of ``buffers``.  The worker is joined before this
-    returns or raises, and an exception from either side is raised here.
-    """
-    drawn: list = [None]
-
-    def side1() -> None:
-        try:
-            drawn[0] = _draw_histogram(cdfs[1], buffers[1], seeds[1])
-        except BaseException as exc:  # raised again in the calling thread
-            drawn[0] = exc
-
-    worker = threading.Thread(target=side1)
-    worker.start()
-    try:
-        hist0 = _draw_histogram(cdfs[0], buffers[0], seeds[0])
-    finally:
-        worker.join()
-    if isinstance(drawn[0], BaseException):
-        raise drawn[0]
-    return hist0, drawn[0]
-
-
 def run_plan(plan: ExperimentPlan) -> list[ResultRow]:
     """Execute every (pair, divergence, k, t, trial) cell of the plan.
 
-    When both sides of a pair are synthetic, each trial draws side 1 in a
-    worker thread while this thread draws side 0, and joins the worker before
-    going on; a draw's exception is raised here.  The draws fill two
+    Each trial hands side 1 to one worker thread, kept for the call, draws
+    side 0 in this thread and then collects side 1, whose exception is
+    raised here; a ``file:`` side is its fixed histogram.  The draws fill two
     ``plan.m``-length float64 buffers, 16 * m bytes, allocated once per call.
     """
     specs = {name: smoothed(get_divergence(name), plan.alpha) for name in plan.divergences}
@@ -280,27 +255,32 @@ def run_plan(plan: ExperimentPlan) -> list[ResultRow]:
     buffers = np.empty((2, plan.m))
     rows: list[ResultRow] = []
 
-    for pair_index, (src1, src2) in enumerate(plan.pairs):
-        pair_label = _pair_label(src1, src2)
-        # Two drawn streams share the universe 1..n; a file's ids may span 64 bits.
-        synthetic = not isinstance(src1, str) and not isinstance(src2, str)
-        universe = np.arange(1, plan.n + 1, dtype=np.uint64) if synthetic else None
-        bound = plan.n + 1 if synthetic else 2 ** 64
-        for trial in range(plan.trials):
-            seeds = [derive_seed(plan.master_seed, "stream", pair_index, side, trial)
-                     for side in (0, 1)]
-            if synthetic:
-                hist1, hist2 = _draw_both((fixed[src1], fixed[src2]), buffers, seeds)
-            else:
-                hist1, hist2 = (fixed[src] if isinstance(src, str) else
-                                _draw_histogram(fixed[src], buffers[0], seeds[side])
-                                for side, src in enumerate((src1, src2)))
-            refs = {
-                name: reference_distance(spec, hist1, hist2, universe)
-                for name, spec in specs.items()
-            }
-            for k in plan.k_values:
-                for t in plan.t_values:
+    def draw(src, side: int, seed: int):
+        """A trial's histogram of one side: a file's as it is, or a fresh draw into its buffer."""
+        if isinstance(src, str):
+            return fixed[src]
+        return _draw_histogram(fixed[src], buffers[side], seed)
+
+    # The worker runs only ``draw``, so it calls nothing perfbench's tracer
+    # wraps; leaving the block joins it, also when a draw here raises.
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        for pair_index, (src1, src2) in enumerate(plan.pairs):
+            pair_label = _pair_label(src1, src2)
+            # Two drawn streams share the universe 1..n; a file's ids may span 64 bits.
+            synthetic = not isinstance(src1, str) and not isinstance(src2, str)
+            universe = np.arange(1, plan.n + 1, dtype=np.uint64) if synthetic else None
+            bound = plan.n + 1 if synthetic else 2 ** 64
+            for trial in range(plan.trials):
+                seeds = [derive_seed(plan.master_seed, "stream", pair_index, side, trial)
+                         for side in (0, 1)]
+                drawing = worker.submit(draw, src2, 1, seeds[1])
+                hist1 = draw(src1, 0, seeds[0])
+                hist2 = drawing.result()
+                refs = {
+                    name: reference_distance(spec, hist1, hist2, universe)
+                    for name, spec in specs.items()
+                }
+                for k, t in itertools.product(plan.k_values, plan.t_values):
                     family_seed = derive_seed(plan.master_seed, "family", pair_index, k, t, trial)
                     family = new_family(t, k, bound, family_seed)
                     t0 = time.perf_counter()
