@@ -196,8 +196,8 @@ def _draw_histogram(cdf: np.ndarray, u: np.ndarray, seed: int) -> EmpiricalDistr
     reuse one buffer for every draw of length m: the histogram returned
     shares no memory with it.  Its fill, sort and ``searchsorted`` release
     the GIL, and it calls nothing perfbench's single-threaded tracer wraps,
-    so ``run_plan`` draws a trial's two sides at once in two threads, each
-    into its own buffer: 16 * m bytes for the two.
+    so ``run_plan`` calls it for side 1 in the one worker thread it keeps for
+    the run while the calling thread draws side 0, each into its own buffer.
     """
     _uniforms(u, seed).sort()
     below = np.append(np.searchsorted(u, cdf[:-1], side="left"), u.size)

@@ -28,6 +28,7 @@ import csv
 import hashlib
 import itertools
 import math
+import numbers
 import os
 import statistics
 import time
@@ -101,11 +102,20 @@ class ExperimentPlan:
             raise ValueError("plan needs at least one pair")
         if not self.divergences:
             raise ValueError("plan needs at least one divergence")
-        for name in ("trials", "m", "n", "k_values", "t_values"):
+        for name in ("trials", "m", "n", "master_seed", "k_values", "t_values"):
             value = getattr(self, name)
             for v in value if name.endswith("_values") else [value]:
                 if not is_integer(v):
                     raise ValueError(f"{name}: {v!r} is not an integer")
+        if isinstance(self.alpha, bool) or not isinstance(self.alpha, numbers.Real):
+            raise ValueError(f"alpha: {self.alpha!r} is not a number")
+        # Stored as plain numbers: derive_seed hashes their repr, and numpy 2
+        # writes np.int64(4) where int writes 4.
+        self.trials, self.m, self.n, self.master_seed = map(
+            int, (self.trials, self.m, self.n, self.master_seed))
+        self.k_values = [int(v) for v in self.k_values]
+        self.t_values = [int(v) for v in self.t_values]
+        self.alpha = float(self.alpha)
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.m < 1 or self.n < 1:

@@ -135,6 +135,8 @@ class HashFamily:
             raise ValueError(f"k must be an integer, got {self.k!r}")
         if self.k < 1:
             raise ValueError("require k >= 1")
+        if not is_integer(self.seed):  # the header stores it as an integer
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if not self.a:
             raise ValueError("family must contain at least one function")
         if len(self.a) != len(self.b):
@@ -181,9 +183,11 @@ def new_family(t: int, k: int, universe_bound: int, seed: int) -> HashFamily:
     """
     if not is_integer(t):
         raise ValueError(f"t must be an integer, got {t!r}")
+    if not is_integer(seed):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
     p = select_prime(universe_bound)
-    master = random.Random(seed)
+    master = random.Random(int(seed))
     rngs = [random.Random(master.getrandbits(64)) for _ in range(t)]
     a = tuple(rng.randrange(1, p) for rng in rngs)
     b = tuple(rng.randrange(0, p) for rng in rngs)
-    return HashFamily(a, b, p, k, seed)
+    return HashFamily(a, b, p, k, int(seed))

@@ -7,6 +7,7 @@ import os
 import pathlib
 import re
 import shlex
+import shutil
 import subprocess
 import sys
 
@@ -30,20 +31,85 @@ def run_cli(capsys, *argv):
     return code, out
 
 
-def test_readme_cli_example_prints_what_it_shows(tmp_path, capsys, monkeypatch):
-    # The README's first sh block that calls starsketch (generate, sketch
-    # build, distance), run command by command; its "# " lines are what the
-    # last command, distance, prints.
-    blocks = re.findall(r"^```sh\n(.*?)^```", README.read_text(encoding="utf-8"), re.M | re.S)
-    lines = next(b for b in blocks if "starsketch " in b).splitlines()
-    commands = [line for line in lines if line.startswith("starsketch ")]
-    shown = [line[2:] for line in lines if line.startswith("# ")]
-    assert commands[-1].startswith("starsketch distance ") and len(shown) == 2
-    monkeypatch.chdir(tmp_path)
-    for command in commands:
+def _readme_blocks(lang: str) -> list[str]:
+    return re.findall(rf"^```{lang}\n(.*?)^```", README.read_text(encoding="utf-8"), re.M | re.S)
+
+
+def _shows(shown: list[str], printed: list[str]) -> bool:
+    """Whether ``printed`` is the README's ``shown`` lines, each ``...`` standing for any text."""
+    return len(shown) == len(printed) and all(
+        re.fullmatch(".*".join(map(re.escape, want.split("..."))), got)
+        for want, got in zip(shown, printed))
+
+
+def _run_readme_sh(marker: str, capsys) -> list[tuple[str, list[str]]]:
+    """Run, through ``main``, each command of the README sh block holding ``marker``.
+
+    Every "# " line of the block shows what the command above it prints; a
+    command followed by none is only checked to succeed.  Returns each
+    command with its shown lines.
+    """
+    block = next(b for b in _readme_blocks("sh") if marker in b)
+    steps: list[tuple[str, list[str]]] = []
+    for line in block.splitlines():
+        if line.startswith("starsketch "):
+            steps.append((line, []))
+        elif line.startswith("# "):
+            steps[-1][1].append(line[2:])
+    for command, shown in steps:
         code, out = run_cli(capsys, *shlex.split(command)[1:])
         assert code == 0, command
-    assert out.splitlines() == shown
+        if shown:
+            assert _shows(shown, out.splitlines()), (command, out)
+    return steps
+
+
+def test_readme_cli_example_prints_what_it_shows(tmp_path, capsys, monkeypatch):
+    # The README's sh block that generates, sketches and compares two
+    # streams; its "# " lines are what the last command, distance, prints.
+    monkeypatch.chdir(tmp_path)
+    steps = _run_readme_sh("starsketch distance ", capsys)
+    assert steps[-1][0].startswith("starsketch distance ") and len(steps[-1][1]) == 2
+    assert not any(shown for _, shown in steps[:-1])
+
+
+def test_readme_ingest_block_runs_on_a_gzip_log(tmp_path, capsys, monkeypatch):
+    # The README names a real log it does not ship; a tiny one stands in.
+    lines = [f'host{i % 3} - - [01/Jul/1995:00:00:{i:02d} -0400] "GET /p/{i % 4}.html HTTP/1.0" '
+             f'200 {i}' for i in range(12)] + ["not a log line"]
+    with gzip.open(tmp_path / "access_log.gz", "wt") as fh:
+        fh.write("\n".join(lines) + "\n")
+    monkeypatch.chdir(tmp_path)
+    steps = _run_readme_sh("starsketch ingest ", capsys)
+    assert [command.split()[1] for command, _ in steps] == ["ingest", "stats"]
+    for name in ("trace.stream", "stats.csv", "hist.csv", "ranks.csv"):
+        assert (tmp_path / name).stat().st_size > 0, name
+
+
+def test_readme_plan_block_runs_the_shipped_plan(tmp_path, capsys, monkeypatch):
+    shutil.copytree(README.parent / "plans", tmp_path / "plans")
+    monkeypatch.chdir(tmp_path)
+    steps = _run_readme_sh("starsketch experiment run ", capsys)
+    assert [command.split()[2] for command, _ in steps] == ["run", "summarize"]
+    assert all(shown for _, shown in steps)
+    # A summary re-read from results.csv has the run's own summary bytes.
+    assert (tmp_path / "summary2.csv").read_bytes() == \
+        (tmp_path / "results" / "summary.csv").read_bytes()
+
+
+def test_readme_python_block_prints_what_it_shows(capsys):
+    # A "# " line right after a print(...) line, or after another such line,
+    # shows what the block prints; the other comments are prose.
+    (block,) = _readme_blocks("python")
+    shown, printing = [], False
+    for line in block.splitlines():
+        if printing and line.startswith("# "):
+            shown.append(line[2:])
+        else:
+            printing = line.startswith("print(")
+    assert shown
+    exec(compile(block, "README.md", "exec"), {"__name__": "readme"})
+    assert _shows(shown, capsys.readouterr().out.splitlines())
 
 
 def test_generate_sketch_distance_pipeline(tmp_path, capsys):

@@ -507,6 +507,38 @@ def test_plan_accepts_numpy_integers():
     assert [(row.k, row.t) for row in rows] == [(4, 2)]
 
 
+def test_numpy_integer_plan_writes_the_plain_plan_bytes(tmp_path):
+    # derive_seed hashes the repr of the seed and the sweep values, and numpy 2
+    # writes np.int64(4) where int writes 4; a plan decides its bytes by value.
+    src = DistributionFamily.uniform(50)
+    pairs = [(src, DistributionFamily.zipf(50, 1.0))]
+    plain = ExperimentPlan(pairs=pairs, k_values=[4, 8], t_values=[2], trials=2, m=300, n=50,
+                           master_seed=5, alpha=0)
+    numpy = ExperimentPlan(pairs=pairs, k_values=[np.int64(4), np.int32(8)],
+                           t_values=[np.int64(2)], trials=np.int64(2), m=np.int64(300),
+                           n=np.int64(50), master_seed=np.int64(5), alpha=np.float64(0))
+    for plan, out in ((plain, tmp_path / "plain"), (numpy, tmp_path / "numpy")):
+        run_plan_to_dir(plan, str(out))
+    for name in ("results.csv", "summary.csv", "manifest.txt"):
+        assert (tmp_path / "numpy" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+    assert "alpha_smoothing = 0.0\n" in (tmp_path / "plain" / "manifest.txt").read_text()
+
+
+@pytest.mark.parametrize("field_name, value, message", [
+    ("master_seed", True, "master_seed: True is not an integer"),
+    ("master_seed", 1.5, "master_seed: 1.5 is not an integer"),
+    ("master_seed", "x", "master_seed: 'x' is not an integer"),
+    ("alpha", True, "alpha: True is not a number"),
+    ("alpha", "0.5", "alpha: '0.5' is not a number"),
+])
+def test_plan_rejects_a_seed_or_alpha_of_another_type(field_name, value, message):
+    # master_seed = True ran, drew other streams than seed 1 and wrote a
+    # manifest that parse_plan cannot replay; alpha = True ran as 1.
+    src = DistributionFamily.uniform(50)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ExperimentPlan(pairs=[(src, src)], n=50, **{field_name: value})
+
+
 def _sha256(path) -> str:
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()

@@ -77,6 +77,22 @@ class TestNewFamily:
     def test_numpy_integer_t_accepted(self):
         assert new_family(np.int32(3), 4, 10, 1) == new_family(3, 4, 10, 1)
 
+    @pytest.mark.parametrize("seed", [True, 5.0, "5", None])
+    def test_rejects_non_integral_seed(self, seed):
+        # True and 5.0 wrote headers that from_header cannot read back, and
+        # "5" drew other (a, b) than 5 under the header seed 5.
+        message = f"^seed must be an integer, got {re.escape(repr(seed))}$"
+        with pytest.raises(ValueError, match=message):
+            new_family(2, 8, 100, seed)
+        with pytest.raises(ValueError, match=message):
+            HashFamily((3,), (5,), 131, 4, seed)
+
+    def test_numpy_integer_seed_accepted(self):
+        fam = new_family(2, 8, 100, np.int64(5))
+        assert fam == new_family(2, 8, 100, 5)
+        assert type(fam.seed) is int
+        assert HashFamily.from_header(fam.header()) == fam
+
 
 class TestEvaluate:
     def test_repeated_calls_agree(self):

@@ -6,12 +6,14 @@ import pathlib
 import shutil
 import subprocess
 import sys
+import threading
 import types
 
 import starsketch
 import numpy as np
 
 from starsketch import cli, sketch, starmetric
+from starsketch.generators import DistributionFamily, sample_stream, write_stream
 from starsketch.divergence import get_divergence
 from starsketch.hashing import new_family
 from starsketch.starmetric import exact_star_metric, sketch_star_metric, stirling
@@ -29,12 +31,17 @@ def test_all_lists_exactly_the_public_names():
         assert hasattr(starsketch, name), name
 
 
-def test_benchmark_tracer_finds_every_name_it_wraps(tmp_path, capsys):
-    # The benchmark's tracer replaces program functions by module attribute
-    # and raises KeyError on entry when one of them no longer exists.
+def _load_tracer():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_benchmark_tracer_finds_every_name_it_wraps(tmp_path, capsys):
+    # The benchmark's tracer replaces program functions by module attribute
+    # and raises KeyError on entry when one of them no longer exists.
+    tracer = _load_tracer()
     original = sketch.evaluate_batch
     log = tmp_path / "access_log"
     log.write_text('h "GET /a HTTP/1.0" 200\nh "GET /b HTTP/1.0" 200\nh "GET /a HTTP/1.0" 200\n'
@@ -100,3 +107,34 @@ def test_benchmark_setup_code_runs(tmp_path):
         proc = subprocess.run([sys.executable, "-c", f"import starsketch.cli\n{code}\n"],
                               cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, (code, proc.stderr)
+
+
+def test_traced_calls_stay_in_the_calling_thread(tmp_path, capsys):
+    # The benchmark's tracer keeps one stack of open spans and is not
+    # thread-safe, so run_plan's draw worker must call nothing it wraps.
+    tracer = _load_tracer()
+
+    class ThreadRecorder(tracer.Tracer):
+        def __init__(self) -> None:
+            super().__init__()
+            self.threads: list[tuple[str, int]] = []
+
+        def call(self, name, fn, args=(), kwargs=None, hot=False):
+            self.threads.append((name, threading.get_ident()))
+            return super().call(name, fn, args, kwargs, hot)
+
+    write_stream(str(tmp_path / "one.stream"),
+                 sample_stream(DistributionFamily.uniform(50), 400, 1), 50, "u")
+    plan = tmp_path / "tiny.plan"
+    plan.write_text("pair = uniform | zipf(alpha=1)\npair = file:one.stream | uniform\n"
+                    "pair = uniform | file:one.stream\ndivergences = js, kl\nk = 4, 8\nt = 2\n"
+                    "trials = 2\nm = 500\nn = 50\nseed = 3\n")
+    traced = ThreadRecorder()
+    with tracer.patched(traced):
+        assert cli.main(["experiment", "run", "--plan", str(plan),
+                         "--out-dir", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    names = {name for name, _ in traced.threads}
+    assert {"harness.run_plan", "starmetric.reference", "sketch.build",
+            "starmetric.query", "divergence.batch"} <= names
+    assert {ident for _, ident in traced.threads} == {threading.main_thread().ident}

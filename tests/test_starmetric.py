@@ -1,12 +1,22 @@
 import math
+import pathlib
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from starsketch import starmetric
-from starsketch.divergence import DivergenceSpec, from_bregman_generator, get_divergence, smoothed
-from starsketch.generators import DistributionFamily, sample_stream
+from starsketch.divergence import (
+    DivergenceSpec,
+    available,
+    from_bregman_generator,
+    get_divergence,
+    smoothed,
+)
+from starsketch.generators import DistributionFamily, sample_histogram, sample_stream
+from starsketch.harness import load_plan
 from starsketch.hashing import evaluate_batch, new_family
 from starsketch.histogram import from_stream, normalize
 from starsketch.sketch import FamilyMismatchError, sketch_stream
@@ -410,6 +420,51 @@ class TestSketchStarMetric:
                 ref = reference_distance(spec, h1, h2, range(1, n + 1))
                 assert est <= exact + 1e-12
                 assert exact <= ref + 1e-12
+
+
+# The specs registered on import, before any test registers its own, and the
+# stream pairs of the shipped plans, all over n = 4000.
+REGISTERED_SPECS = [get_divergence(name) for name in available()]
+SHIPPED_PAIRS = sorted(
+    {pair for path in sorted((pathlib.Path(__file__).parents[1] / "plans").glob("*.plan"))
+     for pair in load_plan(str(path)).pairs},
+    key=lambda pair: (pair[0].label(), pair[1].label()))
+SHIPPED_N = 4000
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_sketch_estimate_keeps_its_spec_claims_at_shipped_sizes(data):
+    # For one hash family the estimate is max_i phi(a_i/|A|, b_i/|B|), so
+    # non-negativity, d(A, A) = 0 and each property the spec claims hold row
+    # by row: symmetry, the triangle inequality (max of sums <= sum of maxes),
+    # and joint convexity through merge, whose rows are lam*a/|A| +
+    # (1 - lam)*a'/|A'| with lam = |A|/(|A| + |A'|) when |B| = |A|, |B'| = |A'|.
+    (a_src, b_src), (a2_src, b2_src) = (data.draw(st.sampled_from(SHIPPED_PAIRS)) for _ in range(2))
+    c_src = data.draw(st.sampled_from([src for pair in SHIPPED_PAIRS for src in pair]))
+    k, t = data.draw(st.integers(1, 256)), data.draw(st.integers(1, 8))
+    m_a, m_b, m_c, m_2 = (data.draw(st.integers(1_000, 50_000)) for _ in range(4))
+    seed = data.draw(st.integers(0, 2 ** 32))
+    family = new_family(t, k, SHIPPED_N + 1, seed)
+    streams = [(a_src, m_a), (b_src, m_b), (c_src, m_c), (b_src, m_a), (a2_src, m_2), (b2_src, m_2)]
+    A, B, C, B_a, A2, B2 = (
+        sketch_stream(family, h.ids, h.counts)
+        for h in (sample_histogram(src, m, seed + i) for i, (src, m) in enumerate(streams)))
+    lam = m_a / (m_a + m_2)
+    for spec in REGISTERED_SPECS:
+        d = lambda x, y: sketch_star_metric(spec, x, y).value
+        where = f"{spec.name} k={k} t={t} seed={seed}"
+        ab = d(A, B)
+        assert ab >= -1e-12, where
+        assert abs(d(A, A)) <= 1e-9, where
+        if spec.symmetric:
+            ba = d(B, A)
+            assert ab == ba or abs(ab - ba) <= 1e-12, (where, ab, ba)
+        if spec.triangle:
+            assert ab <= d(A, C) + d(C, B) + 1e-12, where
+        if spec.f_div:
+            merged = d(A.merge(A2), B_a.merge(B2))
+            assert merged <= lam * d(A, B_a) + (1 - lam) * d(A2, B2) + 1e-12, (where, merged)
 
 
 class TestReferenceDistance:
