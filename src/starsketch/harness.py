@@ -14,9 +14,8 @@ trial, and the references and every (k, t) sketch are computed from it: a
 synthetic stream is drawn as a histogram from the kept cdf, and a build
 hashes distinct ids, not items.  Each trial draws side 1 in one worker
 thread kept for the run while the calling thread draws side 0, into two
-m-length buffers reused by every trial.  Wall-clock
-timings go to a separate file to keep the result and summary files
-byte-reproducible.
+m-length buffers reused by every trial.  Wall-clock timings go to a
+separate file to keep the result and summary files byte-reproducible.
 
 Trials are independent: a scheduler may run them in parallel as long as the
 final rows are ordered by (pair, divergence, k, t, trial), which is the order

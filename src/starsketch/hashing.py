@@ -185,9 +185,10 @@ def new_family(t: int, k: int, universe_bound: int, seed: int) -> HashFamily:
         raise ValueError(f"t must be an integer, got {t!r}")
     if not is_integer(seed):
         raise ValueError(f"seed must be an integer, got {seed!r}")
+    seed = int(seed)  # random.Random takes a numpy integer only as an int
     p = select_prime(universe_bound)
-    master = random.Random(int(seed))
+    master = random.Random(seed)
     rngs = [random.Random(master.getrandbits(64)) for _ in range(t)]
     a = tuple(rng.randrange(1, p) for rng in rngs)
     b = tuple(rng.randrange(0, p) for rng in rngs)
-    return HashFamily(a, b, p, k, int(seed))
+    return HashFamily(a, b, p, k, seed)

@@ -13,8 +13,8 @@ import starsketch
 import numpy as np
 
 from starsketch import cli, sketch, starmetric
-from starsketch.generators import DistributionFamily, sample_stream, write_stream
 from starsketch.divergence import get_divergence
+from starsketch.generators import DistributionFamily, sample_stream, write_stream
 from starsketch.hashing import new_family
 from starsketch.starmetric import exact_star_metric, sketch_star_metric, stirling
 

@@ -429,7 +429,6 @@ SHIPPED_PAIRS = sorted(
     {pair for path in sorted((pathlib.Path(__file__).parents[1] / "plans").glob("*.plan"))
      for pair in load_plan(str(path)).pairs},
     key=lambda pair: (pair[0].label(), pair[1].label()))
-SHIPPED_N = 4000
 
 
 @given(st.data())
@@ -445,7 +444,7 @@ def test_sketch_estimate_keeps_its_spec_claims_at_shipped_sizes(data):
     k, t = data.draw(st.integers(1, 256)), data.draw(st.integers(1, 8))
     m_a, m_b, m_c, m_2 = (data.draw(st.integers(1_000, 50_000)) for _ in range(4))
     seed = data.draw(st.integers(0, 2 ** 32))
-    family = new_family(t, k, SHIPPED_N + 1, seed)
+    family = new_family(t, k, a_src.n + 1, seed)
     streams = [(a_src, m_a), (b_src, m_b), (c_src, m_c), (b_src, m_a), (a2_src, m_2), (b2_src, m_2)]
     A, B, C, B_a, A2, B2 = (
         sketch_stream(family, h.ids, h.counts)
