@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 
 from . import __version__
@@ -82,7 +83,7 @@ def _cmd_experiment_run(args) -> int:
     with open(args.plan) as fh:
         plan_text = fh.read()
     rows = run_plan_to_dir(plan, args.out_dir, plan_text)
-    print(f"wrote {len(rows)} rows to {args.out_dir}/results.csv")
+    print(f"wrote {len(rows)} rows to {os.path.join(args.out_dir, 'results.csv')}")
     return 0
 
 

@@ -11,11 +11,13 @@ no trial changes, is computed once per ``run_plan`` call, before the first
 trial, and kept only for that call: a family's cdf or a file's histogram.
 Each stream is reduced to its histogram (distinct ids and counts) once per
 trial, and the references and every (k, t) sketch are computed from it: a
-synthetic stream is drawn as a histogram from the kept cdf, and a build
-hashes distinct ids, not items.  Each trial draws side 1 in one worker
-thread kept for the run while the calling thread draws side 0, into two
-m-length buffers reused by every trial.  Wall-clock timings go to a
-separate file to keep the result and summary files byte-reproducible.
+synthetic stream is drawn as a histogram from the kept cdf, a build hashes
+distinct ids, not items, and one ``reference_distance`` call normalizes the
+trial's two histograms once for every divergence's reference.  Each trial
+draws side 1 in one worker thread kept for the run while the calling thread
+draws side 0, into two m-length buffers reused by every trial.  Wall-clock
+timings go to a separate file to keep the result and summary files
+byte-reproducible.
 
 Trials are independent: a scheduler may run them in parallel as long as the
 final rows are ordered by (pair, divergence, k, t, trial), which is the order
@@ -31,7 +33,6 @@ import numbers
 import os
 import statistics
 import time
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import astuple, dataclass, field, fields
 
@@ -253,6 +254,10 @@ def run_plan(plan: ExperimentPlan) -> list[ResultRow]:
     raised here; a ``file:`` side is its fixed histogram.  The draws fill two
     ``plan.m``-length float64 buffers, 16 * m bytes, allocated once per call.
     """
+    # Imported here, its one use: concurrent.futures imports logging, which
+    # every other starsketch process would then pay for at start-up.
+    from concurrent.futures import ThreadPoolExecutor
+
     specs = {name: smoothed(get_divergence(name), plan.alpha) for name in plan.divergences}
     # Each distinct source's fixed part, computed once per call before any trial:
     # a family's cdf to draw from, or a file's histogram as it is.
@@ -285,10 +290,7 @@ def run_plan(plan: ExperimentPlan) -> list[ResultRow]:
                 drawing = worker.submit(draw, src2, 1, seeds[1])
                 hist1 = draw(src1, 0, seeds[0])
                 hist2 = drawing.result()
-                refs = {
-                    name: reference_distance(spec, hist1, hist2, universe)
-                    for name, spec in specs.items()
-                }
+                refs = dict(zip(specs, reference_distance(specs.values(), hist1, hist2, universe)))
                 for k, t in itertools.product(plan.k_values, plan.t_values):
                     family_seed = derive_seed(plan.master_seed, "family", pair_index, k, t, trial)
                     family = new_family(t, k, bound, family_seed)

@@ -165,13 +165,14 @@ class HashFamily:
         lines = text.strip().splitlines()
         if not lines:
             raise ValueError("empty family header")
-        t, k, p, seed = (int(v) for v in lines[0].split())
+        t, k, p, seed = map(int, lines[0].split())
         if len(lines) != t + 1:
             raise ValueError(f"family header announces {t} functions, found {len(lines) - 1}")
-        pairs = [tuple(int(v) for v in line.split()) for line in lines[1:]]
-        if any(len(pair) != 2 for pair in pairs):
+        fields = [line.split() for line in lines[1:]]
+        if any(len(f) != 2 for f in fields):
             raise ValueError("each family header function line must hold two integers: a b")
-        return cls(tuple(a for a, _ in pairs), tuple(b for _, b in pairs), p, k, seed)
+        a, b = zip(*fields) if fields else ((), ())
+        return cls(tuple(map(int, a)), tuple(map(int, b)), p, k, seed)
 
 
 def new_family(t: int, k: int, universe_bound: int, seed: int) -> HashFamily:

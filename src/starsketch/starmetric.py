@@ -28,7 +28,7 @@ import math
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -282,19 +282,22 @@ def sketch_star_metric(phi: DivergenceSpec, a: SketchMatrix, b: SketchMatrix) ->
 
 
 def reference_distance(
-    phi: DivergenceSpec,
+    phis: Iterable[DivergenceSpec],
     s1: EmpiricalDistribution,
     s2: EmpiricalDistribution,
     universe: np.ndarray | Sequence[int] | None = None,
-) -> float:
-    """phi on the full normalized histograms; the ground truth for a pair.
+) -> list[float]:
+    """Each phi on the full normalized histograms, in order; the ground truth for a pair.
 
-    The universe defaults to the union of both supports; synthetic
-    experiments pass the fixed universe 1..n instead.  An empty stream
-    raises, as :func:`normalize` does.
+    Both histograms are normalized once for all specs, so each value has the
+    bits of a call with that spec alone.  The vectors are read-only, so a
+    spec cannot change what the next one sees.  The universe defaults to the
+    union of both supports; synthetic experiments pass the fixed universe
+    1..n instead.  An empty stream raises, as :func:`normalize` does.
     """
     u = np.union1d(s1.ids, s2.ids) if universe is None else item_ids(universe)
-    return phi(normalize(s1, u), normalize(s2, u))
+    p, q = _read_only(normalize(s1, u)), _read_only(normalize(s2, u))
+    return [phi(p, q) for phi in phis]
 
 
 # --- preservation checks ------------------------------------------------------

@@ -200,7 +200,7 @@ def test_criterion_5_sandwich_and_row_consistency():
         for spec in specs:
             est = sketch_star_metric(spec, s1, s2).value
             exact = exact_star_metric(spec, p, q, k).value
-            ref = reference_distance(spec, h1, h2, universe)
+            (ref,) = reference_distance([spec], h1, h2, universe)
             assert est <= exact + 1e-12, (trial, spec.name)
             assert exact <= ref + 1e-12, (trial, spec.name)
     report(5, "sandwich + row consistency",
@@ -226,7 +226,7 @@ def test_criterion_6_same_distribution_near_zero():
         for i in range(10):
             a = sample_histogram(fam, m, 90_000 + fam_index * 100 + 2 * i)
             b = sample_histogram(fam, m, 90_001 + fam_index * 100 + 2 * i)
-            calib.append(reference_distance(spec, a, b, range(1, n + 1)))
+            calib.extend(reference_distance([spec], a, b, range(1, n + 1)))
         band = 3.0 * float(np.mean(calib))
         bands[fam.label()] = band
         assert band < 0.05, (fam.label(), band)
@@ -235,7 +235,7 @@ def test_criterion_6_same_distribution_near_zero():
             sa = 10_000 + fam_index * 1000 + 2 * trial
             ha = sample_histogram(fam, m, sa)
             hb = sample_histogram(fam, m, sa + 1)
-            ref = reference_distance(spec, ha, hb, range(1, n + 1))
+            (ref,) = reference_distance([spec], ha, hb, range(1, n + 1))
             family = new_family(t, k, n + 1, seed=sa)
             est = sketch_star_metric(spec, sketch_stream(family, ha.ids, ha.counts),
                                      sketch_stream(family, hb.ids, hb.counts))

@@ -412,6 +412,15 @@ def test_experiment_run_and_summarize(tmp_path, capsys):
     assert summary2.read_bytes() == (out_dir / "summary.csv").read_bytes()
 
 
+def test_experiment_run_prints_the_path_it_wrote(tmp_path, capsys):
+    plan = tmp_path / "plan.txt"
+    plan.write_text("pair = uniform | zipf(alpha=1)\nk = 4\nt = 1\nm = 100\nn = 20\n")
+    code, out = run_cli(capsys, "experiment", "run", "--plan", str(plan),
+                        "--out-dir", f"{tmp_path}/results/")
+    assert code == 0
+    assert out == f"wrote 1 rows to {tmp_path}/results/results.csv\n"
+
+
 def test_version(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from starsketch import generators, harness
+from starsketch import generators, harness, starmetric
 from starsketch.generators import DistributionFamily, sample_histogram, sample_stream, write_stream
 from starsketch.harness import (
     ExperimentPlan,
@@ -262,6 +262,18 @@ class TestFixedParts:
         assert len({r.ref for r in rows}) == 3  # the uniform side is drawn afresh per trial
         run_plan(plan)
         assert len(calls) == 2
+
+    def test_two_normalizes_per_trial(self, tmp_path, monkeypatch):
+        # Each trial normalizes its two histograms once for all its divergences.
+        write_stream(str(tmp_path / "one.stream"),
+                     sample_stream(DistributionFamily.uniform(64), 500, 1), 64, "u")
+        plan = parse_plan("pair = uniform | zipf(alpha=1)\npair = file:one.stream | uniform\n"
+                          "divergences = js, kl, tv\nk = 8\nt = 2\ntrials = 2\nm = 1000\n"
+                          "n = 64\n", base_dir=str(tmp_path))
+        calls = self._counting(monkeypatch, starmetric, "normalize")
+        rows = run_plan(plan)
+        assert len(calls) == 2 * len(plan.pairs) * plan.trials
+        assert len(rows) == len(plan.pairs) * 3 * plan.trials
 
     def test_one_source_on_both_sides(self, monkeypatch):
         # uniform is both sides of one pair and a side of another: one cdf serves

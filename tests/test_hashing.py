@@ -232,9 +232,14 @@ class TestHeaderSerialization:
             HashFamily.from_header("\n")
 
     def test_function_line_needs_two_integers(self):
-        for line in ("3", "3 5 7", "3 x"):
-            with pytest.raises(ValueError):
+        for line, message in (("3", "two integers"), ("3 5 7", "two integers"),
+                              ("3 x", "invalid literal")):
+            with pytest.raises(ValueError, match=message):
                 HashFamily.from_header(f"1 4 131 0\n{line}\n")
+
+    def test_header_without_functions_rejected(self):
+        with pytest.raises(ValueError, match="at least one function"):
+            HashFamily.from_header("0 4 131 0\n")
 
     def test_non_table_prime_rejected(self):
         # 2^40 + 15 is prime, but a*x overflows uint64 in evaluate_batch for

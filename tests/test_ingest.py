@@ -209,13 +209,14 @@ class TestIterRecords:
         assert rec.request_target == "/caf\xe9"
 
 
-# Pieces of random logs: quotes, each separator str.split knows, line ends,
-# latin-1 bytes and whole requests (drawn often, so requests repeat).
+# Pieces of random logs: quotes, a backslash and an escaped quote, each separator
+# str.split knows, line ends, latin-1 bytes and whole requests (drawn often, so
+# requests repeat).
 LOG_PIECES = st.sampled_from([
     '"', '"', " ", "\t", "\xa0", "\x1c", "\x1f", "\x85", "\x0b", "\x0c", "\r", "\n",
     "\r\n", "GET", "/a", "/b?q=1", "/caf\xe9", "\xff", "HTTP/1.0", "-", "[d]", "200",
     'h - - [d] "GET /a HTTP/1.0" 200 1\n', 'h - - [d] "GET /b HTTP/1.0" 200 1\n',
-    'h - - [d] "GET /a\xa0b HTTP/1.0" 200 1\r', 'h - - [d] "" 400 0\n',
+    'h - - [d] "GET /a\xa0b HTTP/1.0" 200 1\r', 'h - - [d] "" 400 0\n', "\\", '\\"',
 ])
 
 

@@ -417,7 +417,7 @@ class TestSketchStarMetric:
                 exact = exact_star_metric(
                     spec, normalize(h1, range(1, n + 1)), normalize(h2, range(1, n + 1)), k
                 ).value
-                ref = reference_distance(spec, h1, h2, range(1, n + 1))
+                (ref,) = reference_distance([spec], h1, h2, range(1, n + 1))
                 assert est <= exact + 1e-12
                 assert exact <= ref + 1e-12
 
@@ -470,26 +470,46 @@ class TestReferenceDistance:
     def test_same_stream_zero(self):
         h = from_stream([1, 2, 2, 3])
         for name in ("kl", "js", "hellinger"):
-            assert reference_distance(get_divergence(name), h, h) == 0.0
+            assert reference_distance([get_divergence(name)], h, h) == [0.0]
 
     def test_disjoint_js_saturates(self):
         a = from_stream([1, 1, 2])
         b = from_stream([3, 4])
-        assert reference_distance(get_divergence("js"), a, b) == 1.0
+        assert reference_distance([get_divergence("js")], a, b) == [1.0]
 
     def test_pinned_uniform_vs_zipf(self):
         # Regression pin: js between seeded uniform and zipf(1) streams at the
         # synthetic experiment scale.
         u = sample_stream(DistributionFamily.uniform(4000), 200_000, 101)
         z = sample_stream(DistributionFamily.zipf(4000, 1.0), 200_000, 202)
-        ref = reference_distance(
-            get_divergence("js"), from_stream(u), from_stream(z),
+        (ref,) = reference_distance(
+            [get_divergence("js")], from_stream(u), from_stream(z),
             range(1, 4001))
         assert ref == pytest.approx(0.42709140003237717, abs=1e-12)
 
     def test_empty_stream_rejected(self):
         with pytest.raises(ValueError):
-            reference_distance(get_divergence("js"), from_stream([]), from_stream([1]))
+            reference_distance([get_divergence("js")], from_stream([]), from_stream([1]))
+
+    @pytest.mark.parametrize("universe", [None, range(1, 6)])
+    def test_many_specs_equal_each_alone(self, universe):
+        # q misses item 1, so kl is +inf; the values keep the specs' order.
+        specs = [get_divergence(name) for name in ("kl", "js", "tv", "hellinger", "bhattacharyya")]
+        a, b = from_stream([1, 2, 2, 3, 5, 5, 5]), from_stream([2, 3, 3, 4, 5])
+        values = reference_distance(specs, a, b, universe)
+        assert values == [reference_distance([spec], a, b, universe)[0] for spec in specs]
+        assert values[0] == math.inf
+        assert all(math.isfinite(v) and v > 0 for v in values[1:])
+        assert reference_distance([], a, b, universe) == []
+
+    def test_specs_see_read_only_vectors(self):
+        def rewrite(P, Q):
+            P[:, 0] = 1.0
+            return np.zeros(P.shape[0])
+
+        spec = DivergenceSpec("rewrite", rewrite)
+        with pytest.raises(ValueError, match="read-only"):
+            reference_distance([spec, get_divergence("js")], from_stream([1, 2]), from_stream([2]))
 
 
 def violations(report):
