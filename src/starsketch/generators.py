@@ -104,7 +104,9 @@ def _number(x: float) -> str:
     return text[:-2] if text.endswith(".0") else text
 
 
-_lgamma = np.vectorize(math.lgamma, otypes=[np.float64])
+def _lgamma(x: np.ndarray) -> np.ndarray:
+    """``math.lgamma`` of each entry of a 1-D float64 array, with its exact bits."""
+    return np.fromiter(map(math.lgamma, x.tolist()), np.float64, x.size)
 
 
 def _xlogy(x: np.ndarray, y: float) -> np.ndarray:

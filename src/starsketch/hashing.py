@@ -8,7 +8,11 @@ the smallest prime at or above each power of two, topped by the Mersenne
 prime 2^61 - 1, which dominates every universe we target.  Keeping to those
 two regimes gives a branch-free vectorized evaluation: small-table primes fit
 products in 64 bits directly and the Mersenne top entry reduces by
-shift-and-fold.
+shift-and-fold.  The remaining remainders by P and by k are taken as
+x - (x // d) * d: numpy divides a uint64 array by a scalar with a
+multiply-by-reciprocal (Granlund & Montgomery, PLDI 1994) but has no such
+path for ``%``, so floor division is about three times faster at 4,000 ids
+and gives the same bits.
 
 Ids at or above P are pre-reduced mod P (a negligible universality loss at 61
 bits).  A family is a pure function of (seed, t, k, P) and is immutable, so it
@@ -104,17 +108,27 @@ def item_ids(items, what: str = "item ids") -> np.ndarray:
     raise ValueError(f"{what} must be integers, got dtype {ids.dtype}")
 
 
+def _mod(x: np.ndarray, d: np.uint64) -> np.ndarray:
+    # x % d for a uint64 array and a nonzero scalar, by floor division, which
+    # numpy runs as a multiply-by-reciprocal; its ``%`` divides element-wise.
+    return x - (x // d) * d
+
+
 def evaluate_batch(family: "HashFamily", xs: np.ndarray, i: int) -> np.ndarray:
-    """Row i of the family over an array of item ids; agrees with ``family.evaluate(i, x)``."""
+    """Row i of the family over an array of item ids; agrees with ``family.evaluate(i, x)``.
+
+    Every remainder, by P and by k, is taken by floor division (``_mod``),
+    which is faster than numpy's uint64 ``%`` by a scalar and exact.
+    """
     xs = item_ids(xs)
     a, b, k = family.a[i], family.b[i], np.uint64(family.k)
     if family.p == MERSENNE61:
         r = _mulmod_m61(a, _fold_m61(xs)) + np.uint64(b)
         r = np.where(r >= _M61, r - _M61, r)
-        return (r % k).astype(np.int64)
+        return _mod(r, k).astype(np.int64)
     p = np.uint64(family.p)
-    r = (np.uint64(a) * (xs % p) + np.uint64(b)) % p
-    return (r % k).astype(np.int64)
+    r = _mod(np.uint64(a) * _mod(xs, p) + np.uint64(b), p)
+    return _mod(r, k).astype(np.int64)
 
 
 @dataclass(frozen=True)

@@ -289,15 +289,18 @@ def reference_distance(
 ) -> list[float]:
     """Each phi on the full normalized histograms, in order; the ground truth for a pair.
 
-    Both histograms are normalized once for all specs, so each value has the
-    bits of a call with that spec alone.  The vectors are read-only, so a
-    spec cannot change what the next one sees.  The universe defaults to the
-    union of both supports; synthetic experiments pass the fixed universe
-    1..n instead.  An empty stream raises, as :func:`normalize` does.
+    Both histograms are normalized and validated once for all specs, and
+    each spec's row kernel takes the pair as one row, as its scalar form
+    would, so each value has the bits of a call with that spec alone.  The
+    vectors are read-only, so a spec cannot change what the next one sees.
+    The universe defaults to the union of both supports; synthetic
+    experiments pass the fixed universe 1..n instead.  An empty stream
+    raises, as :func:`normalize` does, and so does a universe that misses
+    part of a support, whose vector then sums below 1.
     """
     u = np.union1d(s1.ids, s2.ids) if universe is None else item_ids(universe)
-    p, q = _read_only(normalize(s1, u)), _read_only(normalize(s2, u))
-    return [phi(p, q) for phi in phis]
+    p, q = _pair(_read_only(normalize(s1, u)), _read_only(normalize(s2, u)))
+    return [float(phi.eval_rows(p[None], q[None])[0]) for phi in phis]
 
 
 # --- preservation checks ------------------------------------------------------

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from starsketch.generators import (
     DistributionFamily,
+    _lgamma,
     parse_family,
     pmf,
     read_stream,
@@ -150,6 +151,17 @@ class TestLogSpacePmf:
         big = expected > 1e-300
         assert np.all(np.abs(got[big] - expected[big]) <= 1e-10 * expected[big])
         assert np.all(got[~big] <= 1e-299)
+
+    def test_lgamma_is_math_lgamma(self):
+        # The log-gamma arguments of the pascal (x + r, x + 1), binomial and
+        # poisson (x + 1) pmfs at n = 4000 keep math.lgamma's exact bits.
+        n = 4000
+        x = np.arange(1, n + 1, dtype=np.float64)
+        args = (x + DistributionFamily.pascal(n, 3).r, x + 1.0, np.arange(0, n, dtype=np.float64) + 1.0)
+        for a in args:
+            got = _lgamma(a)
+            assert got.dtype == np.float64
+            assert got.tolist() == [math.lgamma(v) for v in a.tolist()]
 
     def test_binomial_edges_exact(self):
         # 0 * log 0 = 0: a certain outcome keeps all of the mass, exactly.

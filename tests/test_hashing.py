@@ -156,6 +156,22 @@ class TestBatchEvaluation:
             assert batch.tolist() == [fam.evaluate(i, x) for x in xs]
             assert batch[0] == batch[5] == 0
 
+    @pytest.mark.parametrize("bound, k", [(4000, 7), (4000, 64), (2 ** 31, 1000),
+                                          (2 ** 62, 7), (2 ** 62, 2 ** 20 + 3)])
+    def test_remainder_corners(self, bound, k):
+        # Every remainder, by P and by k, is taken by floor division.  Ids at
+        # 0, P - 1 and multiples of P, ids at and above 2^63, and ids whose
+        # a*x + b mod P lands on 0, on a multiple k*j of k or just below one
+        # put each remainder at its edges.
+        fam = new_family(4, k, bound, seed=17)
+        p = fam.p
+        top = (p - 1) // k * k
+        for i, (a, b) in enumerate(zip(fam.a, fam.b)):
+            xs = [0, p - 1, p, 2 * p, 2 ** 63, 2 ** 64 - 1]
+            xs += [(s - b) * pow(a, -1, p) % p for s in (0, k, k - 1, top, top - 1)]
+            batch = evaluate_batch(fam, np.array(xs, dtype=np.uint64), i)
+            assert batch.tolist() == [fam.evaluate(i, x) for x in xs]
+
     @pytest.mark.parametrize("bad", [[-1, 3], [2.5, 3], ["x", 3], np.array([-1, 3]),
                                      np.array([2.5, 3.0]), np.array(["x"])])
     def test_rejects_invalid_ids(self, bad):

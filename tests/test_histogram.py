@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from starsketch import starmetric
 from starsketch.divergence import get_divergence
+from starsketch.generators import DistributionFamily, sample_stream
 from starsketch.histogram import (
     EmpiricalDistribution,
     as_distribution,
@@ -129,6 +130,44 @@ class TestNormalize:
     def test_rejects_invalid_universe(self):
         with pytest.raises(ValueError):
             normalize(from_stream([1]), [-1, 1])
+
+    @pytest.mark.parametrize("stream", [
+        [1, 2, 2, 5, 5, 5],
+        [0, 2, 3, 3, 6, 7, 2 ** 63, 2 ** 64 - 1],  # ids outside 1..5 are dropped
+        [2, 4, 4],  # the first item is missing
+        [9, 9],  # no id inside 1..5
+    ])
+    @pytest.mark.parametrize("as_given", [
+        lambda n: np.arange(1, n + 1, dtype=np.uint64), lambda n: list(range(1, n + 1)),
+        lambda n: range(1, n + 1), lambda n: np.arange(1, n + 1)])
+    def test_dense_universe_matches_the_search(self, stream, as_given):
+        # The universe 1..n is scattered into; the same universe with one
+        # more id in front, then cut off, takes the search; both have equal bits.
+        d = from_stream(np.array(stream, dtype=np.uint64))
+        for n in (1, 5):
+            searched = normalize(d, [n + 1] + list(range(1, n + 1)))[1:]
+            assert normalize(d, as_given(n)).tobytes() == searched.tobytes()
+
+    def test_dense_universe_at_experiment_scale(self):
+        d = from_stream(sample_stream(DistributionFamily.zipf(4000, 1.0), 200_000, 7))
+        u = np.arange(1, 4001, dtype=np.uint64)
+        searched = normalize(d, np.concatenate([[4001], u]).astype(np.uint64))[1:]
+        assert normalize(d, u).tobytes() == searched.tobytes()
+        assert normalize(d, u[::-1]).tobytes() == searched[::-1].tobytes()
+
+    @pytest.mark.parametrize("universe, expected", [
+        ([3, 2, 1], [0.5, 0.25, 0.25]),  # 1..n reversed
+        ([1, 2, 4], [0.25, 0.25, 0.0]),  # 1..n with a gap
+        ([1, 3, 3], [0.25, 0.5, 0.5]),  # ends at n but repeats an id
+        ([2, 2, 3], [0.25, 0.25, 0.5]),
+    ])
+    def test_other_universes_take_the_search(self, universe, expected):
+        assert normalize(from_stream([1, 2, 3, 3]), universe).tolist() == expected
+
+    @pytest.mark.parametrize("universe", [range(1, 4), [1]])
+    def test_dense_universe_empty_stream_rejected(self, universe):
+        with pytest.raises(ValueError, match="cannot normalize an empty stream"):
+            normalize(from_stream([]), universe)
 
 
 class TestAsDistribution:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from starsketch import starmetric
+from starsketch import divergence, starmetric
 from starsketch.divergence import (
     DivergenceSpec,
     available,
@@ -501,6 +501,26 @@ class TestReferenceDistance:
         assert values[0] == math.inf
         assert all(math.isfinite(v) and v > 0 for v in values[1:])
         assert reference_distance([], a, b, universe) == []
+
+    @pytest.mark.parametrize("count", [1, 5])
+    def test_validates_each_vector_once(self, monkeypatch, count):
+        checked = []
+        check = divergence.as_distribution
+        monkeypatch.setattr(divergence, "as_distribution", lambda v: checked.append(v) or check(v))
+        specs = [get_divergence(name) for name in ("kl", "js", "tv", "hellinger", "bhattacharyya")]
+        a, b = from_stream([1, 2, 2, 3]), from_stream([2, 3, 3])
+        assert len(reference_distance(specs[:count], a, b, range(1, 4))) == count
+        assert len(checked) == 2
+
+    def test_universe_missing_support_rejected(self):
+        # Item 3 is outside the universe, so p sums to 0.75: the error of the
+        # scalar form on the same vectors.
+        a, b, u = from_stream([1, 2, 2, 3]), from_stream([1, 2]), range(1, 3)
+        js = get_divergence("js")
+        with pytest.raises(ValueError, match=r"sums to .*, not 1") as scalar:
+            js(normalize(a, u), normalize(b, u))
+        with pytest.raises(ValueError, match=re.escape(str(scalar.value))):
+            reference_distance([js, get_divergence("kl")], a, b, u)
 
     def test_specs_see_read_only_vectors(self):
         def rewrite(P, Q):
