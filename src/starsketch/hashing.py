@@ -109,8 +109,7 @@ def item_ids(items, what: str = "item ids") -> np.ndarray:
 
 
 def _mod(x: np.ndarray, d: np.uint64) -> np.ndarray:
-    # x % d for a uint64 array and a nonzero scalar, by floor division, which
-    # numpy runs as a multiply-by-reciprocal; its ``%`` divides element-wise.
+    # x % d for a uint64 array and a nonzero uint64 scalar d (module docstring).
     return x - (x // d) * d
 
 

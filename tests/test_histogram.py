@@ -164,10 +164,9 @@ class TestNormalize:
     def test_other_universes_take_the_search(self, universe, expected):
         assert normalize(from_stream([1, 2, 3, 3]), universe).tolist() == expected
 
-    @pytest.mark.parametrize("universe", [range(1, 4), [1]])
-    def test_dense_universe_empty_stream_rejected(self, universe):
+    def test_dense_universe_empty_stream_rejected(self):
         with pytest.raises(ValueError, match="cannot normalize an empty stream"):
-            normalize(from_stream([]), universe)
+            normalize(from_stream([]), range(1, 4))
 
 
 class TestAsDistribution:
