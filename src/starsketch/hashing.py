@@ -178,7 +178,10 @@ class HashFamily:
         lines = text.strip().splitlines()
         if not lines:
             raise ValueError("empty family header")
-        t, k, p, seed = map(int, lines[0].split())
+        head = lines[0].split()
+        if len(head) != 4:
+            raise ValueError("family header's first line must hold four integers: t k P seed")
+        t, k, p, seed = map(int, head)
         if len(lines) != t + 1:
             raise ValueError(f"family header announces {t} functions, found {len(lines) - 1}")
         fields = [line.split() for line in lines[1:]]

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from starsketch.divergence import get_divergence
-from starsketch.generators import DistributionFamily, sample_stream
+from starsketch.generators import DistributionFamily, _pack_file, sample_stream
 from starsketch.hashing import item_ids, new_family
 from starsketch.sketch import (
     MAX_TOTAL,
@@ -297,6 +297,17 @@ class TestSerialization:
         blob[-1] ^= 0xFF
         path.write_bytes(bytes(blob))
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: corrupt sketch file"):
+            load_sketch(str(path))
+
+    @pytest.mark.parametrize("first", ["4 16 1009", "4 16 1009 1 7"])
+    def test_family_header_needs_four_integers(self, tmp_path, family, first):
+        s = sketch_stream(family, [1, 2, 3])
+        header = "\n".join([first] + s.family.header().splitlines()[1:]) + "\n"
+        path = tmp_path / "h.sketch"
+        path.write_bytes(b"".join(_pack_file(b"SKMX", header,
+                                             struct.pack("<IIQ", s.t, s.k, s.total), s.counts)))
+        message = "family header's first line must hold four integers: t k P seed"
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
             load_sketch(str(path))
 
     def test_rejects_row_sum_that_wraps(self, family):

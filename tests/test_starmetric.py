@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import pathlib
 import re
@@ -62,6 +63,17 @@ def streamed_star_metric(phi, p, q, k):
         if float(vals[i]) > best:
             best, best_row = float(vals[i]), block[i].copy()
     return best, best_row
+
+
+def tied_pair(n):
+    """Dyadic p and q over n >= 9 items, zero on items 9..n-1, whose tv is
+    exact on every partition: it is 0.5 wherever no cell mixes items with
+    p > q and p < q, and items 1 and 2 differ in sign, so the first such
+    partition follows the S(n - 1, k) that put them in one cell."""
+    p, q = np.zeros(n), np.zeros(n)
+    p[:8], q[:8] = [5, 1] * 4, [1, 5] * 4
+    p[-1] = q[-1] = 8
+    return p / 32, q / 32
 
 
 def counted_enumerations(monkeypatch):
@@ -219,7 +231,7 @@ class TestExactStarMetric:
         assert r.evaluated_partitions == sum(yielded) < stirling(10, 4)
 
     @pytest.mark.parametrize("n, k", [(n, k) for n in range(3, 10) for k in range(2, n)]
-                             + [(11, 3), (10, 8), (10, 9), (11, 8), (12, 10)])
+                             + [(11, 3), (12, 3), (10, 8), (10, 9), (11, 8), (12, 10)])
     def test_bit_identical_to_streamed_oracle(self, n, k, fresh_tables):
         rng = np.random.default_rng(100 * n + k)
         for p, q in oracle_inputs(rng, n):
@@ -236,6 +248,36 @@ class TestExactStarMetric:
                     # The argmax is the caller's own array, not a view of the table.
                     assert r.argmax.flags.writeable
                     r.argmax[:] = 0
+
+    @pytest.mark.parametrize("n, k", [(9, 4), (10, 5), (11, 8)])
+    def test_bit_identical_in_blocks_of_any_size(self, n, k, monkeypatch, fresh_tables):
+        # A trie kept at the default block size is evaluated in blocks of the
+        # size set at call time: one row, seven, and all rows but one.
+        rng = np.random.default_rng(10 * n + k)
+        zp, zq = random_pair(rng, n)
+        zp[0] = zq[n - 1] = 0.0  # kl is +inf where item n has a cell alone
+        cases = [("kl", zp / zp.sum(), zq / zq.sum()), ("tv", *tied_pair(n))]
+        expected = []
+        for name, p, q in cases:
+            value, row = streamed_star_metric(get_divergence(name), p, q, k)
+            expected.append((value, StarMetricResult(value, row, 0).argmax_label()))
+        assert expected[0][0] == math.inf and expected[1][0] == 0.5
+        # The tie's first maximizer sits past the first block of 1 and of 7.
+        assert row[1] != row[0] and stirling(n - 1, k) > 7
+        exact_star_metric(get_divergence("js"), *cases[0][1:], k)
+        assert isinstance(starmetric._tables[n, k], starmetric._PrefixTrie)
+        total = stirling(n, k)
+        for rows in (1, 7, total - 1):
+            monkeypatch.setattr(starmetric, "_BLOCK_ROWS", rows)
+            for (name, p, q), (value, label) in zip(cases, expected):
+                sizes = []
+                spec = get_divergence(name)
+                counted = dataclasses.replace(spec, eval=None, eval_rows=lambda P, Q, f=spec.eval_rows:
+                                              sizes.append(P.shape[0]) or f(P, Q))
+                r = exact_star_metric(counted, p, q, k)
+                assert r.value == value and r.argmax_label() == label, (name, rows)
+                assert r.evaluated_partitions == total
+                assert sizes == [rows] * (total // rows) + [total % rows] * (total % rows > 0)
 
     def test_tables_above_the_bound_stream(self, monkeypatch, fresh_tables):
         # With the bound at 0 every enumeration streams and no table is kept.
@@ -255,22 +297,38 @@ class TestExactStarMetric:
         js = get_divergence("js")
         rng = np.random.default_rng(13)
         pairs = {n: random_pair(rng, n) for n in range(8, 13)}
-        # The benchmark's five (n, k) take 1,157,469 bytes: all stay kept.
+        # The benchmark's five (n, k) have tables of 1,157,469 bytes: all stay
+        # kept.
         five = [(10, 4), (11, 3), (10, 5), (8, 3), (9, 4)]
         for _ in range(2):
             for n, k in five:
                 exact_star_metric(js, *pairs[n], k)
         assert enumerated == five
         assert list(starmetric._tables) == five
-        # (12, 3) takes 1,038,312 bytes, so the least recently used (10, 4)
+        # (12, 3) has a table of 1,038,312 bytes, so the least recently used (10, 4)
         # goes; then (11, 3) is used again and (10, 4) comes back in place of
         # (10, 5), now the least recently used.
         for n, k in [(12, 3), (11, 3), (10, 4)]:
             exact_star_metric(js, *pairs[n], k)
         assert enumerated == five + [(12, 3), (10, 4)]
         assert list(starmetric._tables) == [(8, 3), (9, 4), (12, 3), (11, 3), (10, 4)]
+        # Their tables take 1,770,531 bytes; kept as the (8, 3) table and
+        # four tries, they take 1,178,538.
         kept = sum(t.nbytes for t in starmetric._tables.values())
-        assert kept == 1_770_531 <= 2 * starmetric._TABLE_BYTES
+        assert kept == 1_178_538 < 1_770_531 <= 2 * starmetric._TABLE_BYTES
+
+    def test_kept_tries_are_smaller_than_their_tables(self, fresh_tables):
+        # (8, 3) is one block and keeps its table; the other four keep tries.
+        js = get_divergence("js")
+        rng = np.random.default_rng(15)
+        for n, k in [(10, 4), (11, 3), (10, 5), (8, 3), (9, 4)]:
+            exact_star_metric(js, *random_pair(rng, n), k)
+            kept = starmetric._tables[n, k]
+            if (n, k) == (8, 3):
+                assert isinstance(kept, np.ndarray) and kept.nbytes == stirling(n, k) * n
+            else:
+                assert isinstance(kept, starmetric._PrefixTrie)
+                assert kept.nbytes < stirling(n, k) * n, (n, k, kept.nbytes)
 
     def test_table_above_the_bound_is_never_kept(self, monkeypatch, fresh_tables):
         enumerated = counted_enumerations(monkeypatch)
