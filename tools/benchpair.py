@@ -69,7 +69,7 @@ def run_once(root: str, workload: str, seed: int, seconds: float, trace: int) ->
 
 
 def quartiles(values: list[float]) -> dict:
-    """Median, inclusive quartiles and count, rounded to 4 significant decimals."""
+    """Median, inclusive quartiles and count, rounded to 4 decimal places."""
     out = {"median": round(statistics.median(values), 4), "n": len(values)}
     if len(values) > 1:
         q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
@@ -97,7 +97,7 @@ def summarize(rows: list[dict], claim: tuple[str, str] | None = None) -> dict:
             sign = 1.0 if better == "lower" else -1.0
             rounds = sorted(set(by_side["parent"]) & set(by_side["change"]))
             wins = sum(sign * (by_side["parent"][i] - by_side["change"][i]) > 0 for i in rounds)
-            m = {side: stats[side] for side in stats}
+            m = dict(stats)
             m["change_wins"] = f"{wins}/{len(rounds)}"
             parent_median = statistics.median(by_side["parent"].values())
             gain = sign * (parent_median - statistics.median(by_side["change"].values()))
