@@ -262,7 +262,9 @@ class TestExactStarMetric:
             value, row = streamed_star_metric(get_divergence(name), p, q, k)
             expected.append((value, StarMetricResult(value, row, 0).argmax_label()))
         assert expected[0][0] == math.inf and expected[1][0] == 0.5
-        # The tie's first maximizer sits past the first block of 1 and of 7.
+        # The tie's first maximizer (the last row above) puts items 1 and 2
+        # apart, so it follows the S(n - 1, k) > 7 rows that put them
+        # together: past the first block of 1 and of 7.
         assert row[1] != row[0] and stirling(n - 1, k) > 7
         exact_star_metric(get_divergence("js"), *cases[0][1:], k)
         assert isinstance(starmetric._tables[n, k], starmetric._PrefixTrie)
