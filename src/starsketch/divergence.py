@@ -5,7 +5,11 @@ first-class results, never exceptions: KL of p against a q that lacks part of
 p's support is +inf, exactly as the defining sum says.  Empty-against-empty
 cells contribute nothing (the 0*f(0/0) = 0 convention), which is what makes
 the kernels directly applicable to partition-aggregated vectors and raw
-sketch rows containing zeros.
+sketch rows containing zeros.  A ``-0.0`` entry, which validation accepts,
+is a zero like ``+0.0`` everywhere: kl reads p / |q| so that a signed zero
+under p > 0 still gives +inf.  The registered kernels work in place in their
+own temporaries, with no masks, and never write to their inputs, which may be
+read-only or views of a shared block.
 
 Every divergence is one row kernel over stacks of distributions, wrapped in
 a :class:`DivergenceSpec` whose keyword fields ``symmetric``, ``triangle``
@@ -54,38 +58,61 @@ def _pair(p, q) -> tuple[np.ndarray, np.ndarray]:
 # --- row kernels (rows are distributions; no per-row validation) -----------
 
 def _kl_rows(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    # sum p_i log2(p_i / q_i); 0 log(0/q) = 0, +inf where q misses p's support.
-    pos = P > 0.0
+    # sum p_i log2(p_i / q_i); a cell with p = 0 or -0.0 adds +0.0, and q = 0
+    # or -0.0 under p > 0 gives p / |q| = +inf, so the row sums to +inf.
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(pos, P, 1.0) / np.where(Q > 0.0, Q, 1.0)
-        terms = np.where(pos, P * np.log2(ratio), 0.0)
-    out = terms.sum(axis=1)
-    out[(pos & (Q <= 0.0)).any(axis=1)] = np.inf
-    return out
+        terms = P / Q
+        np.abs(terms, out=terms)
+        np.log2(terms, out=terms)
+        terms *= P
+    np.copyto(terms, 0.0, where=P == 0.0)
+    return terms.sum(axis=1)
 
 
 def _js_rows(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    # Always finite, in [0, 1].
-    mix = 0.5 * (P + Q)
-    vals = 0.5 * _kl_rows(P, mix) + 0.5 * _kl_rows(Q, mix)
-    return np.clip(vals, 0.0, 1.0)
+    # Always finite, in [0, 1]; zeros and -0.0 as in kl against the mixture.
+    mix = P + Q
+    mix *= 0.5
+    vals = _kl_rows(P, mix)
+    vals *= 0.5
+    half = _kl_rows(Q, mix)
+    half *= 0.5
+    vals += half
+    return np.clip(vals, 0.0, 1.0, out=vals)
 
 
 def _bhattacharyya_rows(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    # -log2 of the coefficient sum sqrt(p_i q_i); +inf on disjoint supports.
+    # -log2 of the coefficient sum sqrt(p_i q_i); +inf on disjoint supports,
+    # where the sum is 0.0 or -0.0.
+    terms = P * Q
+    np.sqrt(terms, out=terms)
+    out = terms.sum(axis=1)
+    np.minimum(out, 1.0, out=out)
     with np.errstate(divide="ignore"):
-        return -np.log2(np.minimum(np.sqrt(P * Q).sum(axis=1), 1.0))
+        np.log2(out, out=out)
+    return np.negative(out, out=out)
 
 
 def _hellinger_rows(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     # 1 - BC rewritten termwise as 0.5 * sum (sqrt p - sqrt q)^2: identical
-    # inputs cancel exactly instead of leaving a sqrt of rounding noise.
-    hsq = 0.5 * ((np.sqrt(P) - np.sqrt(Q)) ** 2).sum(axis=1)
-    return np.minimum(np.sqrt(hsq), 1.0)
+    # inputs cancel exactly instead of leaving a sqrt of rounding noise, and
+    # a -0.0 cell squares to +0.0.
+    terms = np.sqrt(P)
+    terms -= np.sqrt(Q)
+    np.square(terms, out=terms)
+    out = terms.sum(axis=1)
+    out *= 0.5
+    np.sqrt(out, out=out)
+    return np.minimum(out, 1.0, out=out)
 
 
 def _tv_rows(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    return np.minimum(0.5 * np.abs(P - Q).sum(axis=1), 1.0)
+    # Half the L1 distance; a -0.0 cell counts as 0.
+    terms = P - Q
+    np.abs(terms, out=terms)
+    out = terms.sum(axis=1)
+    out *= 0.5
+    return np.minimum(out, 1.0, out=out)
 
 
 def _one_row(rows: Callable[[np.ndarray, np.ndarray], np.ndarray], p, q) -> float:

@@ -10,6 +10,7 @@ plain float64 numpy arrays over an explicitly ordered universe.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -112,16 +113,18 @@ def normalize(dist: EmpiricalDistribution, universe: np.ndarray | Sequence[int])
 def as_distribution(weights: Sequence[float] | np.ndarray) -> np.ndarray:
     """Validate and return ``weights`` as a probability vector.
 
-    Entries must be finite, nonnegative, and sum to 1 within
-    ``NORMALIZATION_TOL``.
+    Entries must be finite, nonnegative (``-0.0`` is a zero), and sum to 1
+    within ``NORMALIZATION_TOL``.
     """
     v = np.asarray(weights, dtype=np.float64)
     if v.ndim != 1 or v.size == 0:
         raise ValueError("probability vector must be a nonempty 1-D sequence")
-    if not np.all(np.isfinite(v)) or np.any(v < 0.0):
+    # min() and max() carry a NaN through, and the comparison is then false.
+    if not v.min() >= 0.0 or not math.isfinite(v.max()):
         raise ValueError("probability vector entries must be finite and nonnegative")
-    if abs(float(v.sum()) - 1.0) > NORMALIZATION_TOL:
-        raise ValueError(f"probability vector sums to {v.sum()!r}, not 1")
+    total = v.sum()
+    if abs(float(total) - 1.0) > NORMALIZATION_TOL:
+        raise ValueError(f"probability vector sums to {total!r}, not 1")
     return v
 
 

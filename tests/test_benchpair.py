@@ -80,3 +80,26 @@ def test_rotation_starts_each_round_one_side_later():
         ("parent", "change", "twin-p"), ("change", "twin-p", "parent"),
         ("twin-p", "parent", "change"), ("parent", "change", "twin-p")]
     assert len({len(side) for side in benchpair.SIDES}) == 1
+
+
+WORKLOADS = ["plan-allpairs", "trace-fleet", "oracle-gate"]
+
+
+@pytest.mark.parametrize("spec, lengths", [
+    ("8", {"plan-allpairs": 8.0, "trace-fleet": 8.0, "oracle-gate": 8.0}),
+    ("oracle-gate=30,plan-allpairs=15,trace-fleet=15",
+     {"plan-allpairs": 15.0, "trace-fleet": 15.0, "oracle-gate": 30.0}),
+    ("oracle-gate=30,12.5", {"plan-allpairs": 12.5, "trace-fleet": 12.5, "oracle-gate": 30.0}),
+])
+def test_run_lengths_per_workload(spec, lengths):
+    assert benchpair.run_lengths(spec, WORKLOADS) == lengths
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("oracle-gate=30", "no run length for"),
+    ("oracle-gat=30,15", "not among"),
+    ("oracle-gate=x,15", "could not convert"),
+])
+def test_run_lengths_rejected(spec, message):
+    with pytest.raises(ValueError, match=message):
+        benchpair.run_lengths(spec, WORKLOADS)

@@ -99,6 +99,21 @@ class TestInfinities:
     def test_kl_allowed_zero(self):
         assert math.isfinite(get_divergence("kl")([1.0, 0.0], [0.5, 0.5]))
 
+    def test_kl_negative_zero_in_q_is_a_missing_cell(self):
+        # p / -0.0 is -inf, whose log2 would be NaN; the kernel reads it as +inf.
+        spec = get_divergence("kl")
+        p, q = np.array([0.5, 0.5]), np.array([1.0, -0.0])
+        assert spec(p, q) == math.inf
+        assert spec.eval_rows(p[None], q[None]).tolist() == [math.inf]
+
+    def test_kl_negative_zero_in_p_adds_nothing(self):
+        spec = get_divergence("kl")
+        q = np.array([0.25, 0.25, 0.5])
+        value = spec([0.5, -0.0, 0.5], q)
+        assert value == 0.5  # 0.5 log2 2 + 0.5 log2 1
+        assert np.float64(value).view(np.uint64) == np.float64(spec([0.5, 0.0, 0.5], q)).view(np.uint64)
+        assert spec.eval_rows(np.array([[0.5, -0.0, 0.5]]), q[None]).tolist() == [0.5]
+
     def test_bhattacharyya_disjoint(self):
         assert get_divergence("bhattacharyya")([1, 0], [0, 1]) == math.inf
 
@@ -429,3 +444,108 @@ def test_length_mismatch_rejected():
     for name in NAMES:
         with pytest.raises(ValueError):
             get_divergence(name)([0.5, 0.5], [0.2, 0.3, 0.5])
+
+
+# --- row kernels against the masked bodies they replaced ---------------------
+# Each registered kernel as it was written with masks and whole-array
+# temporaries; the in-place kernels must give every row the same bits.
+
+def _kl_masked(P, Q):
+    pos = P > 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(pos, P, 1.0) / np.where(Q > 0.0, Q, 1.0)
+        terms = np.where(pos, P * np.log2(ratio), 0.0)
+    out = terms.sum(axis=1)
+    out[(pos & (Q <= 0.0)).any(axis=1)] = np.inf
+    return out
+
+
+def _js_masked(P, Q):
+    mix = 0.5 * (P + Q)
+    vals = 0.5 * _kl_masked(P, mix) + 0.5 * _kl_masked(Q, mix)
+    return np.clip(vals, 0.0, 1.0)
+
+
+def _bhattacharyya_masked(P, Q):
+    with np.errstate(divide="ignore"):
+        return -np.log2(np.minimum(np.sqrt(P * Q).sum(axis=1), 1.0))
+
+
+def _hellinger_masked(P, Q):
+    hsq = 0.5 * ((np.sqrt(P) - np.sqrt(Q)) ** 2).sum(axis=1)
+    return np.minimum(np.sqrt(hsq), 1.0)
+
+
+def _tv_masked(P, Q):
+    return np.minimum(0.5 * np.abs(P - Q).sum(axis=1), 1.0)
+
+
+MASKED_KERNELS = {"kl": _kl_masked, "js": _js_masked, "bhattacharyya": _bhattacharyya_masked,
+                  "hellinger": _hellinger_masked, "tv": _tv_masked}
+
+
+def kernel_stacks(k, seed, rows=60):
+    """A (P, Q) pair of (rows, k) stacks: random distributions with zero
+    cells, then identical rows, all-zero rows, disjoint supports (some
+    summing to 1 + 2^-40, inside the normalization tolerance) and -0.0
+    entries, in both p and q."""
+    rng = np.random.default_rng([k, seed])
+
+    def normalized(a):
+        sums = a.sum(axis=1, keepdims=True)
+        return np.divide(a, sums, out=a, where=sums > 0.0)
+
+    def draw():
+        a = rng.random((rows, k)) ** rng.uniform(0.3, 4.0)
+        a[rng.random((rows, k)) < 0.3] = 0.0
+        return a
+
+    P, Q = draw(), draw()
+    Q[:8] = P[:8]
+    P[8:11] = 0.0
+    Q[11:14] = 0.0
+    in_p = rng.random((12, k)) < 0.5
+    P[14:26][~in_p] = 0.0
+    Q[14:26][in_p] = 0.0
+    P, Q = normalized(P), normalized(Q)
+    P[20:26] *= 1.0 + 2.0 ** -40
+    Q[20:26] *= 1.0 + 2.0 ** -40
+    Q[:4] = P[:4]
+    P[(P == 0.0) & (rng.random((rows, k)) < 0.5)] = -0.0
+    Q[(Q == 0.0) & (rng.random((rows, k)) < 0.5)] = -0.0
+    Q[rng.random((rows, k)) < 0.03] = -0.0
+    return P, Q
+
+
+def cell_major(P, Q):
+    """P and Q as the (rows, k) views of one cell-major buffer, the layout
+    that ``aggregate`` and the prefix trie yield below 8 cells."""
+    block = np.ascontiguousarray(np.stack((P, Q)).swapaxes(1, 2)).swapaxes(1, 2)
+    return block[0], block[1]
+
+
+class TestRowKernels:
+    @pytest.mark.parametrize("layout", ["row-major", "cell-major"])
+    @pytest.mark.parametrize("k", range(1, 21))
+    def test_same_bits_as_the_masked_kernels(self, k, layout):
+        for seed in range(4):
+            P, Q = kernel_stacks(k, seed)
+            if layout == "cell-major":
+                P, Q = cell_major(P, Q)
+                assert not P.flags.c_contiguous or k == 1
+            for name, masked in MASKED_KERNELS.items():
+                for A, B in ((P, Q), (Q, P)):
+                    got = get_divergence(name).eval_rows(A, B)
+                    want = masked(A, B)
+                    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist(), name
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_read_only_inputs_untouched(self, name):
+        P, Q = kernel_stacks(5, 0)
+        for A, B in ((P, Q), cell_major(P, Q)):
+            bits = A.view(np.uint64).copy(), B.view(np.uint64).copy()
+            A.flags.writeable = False
+            B.flags.writeable = False
+            get_divergence(name).eval_rows(A, B)
+            assert np.array_equal(A.view(np.uint64), bits[0])
+            assert np.array_equal(B.view(np.uint64), bits[1])

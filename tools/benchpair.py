@@ -3,7 +3,8 @@
 write a BENCH_<PR>.json.
 
     python3 tools/benchpair.py --parent HEAD~1 --change HEAD --seed 31 \\
-        --rounds 10 --workdir /tmp/benchpair --out BENCH_26.json \\
+        --rounds 10 --seconds oracle-gate=30,plan-allpairs=15,trace-fleet=15 \\
+        --workdir /tmp/benchpair --out BENCH_27.json \\
         --claim oracle-gate:wall_s --note "what the change does"
 
 Run from the repository root.  Each revision is exported with
@@ -14,9 +15,11 @@ second export of the parent: the gap between the parent's and the twin's
 medians is the noise floor of one commit against itself.
 
 For each workload the tool runs ``perfbench/run.py`` once per side per
-round, rotating which side runs first (parent, change, twin; then change,
-twin, parent; ...), one process at a time, and then ``--traced`` rounds with
-``--trace 1``.  Every result line is kept under ``runs``.  The summary gives
+round for that workload's run length, rotating which side runs first
+(parent, change, twin; then change, twin, parent; ...), one process at a
+time, and then ``--traced`` rounds with ``--trace 1``.  ``--seconds`` is one
+number for every workload, or ``workload=seconds`` entries with an optional
+bare number for the rest.  Every result line is kept under ``runs``.  The summary gives
 each side's median and inclusive quartiles per end-to-end metric, the
 change's wins over the parent in the same round (ties count for neither),
 the parent-twin gap, and, for ``--claim``, whether the change won at least
@@ -54,6 +57,24 @@ def rotation(round_index: int) -> tuple[str, ...]:
     """The order the sides run in one round: each round starts one side later."""
     shift = round_index % len(SIDES)
     return SIDES[shift:] + SIDES[:shift]
+
+
+def run_lengths(spec: str, workloads: list[str]) -> dict[str, float]:
+    """Seconds per workload from ``--seconds``, e.g. ``8`` or
+    ``oracle-gate=30,15``: named entries override the bare number."""
+    default, named = None, {}
+    for entry in spec.split(","):
+        name, sep, value = entry.rpartition("=")
+        if not sep:
+            default = float(value)
+        elif name in workloads:
+            named[name] = float(value)
+        else:
+            raise ValueError(f"--seconds names {name!r}, which is not among {workloads}")
+    missing = [w for w in workloads if w not in named and default is None]
+    if missing:
+        raise ValueError(f"--seconds gives no run length for {missing}")
+    return {w: named.get(w, default) for w in workloads}
 
 
 def run_once(root: str, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -135,7 +156,8 @@ def main(argv=None) -> int:
     ap.add_argument("--workloads", default="plan-allpairs,trace-fleet,oracle-gate")
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--rounds", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=30.0)
+    ap.add_argument("--seconds", default="30",
+                    help="run length: seconds, or workload=seconds entries (comma-separated)")
     ap.add_argument("--traced", type=int, default=0, help="traced rounds per workload")
     ap.add_argument("--workdir", required=True, help="a new directory for the exports")
     ap.add_argument("--out", required=True, help="the BENCH json to write")
@@ -143,16 +165,21 @@ def main(argv=None) -> int:
     ap.add_argument("--note", default="", help="what the change does")
     args = ap.parse_args(argv)
     claim = tuple(args.claim.split(":", 1)) if args.claim else None
+    workloads = args.workloads.split(",")
+    try:
+        seconds = run_lengths(args.seconds, workloads)
+    except ValueError as e:
+        ap.error(str(e))
 
     roots = {side: os.path.join(os.path.abspath(args.workdir), side) for side in SIDES}
     commits = {side: export(args.change if side == "change" else args.parent, root)
                for side, root in roots.items()}
     runs: list[dict] = []
-    for workload in args.workloads.split(","):
+    for workload in workloads:
         for trace, count in ((0, args.rounds), (1, args.traced)):
             for i in range(count):
                 for side in rotation(i):
-                    result = run_once(roots[side], workload, args.seed, args.seconds, trace)
+                    result = run_once(roots[side], workload, args.seed, seconds[workload], trace)
                     runs.append({"round": i, "side": side, "workload": workload,
                                  "seed": args.seed, "trace": trace, **result})
                     print(json.dumps(runs[-1]), flush=True)
@@ -167,7 +194,8 @@ def main(argv=None) -> int:
         "protocol": [
             f"parent = {commits['parent']}, change = {commits['change']}; "
             "twin-p is a second export of the parent",
-            f"{args.rounds} rounds per workload at seed {args.seed}, --seconds {args.seconds:g}, "
+            f"{args.rounds} rounds per workload at seed {args.seed}, --seconds "
+            + ", ".join(f"{w} {s:g}" for w, s in seconds.items()) + ", "
             "trace 0, sides rotating (round i starts with side i mod 3 of parent, change, "
             f"twin-p); then {args.traced} traced rounds the same way; one process at a time",
         ],
