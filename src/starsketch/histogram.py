@@ -122,9 +122,8 @@ def as_distribution(weights: Sequence[float] | np.ndarray) -> np.ndarray:
     # min() and max() carry a NaN through, and the comparison is then false.
     if not v.min() >= 0.0 or not math.isfinite(v.max()):
         raise ValueError("probability vector entries must be finite and nonnegative")
-    total = v.sum()
-    if abs(float(total) - 1.0) > NORMALIZATION_TOL:
-        raise ValueError(f"probability vector sums to {total!r}, not 1")
+    if abs(float(v.sum()) - 1.0) > NORMALIZATION_TOL:
+        raise ValueError(f"probability vector sums to {v.sum()!r}, not 1")
     return v
 
 

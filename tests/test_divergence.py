@@ -510,10 +510,10 @@ def kernel_stacks(k, seed, rows=60):
     P, Q = normalized(P), normalized(Q)
     P[20:26] *= 1.0 + 2.0 ** -40
     Q[20:26] *= 1.0 + 2.0 ** -40
-    Q[:4] = P[:4]
     P[(P == 0.0) & (rng.random((rows, k)) < 0.5)] = -0.0
     Q[(Q == 0.0) & (rng.random((rows, k)) < 0.5)] = -0.0
     Q[rng.random((rows, k)) < 0.03] = -0.0
+    Q[:4] = P[:4]
     return P, Q
 
 

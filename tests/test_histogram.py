@@ -177,6 +177,11 @@ class TestAsDistribution:
         v = as_distribution([1.0, -0.0])
         assert math.copysign(1.0, v[1]) == -1.0
 
+    @pytest.mark.parametrize("bad", [[0.5, 0.4], [0.5, -0.5, 1.0], [], [np.nan, 1.0]])
+    def test_rejects(self, bad):
+        with pytest.raises(ValueError):
+            as_distribution(bad)
+
     @pytest.mark.parametrize("bad, message", [
         ([0.5, 0.4], r"sums to np.float64\(0.9\), not 1"),
         ([0.5, -0.5, 1.0], "finite and nonnegative"),
@@ -189,7 +194,7 @@ class TestAsDistribution:
         ([np.inf, 1.0], "finite and nonnegative"),
         ([1.0, -np.inf], "finite and nonnegative"),
     ])
-    def test_rejects(self, bad, message):
+    def test_rejection_names_the_fault(self, bad, message):
         with pytest.raises(ValueError, match=message):
             as_distribution(bad)
 

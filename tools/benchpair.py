@@ -19,11 +19,12 @@ round for that workload's run length, rotating which side runs first
 (parent, change, twin; then change, twin, parent; ...), one process at a
 time, and then ``--traced`` rounds with ``--trace 1``.  ``--seconds`` is one
 number for every workload, or ``workload=seconds`` entries with an optional
-bare number for the rest.  Every result line is kept under ``runs``.  The summary gives
-each side's median and inclusive quartiles per end-to-end metric, the
-change's wins over the parent in the same round (ties count for neither),
-the parent-twin gap, and, for ``--claim``, whether the change won at least
-nine rounds in ten by more than both the parent's IQR and the twin gap.
+bare number for the rest.  Every result line is kept under ``runs``.  The
+summary gives each side's median and inclusive quartiles per end-to-end
+metric, the change's wins over the parent in the same round (ties count for
+neither), the parent-twin gap, and, for ``--claim``, whether the change won
+at least nine rounds in ten by more than both the parent's IQR and the twin
+gap.
 """
 from __future__ import annotations
 
