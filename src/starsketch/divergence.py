@@ -8,8 +8,8 @@ the kernels directly applicable to partition-aggregated vectors and raw
 sketch rows containing zeros.  A ``-0.0`` entry, which validation accepts,
 is a zero like ``+0.0`` everywhere: kl reads p / |q| so that a signed zero
 under p > 0 still gives +inf.  The registered kernels work in place in their
-own temporaries, with no masks, and never write to their inputs, which may be
-read-only or views of a shared block.
+own (t, k) temporaries, with no masks, and never write to their inputs, which
+may be read-only or views of a shared block.
 
 Every divergence is one row kernel over stacks of distributions, wrapped in
 a :class:`DivergenceSpec` whose keyword fields ``symmetric``, ``triangle``
@@ -57,15 +57,22 @@ def _pair(p, q) -> tuple[np.ndarray, np.ndarray]:
 
 # --- row kernels (rows are distributions; no per-row validation) -----------
 
+# The smallest positive float64.  Raising kl's ratios p / |q| to it changes
+# only the cells where p = 0, whose ratio is 0 or NaN (0 / 0): with q < 2 no
+# ratio under p > 0 rounds to 0.
+_TINY = 5e-324
+
+
 def _kl_rows(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    # sum p_i log2(p_i / q_i); a cell with p = 0 or -0.0 adds +0.0, and q = 0
-    # or -0.0 under p > 0 gives p / |q| = +inf, so the row sums to +inf.
+    # sum p_i log2(p_i / q_i); a cell with p = 0 or -0.0 adds -1074 * p, a
+    # signed zero (numpy's sum starts from +0.0, so no row sums to -0.0), and
+    # q = 0 or -0.0 under p > 0 gives p / |q| = +inf, so the row sums to +inf.
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = P / Q
         np.abs(terms, out=terms)
+        np.fmax(terms, _TINY, out=terms)
         np.log2(terms, out=terms)
         terms *= P
-    np.copyto(terms, 0.0, where=P == 0.0)
     return terms.sum(axis=1)
 
 
@@ -73,12 +80,7 @@ def _js_rows(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     # Always finite, in [0, 1]; zeros and -0.0 as in kl against the mixture.
     mix = P + Q
     mix *= 0.5
-    vals = _kl_rows(P, mix)
-    vals *= 0.5
-    half = _kl_rows(Q, mix)
-    half *= 0.5
-    vals += half
-    return np.clip(vals, 0.0, 1.0, out=vals)
+    return np.clip(0.5 * _kl_rows(P, mix) + 0.5 * _kl_rows(Q, mix), 0.0, 1.0)
 
 
 def _bhattacharyya_rows(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
@@ -86,11 +88,8 @@ def _bhattacharyya_rows(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     # where the sum is 0.0 or -0.0.
     terms = P * Q
     np.sqrt(terms, out=terms)
-    out = terms.sum(axis=1)
-    np.minimum(out, 1.0, out=out)
     with np.errstate(divide="ignore"):
-        np.log2(out, out=out)
-    return np.negative(out, out=out)
+        return -np.log2(np.minimum(terms.sum(axis=1), 1.0))
 
 
 def _hellinger_rows(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
@@ -100,19 +99,14 @@ def _hellinger_rows(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     terms = np.sqrt(P)
     terms -= np.sqrt(Q)
     np.square(terms, out=terms)
-    out = terms.sum(axis=1)
-    out *= 0.5
-    np.sqrt(out, out=out)
-    return np.minimum(out, 1.0, out=out)
+    return np.minimum(np.sqrt(0.5 * terms.sum(axis=1)), 1.0)
 
 
 def _tv_rows(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     # Half the L1 distance; a -0.0 cell counts as 0.
     terms = P - Q
     np.abs(terms, out=terms)
-    out = terms.sum(axis=1)
-    out *= 0.5
-    return np.minimum(out, 1.0, out=out)
+    return np.minimum(0.5 * terms.sum(axis=1), 1.0)
 
 
 def _one_row(rows: Callable[[np.ndarray, np.ndarray], np.ndarray], p, q) -> float:

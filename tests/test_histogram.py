@@ -177,24 +177,21 @@ class TestAsDistribution:
         v = as_distribution([1.0, -0.0])
         assert math.copysign(1.0, v[1]) == -1.0
 
-    @pytest.mark.parametrize("bad", [[0.5, 0.4], [0.5, -0.5, 1.0], [], [np.nan, 1.0]])
-    def test_rejects(self, bad):
-        with pytest.raises(ValueError):
-            as_distribution(bad)
-
-    @pytest.mark.parametrize("bad, message", [
+    REJECTED = [
         ([0.5, 0.4], r"sums to np.float64\(0.9\), not 1"),
         ([0.5, -0.5, 1.0], "finite and nonnegative"),
-        ([-1e-300, 1.0], "finite and nonnegative"),
         ([], "nonempty 1-D"),
+        ([np.nan, 1.0], "finite and nonnegative"),
+        ([-1e-300, 1.0], "finite and nonnegative"),
         ([[0.5, 0.5]], "nonempty 1-D"),
         (0.5, "nonempty 1-D"),
-        ([np.nan, 1.0], "finite and nonnegative"),
         ([1.0, np.nan], "finite and nonnegative"),
         ([np.inf, 1.0], "finite and nonnegative"),
         ([1.0, -np.inf], "finite and nonnegative"),
-    ])
-    def test_rejection_names_the_fault(self, bad, message):
+    ]
+
+    @pytest.mark.parametrize("bad, message", REJECTED, ids=[f"bad{i}" for i in range(len(REJECTED))])
+    def test_rejects(self, bad, message):
         with pytest.raises(ValueError, match=message):
             as_distribution(bad)
 
