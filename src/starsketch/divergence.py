@@ -57,20 +57,17 @@ def _pair(p, q) -> tuple[np.ndarray, np.ndarray]:
 
 # --- row kernels (rows are distributions; no per-row validation) -----------
 
-# The smallest positive float64.  Raising kl's ratios p / |q| to it changes
-# only the cells where p = 0, whose ratio is 0 or NaN (0 / 0): with q < 2 no
-# ratio under p > 0 rounds to 0.
-_TINY = 5e-324
-
-
 def _kl_rows(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    # sum p_i log2(p_i / q_i); a cell with p = 0 or -0.0 adds -1074 * p, a
-    # signed zero (numpy's sum starts from +0.0, so no row sums to -0.0), and
-    # q = 0 or -0.0 under p > 0 gives p / |q| = +inf, so the row sums to +inf.
+    # sum p_i log2(p_i / q_i).  Raising the ratios p / |q| to 5e-324, the
+    # smallest positive float64, changes only the cells where p = 0, whose
+    # ratio is 0 or NaN (0 / 0); with q < 2 no ratio under p > 0 rounds to 0.
+    # Such a cell adds -1074 * p, a signed zero (numpy's sum starts from +0.0,
+    # so no row sums to -0.0).  q = 0 or -0.0 under p > 0 gives p / |q| = +inf,
+    # so the row sums to +inf.
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = P / Q
         np.abs(terms, out=terms)
-        np.fmax(terms, _TINY, out=terms)
+        np.fmax(terms, 5e-324, out=terms)
         np.log2(terms, out=terms)
         terms *= P
     return terms.sum(axis=1)
