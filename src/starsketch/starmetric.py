@@ -18,23 +18,21 @@ reduction with the same first-maximizer tie-break would reproduce the
 serial result exactly.
 
 An (n, k) whose label table fits ``_TABLE_BYTES`` is enumerated once and
-kept, and the (n, k) used most recently are kept while their tables total
-at most 2 x ``_TABLE_BYTES``, so calls that cycle through a few small
-(n, k) enumerate each once.  A table of one block is kept as it is, and the
-oracle aggregates both distributions over it, as over each block of an
-enumeration too large to keep, with one :func:`aggregate` call on their
-stack.  A longer table is kept as a prefix trie: in lexicographic order
-the rows that share a prefix are adjacent, so each distinct prefix is
-stored once, as the int32 index of its parent prefix and its int8 last
-label, and the oracle sums each prefix's cells once for all of its
-completions.  A trie takes 69-82% of its table's bytes at the benchmark's
-sizes, and up to 13% more than its table where k is close to n, as at
-(15, 13); the budget counts tables.
+kept for the life of the process.  80 (n, k) with 1 < k < n fit, all with
+n <= 26, and kept together they take 9.2 MiB, which bounds the cache.  A
+table of one block is kept as it is, and the oracle aggregates both
+distributions over it, as over each block of an enumeration too large to
+keep, with one :func:`aggregate` call on their stack.  A longer table is
+kept as a prefix trie: in lexicographic order the rows that share a prefix
+are adjacent, so each distinct prefix is stored once, as the int32 index of
+its parent prefix and its int8 last label, and the oracle sums each
+prefix's cells once for all of its completions.  A trie takes 69-82% of its
+table's bytes at the benchmark's sizes, and up to 13% more than its table
+where k is close to n, as at (15, 13).
 """
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
@@ -55,8 +53,8 @@ MAX_STIRLING_N = 26
 _BLOCK_ROWS = 4096
 
 # Enumerations whose label table takes at most this many bytes (S(n, k) rows
-# of n int8 labels) are kept for reuse, up to tables of twice this in all;
-# larger enumerations stream from assignment_blocks.
+# of n int8 labels) are kept for reuse; larger ones stream from
+# assignment_blocks.
 _TABLE_BYTES = 1 << 20
 
 # Cell sums of fewer cells than this are laid out cell-major (see aggregate).
@@ -303,32 +301,19 @@ def _table_sums(pq: np.ndarray, blocks: Iterable[np.ndarray]) -> Iterator[
         yield aggregate(pq, block), lambda i, block=block: block[i].copy()
 
 
-# The kept enumerations, least recently used first, and the lock that makes
-# each lookup and each insertion with its evictions one step across threads.
-_tables: dict[tuple[int, int], np.ndarray | _PrefixTrie] = {}
-_tables_lock = threading.Lock()
-
-
+@lru_cache(maxsize=None)
 def _kept_enumeration(n: int, k: int) -> np.ndarray | _PrefixTrie:
-    """Every k-cell partition of n items, enumerated once and kept.
+    """Every k-cell partition of n items, enumerated once and kept for the process.
 
     A table of at most one ``_BLOCK_ROWS`` block is kept as one read-only
     (S(n, k), n) label block, and a longer one as a :class:`_PrefixTrie`
-    built from it.  The table, at most ``_TABLE_BYTES`` itself, is counted
-    at its S(n, k) * n bytes, and the least recently used (n, k) are dropped
-    until the kept ones count at most 2 x ``_TABLE_BYTES``.
+    built from it.  The oracle asks only for tables of at most
+    ``_TABLE_BYTES``: 80 (n, k) with 1 < k < n, which all kept take 9.2 MiB.
+    Two threads may build one (n, k) at once; both copies are read-only and
+    equal.
     """
-    with _tables_lock:
-        kept = _tables.pop((n, k), None)
-    if kept is None:
-        kept = _read_only(np.concatenate(list(assignment_blocks(n, k))))
-        if len(kept) > _BLOCK_ROWS:
-            kept = _PrefixTrie(kept, k)
-    with _tables_lock:
-        _tables[n, k] = kept
-        while sum(stirling(*key) * key[0] for key in _tables) > 2 * _TABLE_BYTES:
-            del _tables[next(iter(_tables))]
-    return kept
+    kept = _read_only(np.concatenate(list(assignment_blocks(n, k))))
+    return _PrefixTrie(kept, k) if len(kept) > _BLOCK_ROWS else kept
 
 
 def exact_star_metric(
@@ -381,8 +366,7 @@ def exact_star_metric(
     elif kept is None:
         blocks = _table_sums(pq, assignment_blocks(n, k))
     else:
-        blocks = _table_sums(pq, (kept[start:start + _BLOCK_ROWS]
-                                  for start in range(0, len(kept), _BLOCK_ROWS)))
+        blocks = _table_sums(pq, (kept,))
     best = -math.inf
     best_assignment: np.ndarray | None = None
     evaluated = 0

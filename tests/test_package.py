@@ -56,7 +56,7 @@ def test_benchmark_tracer_finds_every_name_it_wraps(tmp_path, capsys):
         assert cli.main(["ingest", "--in", str(log), "--out", str(tmp_path / "s.stream")]) == 0
         # The oracle builds its label table through starmetric.assignment_blocks,
         # so a cache miss shows as histogram.rgs and a hit enumerates nothing.
-        starmetric._tables.clear()
+        starmetric._kept_enumeration.cache_clear()
         js = traced.timed_spec(get_divergence("js"))
         for _ in range(2):
             exact_star_metric(js, [0.1, 0.2, 0.3, 0.15, 0.25, 0.0], [1 / 6] * 6, 3)

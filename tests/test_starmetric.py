@@ -2,6 +2,8 @@ import dataclasses
 import math
 import pathlib
 import re
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -46,9 +48,9 @@ def random_pair(rng, n, floor=0.02):
 @pytest.fixture
 def fresh_tables():
     """An empty label-table cache, emptied again when the test ends."""
-    starmetric._tables.clear()
+    starmetric._kept_enumeration.cache_clear()
     yield
-    starmetric._tables.clear()
+    starmetric._kept_enumeration.cache_clear()
 
 
 def streamed_star_metric(phi, p, q, k):
@@ -239,7 +241,7 @@ class TestExactStarMetric:
                 spec = get_divergence(name)
                 value, row = streamed_star_metric(spec, p, q, k)
                 # The first call builds the table, the second reuses it.
-                starmetric._tables.clear()
+                starmetric._kept_enumeration.cache_clear()
                 for _ in range(2):
                     r = exact_star_metric(spec, p, q, k)
                     assert r.value == value, (name, p, q)
@@ -267,7 +269,7 @@ class TestExactStarMetric:
         # together: past the first block of 1 and of 7.
         assert row[1] != row[0] and stirling(n - 1, k) > 7
         exact_star_metric(get_divergence("js"), *cases[0][1:], k)
-        assert isinstance(starmetric._tables[n, k], starmetric._PrefixTrie)
+        assert isinstance(starmetric._kept_enumeration(n, k), starmetric._PrefixTrie)
         total = stirling(n, k)
         for rows in (1, 7, total - 1):
             monkeypatch.setattr(starmetric, "_BLOCK_ROWS", rows)
@@ -292,32 +294,43 @@ class TestExactStarMetric:
             r = exact_star_metric(spec, p, q, 4)
             assert r.value == value and np.array_equal(r.argmax, row)
             assert r.evaluated_partitions == stirling(9, 4)
-        assert len(starmetric._tables) == 0
+        assert starmetric._kept_enumeration.cache_info().currsize == 0
 
-    def test_recent_tables_kept_within_twice_the_bound(self, monkeypatch, fresh_tables):
+    def test_every_admissible_table_kept(self, monkeypatch, fresh_tables):
+        # The oracle keeps an (n, k) with 1 < k < n whose table fits
+        # _TABLE_BYTES: 80 of them, all n <= 26, which all kept take 9.2 MiB.
+        # Once built, none is enumerated again.
         enumerated = counted_enumerations(monkeypatch)
+        sizes = [(n, k) for n in range(3, starmetric.MAX_STIRLING_N + 1) for k in range(2, n)
+                 if stirling(n, k) * n <= starmetric._TABLE_BYTES]
+        assert len(sizes) == 80 and max(n for n, _ in sizes) == 26
+        kept = sum(starmetric._kept_enumeration(n, k).nbytes for n, k in sizes)
+        assert kept == 9_673_675 < 10 * 2 ** 20
+        assert enumerated == sizes
+        for n, k in sizes:
+            starmetric._kept_enumeration(n, k)
+        assert enumerated == sizes
+        assert starmetric._kept_enumeration.cache_info().currsize == 80
+
+    def test_threads_share_one_cold_cache(self, fresh_tables):
+        # Threads that start together on an empty cache may each build the
+        # (10, 5) trie; each still gets a serial call's value, argmax and count.
         js = get_divergence("js")
-        rng = np.random.default_rng(13)
-        pairs = {n: random_pair(rng, n) for n in range(8, 13)}
-        # The benchmark's five (n, k) have tables of 1,157,469 bytes: all stay
-        # kept.
-        five = [(10, 4), (11, 3), (10, 5), (8, 3), (9, 4)]
-        for _ in range(2):
-            for n, k in five:
-                exact_star_metric(js, *pairs[n], k)
-        assert enumerated == five
-        assert list(starmetric._tables) == five
-        # (12, 3) has a table of 1,038,312 bytes, so the least recently used (10, 4)
-        # goes; then (11, 3) is used again and (10, 4) comes back in place of
-        # (10, 5), now the least recently used.
-        for n, k in [(12, 3), (11, 3), (10, 4)]:
-            exact_star_metric(js, *pairs[n], k)
-        assert enumerated == five + [(12, 3), (10, 4)]
-        assert list(starmetric._tables) == [(8, 3), (9, 4), (12, 3), (11, 3), (10, 4)]
-        # Their tables take 1,770,531 bytes; kept as the (8, 3) table and
-        # four tries, they take 1,178,538.
-        kept = sum(t.nbytes for t in starmetric._tables.values())
-        assert kept == 1_178_538 < 1_770_531 <= 2 * starmetric._TABLE_BYTES
+        p, q = random_pair(np.random.default_rng(16), 10)
+        serial = exact_star_metric(js, p, q, 5)
+        starmetric._kept_enumeration.cache_clear()
+        start = threading.Barrier(4)
+
+        def call(_):
+            start.wait()
+            return exact_star_metric(js, p, q, 5)
+
+        with ThreadPoolExecutor(4) as pool:
+            results = list(pool.map(call, range(4)))
+        for r in results:
+            assert r.value == serial.value
+            assert r.argmax.tobytes() == serial.argmax.tobytes()
+            assert r.evaluated_partitions == serial.evaluated_partitions == stirling(10, 5)
 
     def test_kept_tries_are_smaller_than_their_tables(self, fresh_tables):
         # (8, 3) is one block and keeps its table; the other four keep tries.
@@ -325,7 +338,7 @@ class TestExactStarMetric:
         rng = np.random.default_rng(15)
         for n, k in [(10, 4), (11, 3), (10, 5), (8, 3), (9, 4)]:
             exact_star_metric(js, *random_pair(rng, n), k)
-            kept = starmetric._tables[n, k]
+            kept = starmetric._kept_enumeration(n, k)
             if (n, k) == (8, 3):
                 assert isinstance(kept, np.ndarray) and kept.nbytes == stirling(n, k) * n
             else:
@@ -340,11 +353,13 @@ class TestExactStarMetric:
         monkeypatch.setattr(starmetric, "_TABLE_BYTES", table_bytes - 1)
         for _ in range(2):
             exact_star_metric(js, p, q, 3)
-        assert enumerated == [(12, 3)] * 2 and not starmetric._tables
+        assert enumerated == [(12, 3)] * 2
+        assert starmetric._kept_enumeration.cache_info().currsize == 0
         monkeypatch.setattr(starmetric, "_TABLE_BYTES", table_bytes)
         for _ in range(2):
             exact_star_metric(js, p, q, 3)
-        assert enumerated == [(12, 3)] * 3 and list(starmetric._tables) == [(12, 3)]
+        assert enumerated == [(12, 3)] * 3
+        assert starmetric._kept_enumeration.cache_info().currsize == 1
 
     def test_largest_universe_enumerated(self, fresh_tables):
         # n = MAX_STIRLING_N is the largest universe the oracle enumerates:
