@@ -29,6 +29,11 @@ STREAM_MAGIC = b"SSTR"
 
 FAMILY_KINDS = ("uniform", "zipf", "pascal", "binomial", "poisson")
 
+# The pascal pmf subtracts lgamma(r) from lgamma(x + r), which cancels as r
+# grows: at the default p and n = 50 its L1 distance from scipy's nbinom pmf
+# is 7e-10 at r = 2^20, 8e-9 at 2^24 and 1.2e-3 at 10^12.
+_PASCAL_MAX_R = 1 << 20
+
 
 @dataclass(frozen=True)
 class DistributionFamily:
@@ -52,6 +57,9 @@ class DistributionFamily:
         if self.kind == "pascal":
             if not is_integer(self.r) or self.r < 1:
                 raise ValueError(f"pascal requires an integer r >= 1, got {self.r!r}")
+            if self.r > _PASCAL_MAX_R:
+                raise ValueError(f"pascal requires r <= 2^20 = {_PASCAL_MAX_R}, got {self.r!r}: "
+                                 "above it the pmf's log-gamma terms cancel beyond float64")
             if self.p is None:
                 object.__setattr__(self, "p", self.n / (2 * self.r + self.n))
             if not 0 < self.p < 1:
@@ -132,8 +140,10 @@ def pmf(d: DistributionFamily) -> np.ndarray:
         # Failure-counting negative binomial, success weight 1 - p.
         x = np.arange(1, n + 1, dtype=np.float64)
         success = 1.0 - d.p
+        # Where 1 - p rounds to 1, log1p(-success) would be log 0; log p is exact.
+        log_p = math.log1p(-success) if success < 1.0 else math.log(d.p)
         w = np.exp(_lgamma(x + d.r) - _lgamma(x + 1.0) - math.lgamma(d.r)
-                   + d.r * math.log(success) + x * math.log1p(-success))
+                   + d.r * math.log(success) + x * log_p)
     elif d.kind == "binomial":
         # n - 1 trials shifted by one so the support is exactly 1..n.
         x = np.arange(0, n, dtype=np.float64)

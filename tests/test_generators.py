@@ -56,6 +56,16 @@ class TestPmf:
             # failure-counting negative binomial: mean r * p / (1 - p)
             assert r * fam.p / (1.0 - fam.p) == pytest.approx(n / 2, rel=1e-12)
 
+    def test_pascal_r_bounded(self):
+        assert DistributionFamily.pascal(50, 2 ** 20).r == 2 ** 20
+        with pytest.raises(ValueError, match=r"pascal requires r <= 2\^20 = 1048576, got 1048577"):
+            DistributionFamily.pascal(50, 2 ** 20 + 1)
+
+    def test_pascal_p_below_float_resolution(self):
+        # 1 - p rounds to 1, so the trailing-event weight is taken as log p:
+        # one event is ~3e-300 likely and two underflow to zero.
+        assert pmf(DistributionFamily.pascal(5, 3, 1e-300)).tolist() == [1, 0, 0, 0, 0]
+
     def test_poisson_default_rate(self):
         fam = DistributionFamily.poisson(4000)
         assert fam.lam == 2000
@@ -323,7 +333,10 @@ class TestParseFamily:
                                      "zipf", "zipf(beta=1)", "uniform(x=1)",
                                      "binomial(p=0.5,q=3)", "pascal(r=2.5)", "pascal(r=inf)",
                                      "zipf(alpha=1,alpha=2)", "zipf(alpha=nan)",
-                                     "poisson(lam=inf)", "pascal(r=3,n=5)"])
+                                     "poisson(lam=inf)", "pascal(r=3,n=5)",
+                                     # Above 2^20 the pascal pmf's log-gamma terms cancel.
+                                     "pascal(r=1048577)", "pascal(r=1e18)",
+                                     "pascal(r=1e18,p=0.5)"])
     def test_rejects(self, bad):
         with pytest.raises(ValueError):
             parse_family(bad, 10)
