@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import pathlib
 
 import pytest
@@ -73,6 +74,34 @@ def test_failures_and_incorrect_runs_are_reported():
     s = benchpair.summarize(r)["oracle-gate seed 9"]
     assert s["ops_failed"]["change"] == "3/1000" and s["correct"] is False
     assert "claim_met" not in s["wall_s"]
+
+
+def test_raw_medians_read_and_summarized(tmp_path):
+    # perfbench writes its full report beside the export; the run keeps the
+    # unscaled medians and the host speed, and the summary their quartiles.
+    report = {"wall_raw_s": {"n": 3, "p50": 0.061}, "setup_raw_s": {"n": 4, "p50": 0.31},
+              "wall_s": {"n": 3, "p50": 0.05}, "host_speed": 0.82}
+    (tmp_path / ".perfbench").mkdir()
+    (tmp_path / ".perfbench" / "report-oracle-gate-seed9-trace0.json").write_text(
+        json.dumps(report))
+    assert benchpair.raw_medians(str(tmp_path), "oracle-gate", 9, 0) == {
+        "raw": {"wall_s": 0.061, "setup_s": 0.31}, "host_speed": 0.82}
+    r = rows(PARENT, PARENT, TWIN)
+    for line in r:
+        scaled = line["metrics"]["wall_s"]["value"]
+        speed = 0.8 if line["side"] == "change" else 1.0
+        line.update(raw={"wall_s": scaled / speed, "setup_s": 0.25 / speed}, host_speed=speed)
+    s = benchpair.summarize(r)["oracle-gate seed 9"]
+    assert s["wall_s"]["change"] == s["wall_s"]["parent"]
+    assert s["wall_s"]["raw"]["parent"] == {"median": 0.0945, "q1": 0.091, "q3": 0.098, "n": 10}
+    assert s["wall_s"]["raw"]["change"]["median"] == round(0.0945 / 0.8, 4)
+    assert s["setup_s"]["raw"]["change"] == {"median": 0.3125, "q1": 0.3125, "q3": 0.3125,
+                                             "n": 10}
+    assert "raw" not in s["peak_rss_mb"]
+    assert s["host_speed"]["twin-p"]["median"] == 1.0 and s["host_speed"]["change"]["q1"] == 0.8
+    # Result lines without them (a failed run) leave the summary as before.
+    assert "raw" not in benchpair.summarize(rows(PARENT, PARENT, TWIN))["oracle-gate seed 9"][
+        "wall_s"]
 
 
 def test_rotation_starts_each_round_one_side_later():

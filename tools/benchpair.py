@@ -24,7 +24,10 @@ summary gives each side's median and inclusive quartiles per end-to-end
 metric, the change's wins over the parent in the same round (ties count for
 neither), the parent-twin gap, and, for ``--claim``, whether the change won
 at least nine rounds in ten by more than both the parent's IQR and the twin
-gap.
+gap.  perfbench scales ``wall_s`` and ``setup_s`` to a reference host speed;
+each run also keeps the raw (unscaled) medians and the host speed from
+perfbench's full report, and the summary gives the raw medians and quartiles
+beside the scaled ones.
 """
 from __future__ import annotations
 
@@ -40,6 +43,7 @@ import tarfile
 
 SIDES = ("parent", "change", "twin-p")
 END_TO_END = (("wall_s", "lower"), ("setup_s", "lower"), ("peak_rss_mb", "lower"))
+RAW = ("wall_s", "setup_s")  # the end-to-end metrics perfbench scales to its reference host
 
 
 def export(rev: str, dest: str) -> str:
@@ -87,7 +91,18 @@ def run_once(root: str, workload: str, seed: int, seconds: float, trace: int) ->
     if proc.returncode != 0:
         return {"correct": False, "attempted": 0, "failed": 0, "metrics": {},
                 "error": proc.stderr[-2000:]}
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    return {**json.loads(proc.stdout.strip().splitlines()[-1]),
+            **raw_medians(root, workload, seed, trace)}
+
+
+def raw_medians(root: str, workload: str, seed: int, trace: int) -> dict:
+    """The unscaled ``wall_s`` and ``setup_s`` medians and the host speed of
+    the last run in the export at ``root``, from perfbench's full report."""
+    path = os.path.join(root, ".perfbench", f"report-{workload}-seed{seed}-trace{trace}.json")
+    with open(path) as fh:
+        report = json.load(fh)
+    return {"raw": {m: report[m.removesuffix("_s") + "_raw_s"]["p50"] for m in RAW},
+            "host_speed": report["host_speed"]}
 
 
 def quartiles(values: list[float]) -> dict:
@@ -99,12 +114,25 @@ def quartiles(values: list[float]) -> dict:
     return out
 
 
+def side_quartiles(rows: list[dict], value) -> dict:
+    """:func:`quartiles` of ``value(row)`` per side, over the rows where it is not None."""
+    out = {}
+    for side in SIDES:
+        values = [v for r in rows if r["side"] == side and (v := value(r)) is not None]
+        if values:
+            out[side] = quartiles(values)
+    return out
+
+
 def summarize(rows: list[dict], claim: tuple[str, str] | None = None) -> dict:
     """Summary per "workload seed S" of the untraced result rows.
 
     Each row has ``round``, ``side``, ``workload``, ``seed``, ``correct``,
-    ``attempted``, ``failed`` and ``metrics`` ({name: {"value", "unit"}}).
-    ``claim`` is (workload, metric): that entry also gets ``claim_met``.
+    ``attempted``, ``failed`` and ``metrics`` ({name: {"value", "unit"}}),
+    and may have ``raw`` ({name: unscaled median}) and ``host_speed``, whose
+    quartiles per side go under the metric's ``raw`` and the entry's
+    ``host_speed``.  ``claim`` is (workload, metric): that entry also gets
+    ``claim_met``.
     """
     out: dict[str, dict] = {}
     for key in sorted({(r["workload"], r["seed"]) for r in rows}):
@@ -130,7 +158,13 @@ def summarize(rows: list[dict], claim: tuple[str, str] | None = None) -> dict:
             if claim == (key[0], metric):
                 m["claim_met"] = (10 * wins >= 9 * len(rounds) and gain > iqr
                                   and gain > m.get("twin_gap", 0.0))
+            raw = side_quartiles(mine, lambda r: r.get("raw", {}).get(metric))
+            if raw:
+                m["raw"] = raw
             entry[metric] = m
+        speed = side_quartiles(mine, lambda r: r.get("host_speed"))
+        if speed:
+            entry["host_speed"] = speed
         entry["ops_failed"] = {s: f"{sum(r['failed'] for r in mine if r['side'] == s)}/"
                                   f"{sum(r['attempted'] for r in mine if r['side'] == s)}"
                                for s in SIDES if any(r["side"] == s for r in mine)}
