@@ -19,16 +19,18 @@ serial result exactly.
 
 An (n, k) whose label table fits ``_TABLE_BYTES`` is enumerated once and
 kept for the life of the process.  80 (n, k) with 1 < k < n fit, all with
-n <= 26, and kept together they take 9.2 MiB, which bounds the cache.  A
+n <= 26, and kept together they take 7.0 MiB, which bounds the cache.  A
 table of one block is kept as it is, and the oracle aggregates both
 distributions over it, as over each block of an enumeration too large to
 keep, with one :func:`aggregate` call on their stack.  A longer table is
-kept as a prefix trie: in lexicographic order the rows that share a prefix
-are adjacent, so each distinct prefix is stored once, as the int32 index of
-its parent prefix and its int8 last label, and the oracle sums each
-prefix's cells once for all of its completions.  A trie takes 69-82% of its
-table's bytes at the benchmark's sizes, and up to 13% more than its table
-where k is close to n, as at (15, 13).
+kept as a prefix trie over its tail columns: in lexicographic order the
+rows that share a prefix are adjacent, so each prefix of the shallow depths
+(at most ``_BLOCK_ROWS`` prefixes each) is stored once, as the int32 index
+of its parent and its int8 last label, and its cells are summed once for all
+of its completions; deeper, a prefix is almost one row, so each row keeps
+its deepest shallow prefix's int32 index and the table's remaining columns.
+That takes 62-82% of the table's bytes at the benchmark's sizes, and 13%
+more than the table only at (15, 13), where k is close to n.
 """
 from __future__ import annotations
 
@@ -59,11 +61,6 @@ _TABLE_BYTES = 1 << 20
 
 # Cell sums of fewer cells than this are laid out cell-major (see aggregate).
 _CELL_MAJOR_BELOW = 8
-
-# A kept trie's depths of at most this many prefixes are summed whole once
-# per call; the deeper ones are summed per block of rows, over the prefixes
-# the block descends from, so no temporary outgrows a block's.
-_WHOLE_DEPTH_PREFIXES = 4096
 
 
 class PartitionBudgetError(RuntimeError):
@@ -203,13 +200,16 @@ class StarMetricResult:
 
 
 class _PrefixTrie:
-    """A lexicographic label table stored as the tree of its row prefixes.
+    """A lexicographic label table stored as its shallow row prefixes over
+    its tail columns.
 
-    Depth d (1 to n - 1) holds every distinct length-(d + 1) prefix of the
-    table's rows, in table order: ``parents[d - 1]`` is the int32 index of
-    its length-d prefix at depth d - 1, and ``labels[d - 1]`` its last label.
-    Depth 0 is the one length-1 prefix, label 0, and the last depth's
-    prefixes are the table's rows.  The arrays are read-only.
+    The shallow depths d = 1, 2, ... are the first with at most
+    ``_BLOCK_ROWS`` distinct length-(d + 1) prefixes, in table order, and
+    never reach the last column: ``parents[d - 1]`` is the int32 index of a
+    prefix's length-d prefix and ``labels[d - 1]`` its last label; depth 0 is
+    the one prefix, label 0.  ``ancestor`` is each row's int32 index at the
+    deepest one, and ``tail`` the columns after it, column-major.  The arrays
+    are read-only.
     """
 
     def __init__(self, table: np.ndarray, k: int) -> None:
@@ -220,22 +220,29 @@ class _PrefixTrie:
         # at the depth before.
         changed = np.zeros(len(table) - 1, dtype=bool)
         node = np.zeros(len(table), dtype=np.int32)
-        for d in range(1, table.shape[1]):
+        for d in range(1, table.shape[1] - 1):
             changed |= table[1:, d] != table[:-1, d]
             first = np.concatenate(([True], changed))
+            if np.count_nonzero(first) > _BLOCK_ROWS:
+                break
             parents.append(_read_only(node[first]))
             labels.append(_read_only(table[first, d]))
             node = np.cumsum(first, dtype=np.int32) - 1
         self.parents, self.labels = tuple(parents), tuple(labels)
+        self.ancestor = _read_only(node)
+        self.tail = _read_only(np.asfortranarray(table[:, len(labels) + 1:]))
 
     @property
     def nbytes(self) -> int:
-        return sum(a.nbytes for a in self.parents + self.labels)
+        return sum(a.nbytes for a in self.parents + self.labels + (self.ancestor, self.tail))
 
     def row(self, i: int) -> np.ndarray:
-        """The label array of table row i, read up the parents."""
-        row = np.zeros(len(self.labels) + 1, dtype=self.labels[0].dtype)
-        for d in range(len(self.labels), 0, -1):
+        """The label array of table row i: its tail, then up the parents."""
+        depth = len(self.labels)
+        row = np.zeros(depth + 1 + self.tail.shape[1], dtype=self.tail.dtype)
+        row[depth + 1:] = self.tail[i]
+        i = self.ancestor[i]
+        for d in range(depth, 0, -1):
             row[d] = self.labels[d - 1][i]
             i = self.parents[d - 1][i]
         return row
@@ -245,52 +252,42 @@ class _PrefixTrie:
         along each block of ``_BLOCK_ROWS`` table rows, with a function from
         a row of the block to its label array.
 
-        Each prefix takes its parent's sums and adds its item to the cell
-        of its label, so every cell adds its items in item order from 0.0,
-        as :func:`aggregate` does, and has the same bits; the layout is
-        aggregate's too.
+        Each shallow prefix takes its parent's sums once per call, and each
+        block its rows' ancestors' sums; both add their items column by
+        column, so every cell adds its items in item order from 0.0, as
+        :func:`aggregate` does, and has the same bits and aggregate's layout.
         """
         cell_major = self.k < _CELL_MAJOR_BELOW
-        n = len(self.labels) + 1
-        rows = self.parents[-1].size
+        shallow = len(self.labels) + 1
         # (vectors, k, prefixes) cell-major, else (vectors, prefixes, k).
-        whole = np.zeros((len(pq),) + ((self.k, 1) if cell_major else (1, self.k)))
-        whole[:, 0, 0] += pq[:, 0]
-        top = 1
-        while top < n - 1 and self.parents[top - 1].size <= _WHOLE_DEPTH_PREFIXES:
-            whole = _extend(whole, self.parents[top - 1], self.labels[top - 1], pq[:, top],
-                            cell_major)
-            top += 1
-        for start in range(0, rows, _BLOCK_ROWS):
-            # The block's rows descend from one range of prefixes at each
-            # depth from top on; parents are nondecreasing.
-            spans = [(start, min(start + _BLOCK_ROWS, rows))]
-            for d in range(n - 1, top, -1):
-                lo, hi = spans[-1]
-                spans.append((int(self.parents[d - 1][lo]), int(self.parents[d - 1][hi - 1]) + 1))
-            block, base = whole, 0
-            for d, (lo, hi) in zip(range(top, n), reversed(spans)):
-                block = _extend(block, self.parents[d - 1][lo:hi] - base,
-                                self.labels[d - 1][lo:hi], pq[:, d], cell_major)
-                base = lo
+        sums = np.zeros((len(pq),) + ((self.k, 1) if cell_major else (1, self.k)))
+        sums[:, 0, 0] += pq[:, 0]
+        for d in range(1, shallow):
+            sums = _extend(sums, self.parents[d - 1], self.labels[d - 1][:, None],
+                           pq[:, d:d + 1], cell_major)
+        for start in range(0, self.ancestor.size, _BLOCK_ROWS):
+            stop = start + _BLOCK_ROWS
+            block = _extend(sums, self.ancestor[start:stop], self.tail[start:stop],
+                            pq[:, shallow:], cell_major)
             yield (block.swapaxes(1, 2) if cell_major else block,
                    lambda i, start=start: self.row(start + i))
 
 
 def _extend(sums: np.ndarray, parents: np.ndarray, labels: np.ndarray, v: np.ndarray,
             cell_major: bool) -> np.ndarray:
-    """The cell sums of the next depth's prefixes: each one's parent's sums,
-    plus entry s of ``v`` in vector s's cell of its label."""
+    """Row i's parent's cell sums, plus entry j of vector s's ``v`` in its
+    cell ``labels[i, j]``, column by column."""
     r = parents.size
     if cell_major:
         out = sums.take(parents, axis=2)
-        at = labels * np.intp(r) + np.arange(r)
+        step, base = r, np.arange(r)
     else:
-        k = sums.shape[2]
         out = sums.take(parents, axis=1)
-        at = np.arange(0, r * k, k) + labels
-    for cells, x in zip(out, v):
-        np.add.at(cells.reshape(-1), at, x)
+        step, base = 1, np.arange(0, r * sums.shape[2], sums.shape[2])
+    for column, x in zip(labels.T, v.T):
+        at = column * np.intp(step) + base
+        for cells, value in zip(out, x):
+            np.add.at(cells.reshape(-1), at, value)
     return out
 
 
@@ -308,7 +305,7 @@ def _kept_enumeration(n: int, k: int) -> np.ndarray | _PrefixTrie:
     A table of at most one ``_BLOCK_ROWS`` block is kept as one read-only
     (S(n, k), n) label block, and a longer one as a :class:`_PrefixTrie`
     built from it.  The oracle asks only for tables of at most
-    ``_TABLE_BYTES``: 80 (n, k) with 1 < k < n, which all kept take 9.2 MiB.
+    ``_TABLE_BYTES``: 80 (n, k) with 1 < k < n, which all kept take 7.0 MiB.
     Two threads may build one (n, k) at once; both copies are read-only and
     equal.
     """
@@ -334,11 +331,11 @@ def exact_star_metric(
     :class:`PartitionBudgetError`.
 
     Every partition is evaluated.  An (n, k) kept as a prefix trie extends
-    each prefix's cell sums from its parent's, one depth at a time, and the
-    rows' sums reach the kernel in blocks of ``_BLOCK_ROWS``; any other
-    enumeration is aggregated block by block.  Both add each cell's items in
-    item order from 0.0 and lay the sums out alike, so the value, argmax and
-    count have the same bits either way.
+    its shallow prefixes' cell sums once per call, and each block of
+    ``_BLOCK_ROWS`` rows adds its tail items to its rows' ancestors' sums;
+    any other enumeration is aggregated block by block.  Both add each
+    cell's items in item order from 0.0 and lay the sums out alike, so the
+    value, argmax and count have the same bits either way.
     """
     if not is_integer(k):
         raise ValueError(f"k must be an integer, got {k!r}")

@@ -283,6 +283,44 @@ class TestExactStarMetric:
                 assert r.evaluated_partitions == total
                 assert sizes == [rows] * (total // rows) + [total % rows] * (total % rows > 0)
 
+    @pytest.mark.parametrize("n, k", [(9, 4), (10, 5), (11, 8), (15, 13)])
+    def test_kept_trie_rows_are_the_table_rows(self, n, k, fresh_tables):
+        # The first and last row of every block and 200 seeded rows read back
+        # as the table has them; the tail is the table's own last columns.
+        table = np.concatenate(list(assignment_blocks(n, k)))
+        trie = starmetric._kept_enumeration(n, k)
+        assert isinstance(trie, starmetric._PrefixTrie)
+        assert np.array_equal(trie.tail, table[:, n - trie.tail.shape[1]:])
+        assert trie.tail.flags.f_contiguous and trie.ancestor.dtype == np.int32
+        assert all(p.size <= starmetric._BLOCK_ROWS for p in trie.parents)
+        rows = len(table)
+        picks = {i for start in range(0, rows, starmetric._BLOCK_ROWS)
+                 for i in (start, min(start + starmetric._BLOCK_ROWS, rows) - 1)}
+        picks.update(np.random.default_rng(n * 100 + k).integers(0, rows, 200).tolist())
+        for i in sorted(picks):
+            row = trie.row(i)
+            assert row.dtype == table.dtype and np.array_equal(row, table[i]), i
+
+    def test_split_taken_at_build_keeps_the_bits(self, monkeypatch, fresh_tables):
+        # A trie built while blocks are 7 rows keeps fewer shallow depths;
+        # evaluated in default blocks it gives the default build's results.
+        p, q = random_pair(np.random.default_rng(17), 10)
+        specs = [get_divergence(name) for name in ("kl", "js", "bhattacharyya", "hellinger", "tv")]
+        expected = [exact_star_metric(spec, p, q, 5) for spec in specs]
+        default_depths = len(starmetric._kept_enumeration(10, 5).labels)
+        starmetric._kept_enumeration.cache_clear()
+        monkeypatch.setattr(starmetric, "_BLOCK_ROWS", 7)
+        starmetric._kept_enumeration(10, 5)
+        monkeypatch.undo()
+        trie = starmetric._kept_enumeration(10, 5)
+        assert len(trie.labels) < default_depths
+        assert all(p.size <= 7 for p in trie.parents)
+        for spec, e in zip(specs, expected):
+            r = exact_star_metric(spec, p, q, 5)
+            assert r.value == e.value, spec.name
+            assert r.argmax.tobytes() == e.argmax.tobytes(), spec.name
+            assert r.evaluated_partitions == e.evaluated_partitions == stirling(10, 5)
+
     def test_tables_above_the_bound_stream(self, monkeypatch, fresh_tables):
         # With the bound at 0 every enumeration streams and no table is kept.
         monkeypatch.setattr(starmetric, "_TABLE_BYTES", 0)
@@ -298,14 +336,14 @@ class TestExactStarMetric:
 
     def test_every_admissible_table_kept(self, monkeypatch, fresh_tables):
         # The oracle keeps an (n, k) with 1 < k < n whose table fits
-        # _TABLE_BYTES: 80 of them, all n <= 26, which all kept take 9.2 MiB.
+        # _TABLE_BYTES: 80 of them, all n <= 26, which all kept take 7.0 MiB.
         # Once built, none is enumerated again.
         enumerated = counted_enumerations(monkeypatch)
         sizes = [(n, k) for n in range(3, starmetric.MAX_STIRLING_N + 1) for k in range(2, n)
                  if stirling(n, k) * n <= starmetric._TABLE_BYTES]
         assert len(sizes) == 80 and max(n for n, _ in sizes) == 26
         kept = sum(starmetric._kept_enumeration(n, k).nbytes for n, k in sizes)
-        assert kept == 9_673_675 < 10 * 2 ** 20
+        assert kept == 7_295_707 < 7 * 2 ** 20
         assert enumerated == sizes
         for n, k in sizes:
             starmetric._kept_enumeration(n, k)
