@@ -97,11 +97,28 @@ def test_raw_medians_read_and_summarized(tmp_path):
     assert s["wall_s"]["raw"]["change"]["median"] == round(0.0945 / 0.8, 4)
     assert s["setup_s"]["raw"]["change"] == {"median": 0.3125, "q1": 0.3125, "q3": 0.3125,
                                              "n": 10}
-    assert "raw" not in s["peak_rss_mb"]
+    assert s["wall_s"]["raw_ratio"]["change"] == {"median": 1.25, "q1": 1.25, "q3": 1.25, "n": 10}
+    assert s["wall_s"]["raw_ratio"]["twin-p"]["n"] == 10
+    assert "raw" not in s["peak_rss_mb"] and "raw_ratio" not in s["peak_rss_mb"]
     assert s["host_speed"]["twin-p"]["median"] == 1.0 and s["host_speed"]["change"]["q1"] == 0.8
     # Result lines without them (a failed run) leave the summary as before.
     assert "raw" not in benchpair.summarize(rows(PARENT, PARENT, TWIN))["oracle-gate seed 9"][
         "wall_s"]
+
+
+def test_raw_ratio_pairs_each_round():
+    # The host drifts 1.5x across rounds, so each side's raw medians spread
+    # alike, but in every round the change reads 0.9 of its parent.
+    drift = [1.0 + 0.5 * i / 9 for i in range(10)]
+    r = rows([0.05 * d for d in drift], [0.045 * d for d in drift], [0.05 * d for d in drift])
+    for line in r:
+        line["raw"] = {m: line["metrics"][m]["value"] for m in ("wall_s", "setup_s")}
+    wall = benchpair.summarize(r)["oracle-gate seed 9"]["wall_s"]
+    assert wall["raw"]["parent"]["q3"] - wall["raw"]["parent"]["q1"] > 0.01
+    assert wall["raw_ratio"]["change"] == {"median": 0.9, "q1": 0.9, "q3": 0.9, "n": 10}
+    assert wall["raw_ratio"]["twin-p"]["median"] == 1.0
+    assert benchpair.summarize(r)["oracle-gate seed 9"]["setup_s"]["raw_ratio"]["change"][
+        "median"] == 1.0
 
 
 def test_rotation_starts_each_round_one_side_later():

@@ -292,7 +292,7 @@ class TestExactStarMetric:
         assert isinstance(trie, starmetric._PrefixTrie)
         assert np.array_equal(trie.tail, table[:, n - trie.tail.shape[1]:])
         assert trie.tail.flags.f_contiguous and trie.ancestor.dtype == np.int32
-        assert all(p.size <= starmetric._BLOCK_ROWS for p in trie.parents)
+        assert all(a.size <= starmetric._BLOCK_ROWS for a in trie.parents)
         rows = len(table)
         picks = {i for start in range(0, rows, starmetric._BLOCK_ROWS)
                  for i in (start, min(start + starmetric._BLOCK_ROWS, rows) - 1)}
@@ -314,7 +314,7 @@ class TestExactStarMetric:
         monkeypatch.undo()
         trie = starmetric._kept_enumeration(10, 5)
         assert len(trie.labels) < default_depths
-        assert all(p.size <= 7 for p in trie.parents)
+        assert all(a.size <= 7 for a in trie.parents)
         for spec, e in zip(specs, expected):
             r = exact_star_metric(spec, p, q, 5)
             assert r.value == e.value, spec.name

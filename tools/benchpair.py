@@ -27,7 +27,9 @@ at least nine rounds in ten by more than both the parent's IQR and the twin
 gap.  perfbench scales ``wall_s`` and ``setup_s`` to a reference host speed;
 each run also keeps the raw (unscaled) medians and the host speed from
 perfbench's full report, and the summary gives the raw medians and quartiles
-beside the scaled ones.
+beside the scaled ones, and the quartiles over rounds of the change's and
+the twin's raw median divided by the parent's from the same round, since
+the host speed can drift from round to round.
 """
 from __future__ import annotations
 
@@ -123,6 +125,14 @@ def side_quartiles(rows: list[dict], value) -> dict:
     return out
 
 
+def raw_ratios(rows: list[dict], metric: str, side: str) -> list[float]:
+    """``side``'s raw median of ``metric`` over the parent's from the same
+    round, for each round where both have one."""
+    raw = {s: {r["round"]: r["raw"][metric] for r in rows
+               if r["side"] == s and metric in r.get("raw", {})} for s in ("parent", side)}
+    return [raw[side][i] / raw["parent"][i] for i in sorted(raw["parent"].keys() & raw[side].keys())]
+
+
 def summarize(rows: list[dict], claim: tuple[str, str] | None = None) -> dict:
     """Summary per "workload seed S" of the untraced result rows.
 
@@ -130,8 +140,9 @@ def summarize(rows: list[dict], claim: tuple[str, str] | None = None) -> dict:
     ``attempted``, ``failed`` and ``metrics`` ({name: {"value", "unit"}}),
     and may have ``raw`` ({name: unscaled median}) and ``host_speed``, whose
     quartiles per side go under the metric's ``raw`` and the entry's
-    ``host_speed``.  ``claim`` is (workload, metric): that entry also gets
-    ``claim_met``.
+    ``host_speed``; the quartiles of :func:`raw_ratios` for the change and
+    the twin go under ``raw_ratio``.  ``claim`` is (workload, metric): that
+    entry also gets ``claim_met``.
     """
     out: dict[str, dict] = {}
     for key in sorted({(r["workload"], r["seed"]) for r in rows}):
@@ -160,6 +171,8 @@ def summarize(rows: list[dict], claim: tuple[str, str] | None = None) -> dict:
             raw = side_quartiles(mine, lambda r: r.get("raw", {}).get(metric))
             if raw:
                 m["raw"] = raw
+                m["raw_ratio"] = {s: quartiles(ratios) for s in ("change", "twin-p")
+                                  if (ratios := raw_ratios(mine, metric, s))}
             entry[metric] = m
         speed = side_quartiles(mine, lambda r: r.get("host_speed"))
         if speed:
