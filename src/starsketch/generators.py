@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import inspect
 import math
+import os
 import re
 import struct
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, TypeVar
 
 import numpy as np
 
@@ -26,6 +27,7 @@ from .hashing import is_integer, item_ids
 from .histogram import EmpiricalDistribution
 
 STREAM_MAGIC = b"SSTR"
+T = TypeVar("T")
 
 FAMILY_KINDS = ("uniform", "zipf", "pascal", "binomial", "poisson")
 
@@ -260,40 +262,54 @@ _FILE_VERSION = 1
 _STREAM_DIMS = struct.Struct("<QQ")  # universe size n, item count m
 
 
-def _pack_file(magic: bytes, text: str, dims: bytes,
-               values: np.ndarray) -> tuple[bytes, np.ndarray]:
-    """The container as (header bytes, u64 payload array), for one write each."""
+def _write_file(path: str, magic: bytes, text: str, dims: bytes, values) -> None:
+    """Write the container: the header, then the values as u64s."""
     raw = text.encode()
-    return (_PREFIX.pack(magic, _FILE_VERSION, len(raw)) + raw + dims,
-            np.ascontiguousarray(values, dtype="<u8"))
+    with open(path, "wb") as fh:
+        fh.writelines((_PREFIX.pack(magic, _FILE_VERSION, len(raw)) + raw + dims,
+                       np.ascontiguousarray(values, dtype="<u8")))
 
 
-def _unpack_file(data: bytes, magic: bytes, kind: str, dims: struct.Struct,
-                 count: Callable[..., int]) -> tuple[str, tuple, np.ndarray]:
-    """(text, dimensions, uint64 values) of a container holding exactly the
-    ``count(*dimensions)`` values its header announces, else ``ValueError``."""
-    if data[:4] != magic:
-        raise ValueError(f"not a {kind} file")
-    if len(data) < _PREFIX.size:
-        raise ValueError(f"truncated {kind} file: {len(data)} bytes")
-    _, version, text_len = _PREFIX.unpack_from(data)
-    if version != _FILE_VERSION:
-        raise ValueError(f"unsupported {kind} file version {version}")
-    dims_at = _PREFIX.size + text_len
-    values_at = dims_at + dims.size
-    if len(data) < values_at:
-        raise ValueError(f"truncated {kind} file: {len(data)} bytes, header ends past the data")
-    dimensions = dims.unpack_from(data, dims_at)
-    size = count(*dimensions)
-    expected = values_at + 8 * size
-    if len(data) < expected:
-        raise ValueError(f"truncated {kind} file: {len(data)} bytes, its header needs "
-                         f"{expected} for {size} values")
-    if len(data) > expected:
-        raise ValueError(f"{kind} file has {len(data) - expected} trailing bytes "
-                         f"after its {size} values")
-    values = np.frombuffer(data, dtype="<u8", count=size, offset=values_at).astype(np.uint64)
-    return data[_PREFIX.size:dims_at].decode(), dimensions, values
+def _fill(fh, buffer, kind: str):
+    """``buffer``, filled from ``fh``; a read that comes up short is a truncated file."""
+    if fh.readinto(buffer) < memoryview(buffer).nbytes:
+        raise ValueError(f"truncated {kind} file: a read came up short of its header's length")
+    return buffer
+
+
+def _read_file(path: str, magic: bytes, kind: str, dims: struct.Struct,
+               count: Callable[..., int], build: Callable[..., T]) -> T:
+    """``build(text, uint64 values, *dimensions)`` of the container at ``path``.  Its
+    header is checked, and the file's size (``os.fstat``) must be exactly what it
+    announces for ``count(*dimensions)`` values, before the payload is read once,
+    into ``values``.  Every ``ValueError``, ``build``'s too, starts with the path."""
+    try:
+        with open(path, "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            prefix = fh.read(_PREFIX.size)
+            if prefix[:4] != magic:
+                raise ValueError(f"not a {kind} file")
+            if len(prefix) < _PREFIX.size:
+                raise ValueError(f"truncated {kind} file: {len(prefix)} bytes")
+            _, version, text_len = _PREFIX.unpack(prefix)
+            if version != _FILE_VERSION:
+                raise ValueError(f"unsupported {kind} file version {version}")
+            if size < _PREFIX.size + text_len + dims.size:
+                raise ValueError(f"truncated {kind} file: {size} bytes, header ends past the data")
+            text = _fill(fh, bytearray(text_len + dims.size), kind)
+            dimensions = dims.unpack_from(text, text_len)
+            length = count(*dimensions)
+            expected = fh.tell() + 8 * length
+            if size < expected:
+                raise ValueError(f"truncated {kind} file: {size} bytes, its header needs "
+                                 f"{expected} for {length} values")
+            if size > expected:
+                raise ValueError(f"{kind} file has {size - expected} trailing bytes "
+                                 f"after its {length} values")
+            values = _fill(fh, np.empty(length, dtype="<u8"), kind)
+        return build(text[:text_len].decode(), values.astype(np.uint64, copy=False), *dimensions)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def write_stream(path: str, items, n: int, descriptor: str) -> None:
@@ -305,8 +321,7 @@ def write_stream(path: str, items, n: int, descriptor: str) -> None:
     if not (is_integer(n) and 0 <= n < 2 ** 64):
         raise ValueError(f"universe size must be an integer in [0, 2^64), got {n!r}")
     ids = item_ids(items)
-    with open(path, "wb") as fh:
-        fh.writelines(_pack_file(STREAM_MAGIC, descriptor, _STREAM_DIMS.pack(n, ids.size), ids))
+    _write_file(path, STREAM_MAGIC, descriptor, _STREAM_DIMS.pack(n, ids.size), ids)
 
 
 def read_stream(path: str) -> tuple[np.ndarray, int, str]:
@@ -315,11 +330,5 @@ def read_stream(path: str) -> tuple[np.ndarray, int, str]:
     The file length must be exactly what its header implies; truncation and
     trailing bytes raise ``ValueError``.
     """
-    with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        descriptor, (n, _), items = _unpack_file(data, STREAM_MAGIC, "stream", _STREAM_DIMS,
-                                                 lambda n, m: m)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    return items, n, descriptor
+    return _read_file(path, STREAM_MAGIC, "stream", _STREAM_DIMS, lambda n, m: m,
+                      lambda descriptor, items, n, m: (items, n, descriptor))

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .generators import _pack_file, _unpack_file
+from .generators import _read_file, _write_file
 from .hashing import HashFamily, evaluate_batch, item_ids
 from .histogram import _exact_sum, _read_only, from_stream
 
@@ -77,27 +77,16 @@ class SketchMatrix:
         return self.counts[i].astype(np.float64) / float(self.total)
 
     def save(self, path: str) -> None:
-        with open(path, "wb") as fh:
-            fh.write(self.to_bytes())
-
-    def to_bytes(self) -> bytes:
-        return b"".join(_pack_file(_MAGIC, self.family.header(),
-                                   _DIMS.pack(self.t, self.k, self.total), self.counts))
+        _write_file(path, _MAGIC, self.family.header(), _DIMS.pack(self.t, self.k, self.total),
+                    self.counts)
 
 
 def load_sketch(path: str) -> SketchMatrix:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        return sketch_from_bytes(data)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    """The sketch saved at ``path``; the length must be exactly what the header implies."""
+    return _read_file(path, _MAGIC, "sketch", _DIMS, lambda t, k, total: t * k, _from_file)
 
 
-def sketch_from_bytes(data: bytes) -> SketchMatrix:
-    """Parse the file form; the length must be exactly what the header implies."""
-    header, (t, k, total), counts = _unpack_file(data, _MAGIC, "sketch", _DIMS,
-                                                 lambda t, k, total: t * k)
+def _from_file(header: str, counts: np.ndarray, t: int, k: int, total: int) -> SketchMatrix:
     family = HashFamily.from_header(header)
     if (t, k) != (family.t, family.k):
         raise ValueError("sketch file dimensions disagree with the family header")

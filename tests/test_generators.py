@@ -2,7 +2,10 @@ import hashlib
 import math
 import os
 import re
+import struct
 import tempfile
+import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -394,6 +397,54 @@ def test_stream_file_rejects_trailing_bytes(tmp_path):
     path.write_bytes(blob + b"junk!")
     with pytest.raises(ValueError, match="5 trailing bytes"):
         read_stream(str(path))
+
+
+def _traced_peak(fn, *args):
+    """The peak bytes ``tracemalloc`` sees while ``fn(*args)`` runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    return peak
+
+
+def _rejected_peak(path, message):
+    def read():
+        with pytest.raises(ValueError, match=message):
+            read_stream(str(path))
+    return _traced_peak(read)
+
+
+def test_stream_header_announcing_more_than_the_file_holds_reads_no_payload(tmp_path):
+    # 2^40 items would be 8 TiB: the length check comes before any allocation.
+    path, blob = _stream_bytes(tmp_path)
+    dims_at = len(blob) - 8 * 3 - 16
+    path.write_bytes(blob[:dims_at] + struct.pack("<QQ", 9, 1 << 40) + blob[dims_at + 16:])
+    assert _rejected_peak(path, r"truncated stream file: .* needs") < 1 << 20
+
+
+def test_stream_file_with_wrong_magic_reads_no_payload(tmp_path):
+    path = tmp_path / "big.stream"
+    path.write_bytes(b"SKMX" + bytes(8 << 20))
+    assert _rejected_peak(path, "not a stream file") < 1 << 20
+
+
+def test_stream_payload_read_that_comes_up_short_is_truncated(tmp_path, monkeypatch):
+    # The file loses its last id after its size was taken.
+    path, blob = _stream_bytes(tmp_path)
+    path.write_bytes(blob[:-8])
+    monkeypatch.setattr(os, "fstat", lambda fd: types.SimpleNamespace(st_size=len(blob)))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: truncated stream file"):
+        read_stream(str(path))
+
+
+def test_stream_payload_is_read_once(tmp_path):
+    # One copy of the ids: 8 MB for a million of them.
+    path = tmp_path / "million.stream"
+    write_stream(str(path), np.arange(1, 1_000_001, dtype=np.uint64), 0, "ids")
+    assert _traced_peak(read_stream, str(path)) <= 8 << 20
 
 
 @given(st.data())

@@ -1,5 +1,7 @@
+import os
 import re
 import struct
+import tempfile
 
 import numpy as np
 import pytest
@@ -7,14 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from starsketch.divergence import get_divergence
-from starsketch.generators import DistributionFamily, _pack_file, sample_stream
+from starsketch.generators import DistributionFamily, _write_file, sample_stream
 from starsketch.hashing import item_ids, new_family
 from starsketch.sketch import (
     MAX_TOTAL,
     FamilyMismatchError,
     SketchMatrix,
     load_sketch,
-    sketch_from_bytes,
     sketch_stream,
 )
 from starsketch.starmetric import sketch_star_metric
@@ -23,6 +24,24 @@ from starsketch.starmetric import sketch_star_metric
 @pytest.fixture
 def family():
     return new_family(4, 16, 1000, seed=1)
+
+
+def saved_bytes(sk: SketchMatrix) -> bytes:
+    """The bytes ``sk.save`` writes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "s.sketch")
+        sk.save(path)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+def load_bytes(blob: bytes) -> SketchMatrix:
+    """``load_sketch`` of a file holding ``blob``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "s.sketch")
+        with open(path, "wb") as fh:
+            fh.write(blob)
+        return load_sketch(path)
 
 
 def scalar_reference(family, items):
@@ -162,8 +181,8 @@ class TestReadOnly:
         merged = sk.merge(sk)
         assert np.array_equal(merged.counts, 2 * before) and merged.total == 6
         assert sketch_star_metric(get_divergence("js"), sk, merged).value == 0.0
-        loaded = sketch_from_bytes(sk.to_bytes())
-        assert np.array_equal(loaded.counts, before) and loaded.to_bytes() == sk.to_bytes()
+        loaded = load_bytes(saved_bytes(sk))
+        assert np.array_equal(loaded.counts, before) and saved_bytes(loaded) == saved_bytes(sk)
 
     def test_view_neither_copies_nor_freezes_the_given_array(self, family):
         counts = np.zeros((family.t, family.k), dtype=np.uint64)
@@ -277,23 +296,23 @@ class TestSerialization:
         assert loaded.total == s.total
         assert np.array_equal(loaded.counts, s.counts)
         assert loaded.family == s.family
-        assert loaded.to_bytes() == s.to_bytes()
+        assert saved_bytes(loaded) == path.read_bytes()
 
     def test_rejects_garbage(self, tmp_path):
         with pytest.raises(ValueError, match="not a sketch"):
-            sketch_from_bytes(b"nonsense here")
+            load_bytes(b"nonsense here")
 
     def test_rejects_tampered_counters(self, family):
         s = sketch_stream(family, [1, 2, 3])
-        blob = bytearray(s.to_bytes())
+        blob = bytearray(saved_bytes(s))
         blob[-1] ^= 0xFF
         with pytest.raises(ValueError, match="row sums"):
-            sketch_from_bytes(bytes(blob))
+            load_bytes(bytes(blob))
 
     def test_load_error_names_the_file(self, tmp_path, family):
         # Two files reach the distance verb; the error must say which is bad.
         path = tmp_path / "z.sketch"
-        blob = bytearray(sketch_stream(family, [1, 2, 3]).to_bytes())
+        blob = bytearray(saved_bytes(sketch_stream(family, [1, 2, 3])))
         blob[-1] ^= 0xFF
         path.write_bytes(bytes(blob))
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: corrupt sketch file"):
@@ -304,8 +323,7 @@ class TestSerialization:
         s = sketch_stream(family, [1, 2, 3])
         header = "\n".join([first] + s.family.header().splitlines()[1:]) + "\n"
         path = tmp_path / "h.sketch"
-        path.write_bytes(b"".join(_pack_file(b"SKMX", header,
-                                             struct.pack("<IIQ", s.t, s.k, s.total), s.counts)))
+        _write_file(str(path), b"SKMX", header, struct.pack("<IIQ", s.t, s.k, s.total), s.counts)
         message = "family header's first line must hold four integers: t k P seed"
         with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
             load_sketch(str(path))
@@ -313,41 +331,41 @@ class TestSerialization:
     def test_rejects_row_sum_that_wraps(self, family):
         # Row 0 = [2^64-1, 6, 0, ...] sums to 5 only modulo 2^64.
         s = sketch_stream(family, [1, 2, 3, 4, 5])
-        blob = bytearray(s.to_bytes())
+        blob = bytearray(saved_bytes(s))
         row0 = len(blob) - 8 * s.t * s.k
         blob[row0:row0 + 8 * s.k] = np.array([2 ** 64 - 1, 6] + [0] * (s.k - 2), "<u8").tobytes()
         with pytest.raises(ValueError, match="row sums disagree with total at row 0"):
-            sketch_from_bytes(bytes(blob))
+            load_bytes(bytes(blob))
 
     def test_rejects_truncation(self, family):
-        blob = sketch_stream(family, [1, 2, 3]).to_bytes()
+        blob = saved_bytes(sketch_stream(family, [1, 2, 3]))
         for cut in range(4, len(blob)):
             with pytest.raises(ValueError, match="truncated"):
-                sketch_from_bytes(blob[:cut])
+                load_bytes(blob[:cut])
 
     def test_rejects_trailing_bytes(self, family):
-        blob = sketch_stream(family, [1, 2, 3]).to_bytes()
+        blob = saved_bytes(sketch_stream(family, [1, 2, 3]))
         with pytest.raises(ValueError, match="1 trailing bytes"):
-            sketch_from_bytes(blob + b"\0")
+            load_bytes(blob + b"\0")
 
     def test_length_checked_against_header_dimensions(self, family):
         # Dimensions announcing far more counters than the data holds are
         # rejected from the header alone, before any counter is read.
         s = sketch_stream(family, [1, 2, 3])
-        blob = bytearray(s.to_bytes())
+        blob = bytearray(saved_bytes(s))
         dims_at = len(blob) - 8 * s.t * s.k - 16
         blob[dims_at:dims_at + 8] = struct.pack("<II", 1 << 20, 1 << 20)
         with pytest.raises(ValueError, match="truncated sketch file: .* needs"):
-            sketch_from_bytes(bytes(blob))
+            load_bytes(bytes(blob))
 
     def test_rejects_dimensions_disagreeing_with_header(self, family):
         # 2 x 32 counters fill the length of 4 x 16, but the family hashes into 4 x 16.
         s = sketch_stream(family, [1, 2, 3])
-        blob = bytearray(s.to_bytes())
+        blob = bytearray(saved_bytes(s))
         dims_at = len(blob) - 8 * s.t * s.k - 16
         blob[dims_at:dims_at + 8] = struct.pack("<II", 2, 32)
         with pytest.raises(ValueError, match="dimensions disagree with the family header"):
-            sketch_from_bytes(bytes(blob))
+            load_bytes(bytes(blob))
 
     def test_rejects_non_table_prime(self):
         # A well-formed file whose family header names a prime outside the
@@ -357,12 +375,12 @@ class TestSerialization:
         blob = (struct.pack("<4sBI", b"SKMX", 1, len(header)) + header
                 + struct.pack("<IIQ", 1, 2, 3) + np.array([1, 2], dtype="<u8").tobytes())
         with pytest.raises(ValueError, match="PRIME_TABLE"):
-            sketch_from_bytes(blob)
+            load_bytes(blob)
 
     @given(st.data())
     @settings(max_examples=300, deadline=None)
     def test_arbitrary_bytes_never_escape_value_error(self, data):
-        blob = sketch_stream(new_family(2, 3, 100, seed=1), [1, 2, 3]).to_bytes()
+        blob = saved_bytes(sketch_stream(new_family(2, 3, 100, seed=1), [1, 2, 3]))
         raw = data.draw(st.one_of(
             st.binary(max_size=120),
             st.tuples(st.integers(0, len(blob)), st.binary(max_size=12)).map(
@@ -372,7 +390,7 @@ class TestSerialization:
                 + blob[flip[0] + 1:]),
         ))
         try:
-            sk = sketch_from_bytes(raw)
+            sk = load_bytes(raw)
         except ValueError:
             return
         assert sk.counts.shape == (sk.t, sk.k)
@@ -382,8 +400,9 @@ class TestSerialization:
         # Concrete form of the t*(k log m + log n) space promise.
         for t, k in ((4, 200), (2, 50), (8, 1000)):
             fam = new_family(t, k, 10 ** 6, seed=3)
-            s = sketch_stream(fam, [1, 2, 3])
-            size = len(s.to_bytes())
+            path = tmp_path / f"{t}x{k}.sketch"
+            sketch_stream(fam, [1, 2, 3]).save(str(path))
+            size = os.path.getsize(path)
             assert size <= 3 * t * (8 * k + 16) + 64
 
 
