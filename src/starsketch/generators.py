@@ -256,7 +256,9 @@ def parse_family(text: str, n: int) -> DistributionFamily:
 
 # The file container shared by stream and sketch files: a prefix (magic,
 # version, text length), the text, a fixed dimensions record, then the
-# little-endian u64 values the dimensions announce.
+# little-endian u64 values the dimensions announce.  The text is encoded with
+# ``surrogateescape``, so any str a path can hold round-trips and valid UTF-8
+# keeps its bytes.
 _PREFIX = struct.Struct("<4sBI")
 _FILE_VERSION = 1
 _STREAM_DIMS = struct.Struct("<QQ")  # universe size n, item count m
@@ -264,7 +266,7 @@ _STREAM_DIMS = struct.Struct("<QQ")  # universe size n, item count m
 
 def _write_file(path: str, magic: bytes, text: str, dims: bytes, values) -> None:
     """Write the container: the header, then the values as u64s."""
-    raw = text.encode()
+    raw = text.encode(errors="surrogateescape")
     with open(path, "wb") as fh:
         fh.writelines((_PREFIX.pack(magic, _FILE_VERSION, len(raw)) + raw + dims,
                        np.ascontiguousarray(values, dtype="<u8")))
@@ -307,7 +309,8 @@ def _read_file(path: str, magic: bytes, kind: str, dims: struct.Struct,
                 raise ValueError(f"{kind} file has {size - expected} trailing bytes "
                                  f"after its {length} values")
             values = _fill(fh, np.empty(length, dtype="<u8"), kind)
-        return build(text[:text_len].decode(), values.astype(np.uint64, copy=False), *dimensions)
+        return build(text[:text_len].decode(errors="surrogateescape"),
+                     values.astype(np.uint64, copy=False), *dimensions)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 

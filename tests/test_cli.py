@@ -325,6 +325,17 @@ def test_ingest_edge_log_pinned(tmp_path, capsys, monkeypatch):
     assert sha256_of("gz.stats") == EDGE_STATS_SHA256
 
 
+def test_ingest_keeps_a_log_name_that_is_not_utf8(tmp_path, capsys, monkeypatch):
+    # The descriptor stores the name's own bytes and reads back as the same str.
+    monkeypatch.chdir(tmp_path)
+    name = os.fsdecode(b"\xff.log")
+    (tmp_path / name).write_bytes(EDGE_LOG)
+    code, _ = run_cli(capsys, "ingest", "--in", name, "--out", "x.stream")
+    assert code == 0
+    assert read_stream("x.stream")[2] == f"clf:{name}"
+    assert b"clf:\xff.log" in (tmp_path / "x.stream").read_bytes()
+
+
 def test_universe_bound_makes_sketches_comparable(tmp_path, capsys):
     # A synthetic stream (n = 500) and an ingested one (n = 0) get different
     # default bounds, hence different primes and families.
