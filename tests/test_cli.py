@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import starsketch
-from starsketch import divergence
+from starsketch import cli, divergence, harness
 from starsketch.cli import main
 from starsketch.divergence import FGenerator, from_f_generator, register
 from starsketch.generators import read_stream
@@ -334,6 +334,28 @@ def test_ingest_keeps_a_log_name_that_is_not_utf8(tmp_path, capsys, monkeypatch)
     assert code == 0
     assert read_stream("x.stream")[2] == f"clf:{name}"
     assert b"clf:\xff.log" in (tmp_path / "x.stream").read_bytes()
+
+
+def test_experiment_run_records_the_plan_text_it_ran(tmp_path, capsys, monkeypatch):
+    # The plan file is read once: a rewrite while it is parsed reaches neither
+    # the run nor manifest.txt.
+    plan = tmp_path / "tiny.plan"
+    text = ("pair = uniform | zipf(alpha=1)\ndivergences = js\nk = 4\nt = 1\n"
+            "trials = 1\nm = 100\nn = 20\nseed = 3\n")
+    plan.write_text(text)
+    parse_plan = harness.parse_plan
+
+    def rewriting(plan_text, **kwargs):
+        plan.write_text("pair = uniform | uniform\n")
+        return parse_plan(plan_text, **kwargs)
+
+    for module in (cli, harness):  # whichever the verb parses through
+        monkeypatch.setattr(module, "parse_plan", rewriting)
+    code, _ = run_cli(capsys, "experiment", "run", "--plan", str(plan),
+                      "--out-dir", str(tmp_path / "out"))
+    assert code == 0
+    assert (tmp_path / "out" / "manifest.txt").read_text().endswith("\n# plan\n" + text)
+    assert "zipf(alpha=1)" in (tmp_path / "out" / "results.csv").read_text()
 
 
 def test_universe_bound_makes_sketches_comparable(tmp_path, capsys):
