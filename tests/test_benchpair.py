@@ -1,6 +1,9 @@
 import importlib.util
 import json
+import os
 import pathlib
+import subprocess
+import types
 
 import pytest
 
@@ -149,3 +152,30 @@ def test_run_lengths_per_workload(spec, lengths):
 def test_run_lengths_rejected(spec, message):
     with pytest.raises(ValueError, match=message):
         benchpair.run_lengths(spec, WORKLOADS)
+
+
+def test_env_pad_rotates_per_round_and_is_recorded(tmp_path, monkeypatch):
+    # Every child of round i gets (i mod 4) KiB of padding, whatever its side;
+    # the pad is written into each result line.
+    def export(rev, dest):
+        os.makedirs(dest)
+        return rev
+
+    pads = []
+
+    def run(cmd, cwd, env, **kwargs):
+        pads.append((os.path.basename(cwd), cmd[cmd.index("--trace") + 1],
+                     len(env[benchpair.ENV_PAD])))
+        assert {k: v for k, v in env.items() if k != benchpair.ENV_PAD} == dict(os.environ)
+        return subprocess.CompletedProcess(cmd, 1, "", "stubbed")
+
+    monkeypatch.setattr(benchpair, "export", export)
+    monkeypatch.setattr(benchpair, "subprocess", types.SimpleNamespace(run=run))
+    out = tmp_path / "bench.json"
+    assert benchpair.main(["--parent", "p", "--change", "c", "--workloads", "oracle-gate",
+                           "--seed", "9", "--rounds", "6", "--traced", "1", "--seconds", "1",
+                           "--workdir", str(tmp_path / "work"), "--out", str(out)]) == 0
+    expected = [(side, "0", 1024 * (i % 4)) for i in range(6) for side in benchpair.rotation(i)]
+    assert pads == expected + [(side, "1", 0) for side in benchpair.SIDES]
+    runs = json.loads(out.read_text())["runs"]
+    assert [(r["side"], str(r["trace"]), r["env_pad"]) for r in runs] == pads

@@ -30,6 +30,12 @@ perfbench's full report, and the summary gives the raw medians and quartiles
 beside the scaled ones, and the quartiles over rounds of the change's and
 the twin's raw median divided by the parent's from the same round, since
 the host speed can drift from round to round.
+
+The size of the environment moves a process's stack, and with it timings
+(Mytkowicz et al., "Producing wrong data without doing anything obviously
+wrong!", ASPLOS 2009).  So every perfbench child of round i gets its
+``BENCHPAIR_ENV_PAD`` variable set to (i mod 4) x 1,024 bytes, the same for
+all sides within the round, and each result line records it as ``env_pad``.
 """
 from __future__ import annotations
 
@@ -45,6 +51,7 @@ import tarfile
 
 SIDES = ("parent", "change", "twin-p")
 END_TO_END = (("wall_s", "lower"), ("setup_s", "lower"), ("peak_rss_mb", "lower"))
+ENV_PAD = "BENCHPAIR_ENV_PAD"
 
 
 def export(rev: str, dest: str) -> str:
@@ -65,6 +72,11 @@ def rotation(round_index: int) -> tuple[str, ...]:
     return SIDES[shift:] + SIDES[:shift]
 
 
+def env_pad(round_index: int) -> int:
+    """Bytes of ``ENV_PAD`` for every child of one round: the pad cycles through 0..3 KiB."""
+    return (round_index % 4) * 1024
+
+
 def run_lengths(spec: str, workloads: list[str]) -> dict[str, float]:
     """Seconds per workload from ``--seconds``, e.g. ``8`` or
     ``oracle-gate=30,15``: named entries override the bare number."""
@@ -83,12 +95,14 @@ def run_lengths(spec: str, workloads: list[str]) -> dict[str, float]:
     return {w: named.get(w, default) for w in workloads}
 
 
-def run_once(root: str, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """One perfbench run in the export at ``root``; its last stdout line, parsed."""
+def run_once(root: str, workload: str, seed: int, seconds: float, trace: int,
+             pad: int) -> dict:
+    """One perfbench run in the export at ``root``, with ``pad`` bytes of
+    ``ENV_PAD`` in its environment; its last stdout line, parsed."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", f"{seconds:g}", "--trace", str(trace)]
-    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True,
-                          timeout=seconds * 20 + 600)
+    proc = subprocess.run(cmd, cwd=root, env=dict(os.environ, **{ENV_PAD: "x" * pad}),
+                          capture_output=True, text=True, timeout=seconds * 20 + 600)
     if proc.returncode != 0:
         return {"correct": False, "attempted": 0, "failed": 0, "metrics": {},
                 "error": proc.stderr[-2000:]}
@@ -226,9 +240,11 @@ def main(argv=None) -> int:
         for trace, count in ((0, args.rounds), (1, args.traced)):
             for i in range(count):
                 for side in rotation(i):
-                    result = run_once(roots[side], workload, args.seed, seconds[workload], trace)
+                    result = run_once(roots[side], workload, args.seed, seconds[workload], trace,
+                                      env_pad(i))
                     runs.append({"round": i, "side": side, "workload": workload,
-                                 "seed": args.seed, "trace": trace, **result})
+                                 "seed": args.seed, "trace": trace, "env_pad": env_pad(i),
+                                 **result})
                     print(json.dumps(runs[-1]), flush=True)
     import numpy
 
@@ -245,6 +261,7 @@ def main(argv=None) -> int:
             + ", ".join(f"{w} {s:g}" for w, s in seconds.items()) + ", "
             "trace 0, sides rotating (round i starts with side i mod 3 of parent, change, "
             f"twin-p); then {args.traced} traced rounds the same way; one process at a time",
+            f"each child of round i has {ENV_PAD} set to (i mod 4) x 1024 bytes (env_pad)",
         ],
         "claimed": {"workload": claim[0], "metric": claim[1]} if claim else None,
         "summary": summarize([r for r in runs if r["trace"] == 0], claim),
