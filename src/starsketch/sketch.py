@@ -13,6 +13,11 @@ total and each matrix's row sums are summed exactly, by the same
 ``_exact_sum`` that totals a histogram, so neither can wrap in uint64; the
 constructor, which every build and merge goes through, rejects a total above
 the counter capacity and a matrix whose rows do not each sum to its total.
+
+A sketch file is the stream files' container around the family header and
+the t*k counters.  ``SketchMatrix.save`` and :func:`load_sketch` are thin
+calls to its one writer and one reader in ``generators``, which checks the
+header and the exact file length before it reads the counters.
 """
 from __future__ import annotations
 
@@ -27,7 +32,6 @@ from .histogram import _exact_sum, _read_only, from_stream
 
 MAX_TOTAL = 2 ** 64 - 1
 
-# A sketch file is the stream files' container around the family header and t*k counters.
 _MAGIC = b"SKMX"
 _DIMS = struct.Struct("<IIQ")  # t, k, total
 
