@@ -45,12 +45,18 @@ def random_pair(rng, n, floor=0.02):
     return p / p.sum(), q / q.sum()
 
 
+def clear_tables():
+    """Empty the label-table cache and the last pair's cell sums."""
+    starmetric._kept_enumeration.cache_clear()
+    starmetric._last_sums = None
+
+
 @pytest.fixture
 def fresh_tables():
-    """An empty label-table cache, emptied again when the test ends."""
-    starmetric._kept_enumeration.cache_clear()
+    """An empty label-table cache and cell-sum slot, emptied again when the test ends."""
+    clear_tables()
     yield
-    starmetric._kept_enumeration.cache_clear()
+    clear_tables()
 
 
 def streamed_star_metric(phi, p, q, k):
@@ -315,11 +321,17 @@ class TestExactStarMetric:
         trie = starmetric._kept_enumeration(10, 5)
         assert len(trie.labels) < default_depths
         assert all(a.size <= 7 for a in trie.parents)
+        # The sums kept from the default trie are not served for the rebuilt
+        # one: it sums the pair once, for all five specs.
+        calls = []
+        monkeypatch.setattr(trie, "block_sums", lambda pq, f=trie.block_sums:
+                            calls.append(pq.shape) or f(pq))
         for spec, e in zip(specs, expected):
             r = exact_star_metric(spec, p, q, 5)
             assert r.value == e.value, spec.name
             assert r.argmax.tobytes() == e.argmax.tobytes(), spec.name
             assert r.evaluated_partitions == e.evaluated_partitions == stirling(10, 5)
+        assert calls == [(2, 10)]
 
     def test_tables_above_the_bound_stream(self, monkeypatch, fresh_tables):
         # With the bound at 0 every enumeration streams and no table is kept.
@@ -349,6 +361,70 @@ class TestExactStarMetric:
             starmetric._kept_enumeration(n, k)
         assert enumerated == sizes
         assert starmetric._kept_enumeration.cache_info().currsize == 80
+        # The cell-sum slot holds one pair's float64 sums: S(n, k) rows of k
+        # cells per vector, at most 14.1 MiB, at (25, 23).
+        slot = {(n, k): stirling(n, k) * k * 2 * 8 for n, k in sizes}
+        assert max(slot.values()) == slot[25, 23] == 14_812_000
+        exact_star_metric(get_divergence("tv"), *random_pair(np.random.default_rng(22), 25), 23)
+        assert sum(sums.nbytes for sums, _ in starmetric._last_sums[2]) == 14_812_000
+
+    @pytest.mark.parametrize("n, k", [(8, 3), (10, 5), (11, 8)])
+    def test_one_pair_summed_once_for_all_specs(self, n, k, monkeypatch, fresh_tables):
+        # (8, 3) keeps one block, (10, 5) and (11, 8) tries with cell-major
+        # and row-major sums.  Five specs in a row on one pair sum it once,
+        # and each gets the bits of a call on an empty slot.
+        specs = [get_divergence(name) for name in ("kl", "js", "bhattacharyya", "hellinger", "tv")]
+        p, q = random_pair(np.random.default_rng(18), n)
+        cold = []
+        for spec in specs:
+            starmetric._last_sums = None
+            cold.append(exact_star_metric(spec, p, q, k))
+        built = []
+        table_sums, block_sums = starmetric._table_sums, starmetric._PrefixTrie.block_sums
+        monkeypatch.setattr(starmetric, "_table_sums", lambda pq, blocks:
+                            built.append("table") or table_sums(pq, blocks))
+        monkeypatch.setattr(starmetric._PrefixTrie, "block_sums", lambda trie, pq:
+                            built.append("trie") or block_sums(trie, pq))
+        starmetric._last_sums = None
+        for spec, c in zip(specs, cold):
+            r = exact_star_metric(spec, p, q, k)
+            assert r.value == c.value, spec.name
+            assert r.argmax.tobytes() == c.argmax.tobytes(), spec.name
+            assert r.evaluated_partitions == c.evaluated_partitions == stirling(n, k)
+        assert len(built) == 1
+        # Only the last pair's sums are kept: a second pair replaces them.
+        p2, q2 = random_pair(np.random.default_rng(19), n)
+        for pair in ((p2, q2), (p, q), (p, q)):
+            exact_star_metric(specs[1], *pair, k)
+        assert len(built) == 3
+        assert all(not sums.flags.writeable for sums, _ in starmetric._last_sums[2])
+
+    def test_pair_written_in_place_is_summed_anew(self, fresh_tables):
+        # The slot is keyed by the pair's bytes, not by the arrays passed.
+        js = get_divergence("js")
+        rng = np.random.default_rng(20)
+        p, q = random_pair(rng, 10)
+        p2, _ = random_pair(rng, 10)
+        before = exact_star_metric(js, p, q, 5)
+        p[:] = p2
+        after = exact_star_metric(js, p, q, 5)
+        starmetric._last_sums = None
+        assert after.value == exact_star_metric(js, p2, q, 5).value != before.value
+
+    @pytest.mark.parametrize("n, k", [(8, 3), (10, 5)])
+    def test_specs_see_read_only_sums(self, n, k, fresh_tables):
+        # A spec cannot change the sums the next spec on the pair reads.
+        def rewrite(P, Q):
+            P[:, 0] = 1.0
+            return np.zeros(P.shape[0])
+
+        js = get_divergence("js")
+        p, q = random_pair(np.random.default_rng(21), n)
+        expected = exact_star_metric(js, p, q, k)
+        with pytest.raises(ValueError, match="read-only"):
+            exact_star_metric(DivergenceSpec("rewrite", rewrite), p, q, k)
+        r = exact_star_metric(js, p, q, k)
+        assert r.value == expected.value and r.argmax.tobytes() == expected.argmax.tobytes()
 
     def test_threads_share_one_cold_cache(self, fresh_tables):
         # Threads that start together on an empty cache may each build the
