@@ -97,12 +97,14 @@ def item_ids(items, what: str = "item ids") -> np.ndarray:
         if ids.dtype.kind == "i" and ids.min() < 0:
             raise ValueError(f"{what} must be nonnegative, found {ids.min()}")
         return ids.astype(np.uint64)
-    # A list mixing Python ints below and above 2^63 is inferred as float64
-    # or object; convert it exactly once every element is known to be an int.
+    # A list mixing Python ints above 2^63 with smaller or numpy integers is
+    # inferred as float64 or object; convert it exactly once every element
+    # is known to be an integer (a bool is not one).  Each goes through int,
+    # since numpy would wrap a negative numpy integer into uint64.
     if (not isinstance(items, np.ndarray) and ids.ndim == 1
-            and all(isinstance(v, int) for v in items)):
+            and all(is_integer(v) for v in items)):
         try:
-            return np.asarray(items, dtype=np.uint64)
+            return np.array([int(v) for v in items], dtype=np.uint64)
         except OverflowError:
             raise ValueError(f"{what} must lie in [0, 2^64)") from None
     raise ValueError(f"{what} must be integers, got dtype {ids.dtype}")

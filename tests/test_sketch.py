@@ -73,8 +73,11 @@ class TestUpdate:
         assert a.total == 500
 
     @pytest.mark.parametrize("bad", [np.array([-1, 3]), [2.7, 3.2], np.array([1.0, 2.0]),
-                                     [1, 2 ** 64], ["a"]])
+                                     [1, 2 ** 64], ["a"], [True, False], np.array([True]),
+                                     [np.int64(-5), 2 ** 63]])
     def test_bad_ids_rejected(self, family, bad):
+        # A bool is not an id, in a list or an array; a negative numpy
+        # integer beside an id above 2^63 is not wrapped into uint64.
         with pytest.raises(ValueError, match="item ids"):
             sketch_stream(family, bad)
 
@@ -91,7 +94,10 @@ class TestUpdate:
     def test_integer_ids_accepted_exactly(self, family):
         ids = [0, 5, 2 ** 63 + 5, 2 ** 64 - 1]
         expected = scalar_reference(family, ids)
-        for batch in (ids, np.array(ids, dtype=np.uint64)):
+        # numpy reads a list mixing numpy integers and ints above 2^63 as float64.
+        mixed = [np.int64(0), np.uint8(5), 2 ** 63 + 5, np.uint64(2 ** 64 - 1)]
+        assert item_ids(mixed).tolist() == ids
+        for batch in (ids, np.array(ids, dtype=np.uint64), mixed):
             assert np.array_equal(sketch_stream(family, batch).counts, expected)
         small = sketch_stream(family, np.array([0, 5], dtype=np.int8))
         assert np.array_equal(small.counts, sketch_stream(family, ids[:2]).counts)
