@@ -179,3 +179,64 @@ def test_env_pad_rotates_per_round_and_is_recorded(tmp_path, monkeypatch):
     assert pads == expected + [(side, "1", 0) for side in benchpair.SIDES]
     runs = json.loads(out.read_text())["runs"]
     assert [(r["side"], str(r["trace"]), r["env_pad"]) for r in runs] == pads
+
+
+def test_differences_per_env_pad():
+    # Each round's change and twin minus its parent, median per pad: the
+    # change reads 0.5 MiB above the parent at pad 1024 only.
+    parent = [50.0] * 8
+    change = [50.0, 50.5, 50.0, 50.0, 50.0, 50.6, 50.0, 50.0]
+    twin = [50.0, 50.0, 50.0, 49.9, 50.0, 50.0, 50.0, 49.9]
+    r = []
+    for i, values in enumerate(zip(parent, change, twin)):
+        for side, v in zip(benchpair.SIDES, values):
+            line = result_line(i, side, 0.05, rss=v)
+            line["env_pad"] = benchpair.env_pad(i)
+            r.append(line)
+    s = benchpair.summarize(r)["oracle-gate seed 9"]
+    assert s["peak_rss_mb"]["by_env_pad"] == {
+        0: {"change": 0.0, "twin-p": 0.0}, 1024: {"change": 0.55, "twin-p": 0.0},
+        2048: {"change": 0.0, "twin-p": 0.0}, 3072: {"change": 0.0, "twin-p": -0.1}}
+    assert s["wall_s"]["by_env_pad"][3072] == {"change": 0.0, "twin-p": 0.0}
+    # Rows without env_pad are skipped.
+    for line in r[:12]:
+        del line["env_pad"]
+    assert list(benchpair.summarize(r)["oracle-gate seed 9"]["peak_rss_mb"]["by_env_pad"]) == [
+        0, 1024, 2048, 3072]
+    assert benchpair.pad_differences(r[:12], "peak_rss_mb") == {}
+    assert "by_env_pad" not in benchpair.summarize(r[:12])["oracle-gate seed 9"]["peak_rss_mb"]
+
+
+def test_each_seed_runs_its_own_rounds(tmp_path, monkeypatch):
+    # One invocation runs every round at each seed of a list; the summary
+    # and the traced medians are keyed per workload and seed.
+    def export(rev, dest):
+        os.makedirs(dest)
+        return rev
+
+    calls = []
+
+    def run(cmd, cwd, env, **kwargs):
+        calls.append((cmd[cmd.index("--seed") + 1], cmd[cmd.index("--trace") + 1],
+                      os.path.basename(cwd)))
+        return subprocess.CompletedProcess(cmd, 1, "", "stubbed")
+
+    monkeypatch.setattr(benchpair, "export", export)
+    monkeypatch.setattr(benchpair, "subprocess", types.SimpleNamespace(run=run))
+    out = tmp_path / "bench.json"
+    assert benchpair.main(["--parent", "p", "--change", "c", "--workloads", "oracle-gate",
+                           "--seed", "9,11", "--rounds", "2", "--traced", "1", "--seconds", "1",
+                           "--workdir", str(tmp_path / "work"), "--out", str(out)]) == 0
+    assert calls == [(seed, trace, side) for seed in ("9", "11")
+                     for trace, rounds in (("0", 2), ("1", 1))
+                     for i in range(rounds) for side in benchpair.rotation(i)]
+    report = json.loads(out.read_text())
+    assert [r["seed"] for r in report["runs"]] == [9] * 9 + [11] * 9
+    assert list(report["summary"]) == list(report["traced"]) == [
+        "oracle-gate seed 9", "oracle-gate seed 11"]
+    assert all(e["ops_failed"] == {s: "0/0" for s in benchpair.SIDES}
+               for e in report["summary"].values())
+    assert "at each seed of 9, 11," in report["protocol"][1]
+    with pytest.raises(SystemExit):
+        benchpair.main(["--parent", "p", "--change", "c", "--seed", "9,x",
+                        "--workdir", str(tmp_path / "w2"), "--out", str(out)])

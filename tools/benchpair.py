@@ -2,7 +2,7 @@
 """Run perfbench on a parent commit, a change and a twin of the parent, and
 write a BENCH_<PR>.json.
 
-    python3 tools/benchpair.py --parent HEAD~1 --change HEAD --seed 31 \\
+    python3 tools/benchpair.py --parent HEAD~1 --change HEAD --seed 31,37 \\
         --rounds 10 --seconds oracle-gate=30,plan-allpairs=15,trace-fleet=15 \\
         --workdir /tmp/benchpair --out BENCH_27.json \\
         --claim oracle-gate:wall_s --note "what the change does"
@@ -14,17 +14,18 @@ checkout's path length has moved ``peak_rss_mb`` before.  The twin is a
 second export of the parent: the gap between the parent's and the twin's
 medians is the noise floor of one commit against itself.
 
-For each workload the tool runs ``perfbench/run.py`` once per side per
-round for that workload's run length, rotating which side runs first
-(parent, change, twin; then change, twin, parent; ...), one process at a
-time, and then ``--traced`` rounds with ``--trace 1``.  ``--seconds`` is one
-number for every workload, or ``workload=seconds`` entries with an optional
-bare number for the rest.  Every result line is kept under ``runs``.  The
-summary gives each side's median and inclusive quartiles per end-to-end
-metric, the change's wins over the parent in the same round (ties count for
-neither), the parent-twin gap, and, for ``--claim``, whether the change won
-at least nine rounds in ten by more than both the parent's IQR and the twin
-gap.  perfbench scales ``wall_s`` and ``setup_s`` to a reference host speed;
+For each workload and each seed of ``--seed`` (one seed, or several
+comma-separated) the tool runs ``perfbench/run.py`` once per side per round
+for that workload's run length, rotating which side runs first (parent,
+change, twin; then change, twin, parent; ...), one process at a time, and
+then ``--traced`` rounds with ``--trace 1``.  ``--seconds`` is one number for
+every workload, or ``workload=seconds`` entries with an optional bare number
+for the rest.  Every result line is kept under ``runs``.  The summary, per
+workload and seed, gives each side's median and inclusive quartiles per
+end-to-end metric, the change's wins over the parent in the same round
+(ties count for neither), the parent-twin gap, and, for ``--claim``, whether
+the change won at least nine rounds in ten by more than both the parent's
+IQR and the twin gap.  perfbench scales ``wall_s`` and ``setup_s`` to a reference host speed;
 each run also keeps the raw (unscaled) medians and the host speed from
 perfbench's full report, and the summary gives the raw medians and quartiles
 beside the scaled ones, and the quartiles over rounds of the change's and
@@ -36,6 +37,9 @@ The size of the environment moves a process's stack, and with it timings
 wrong!", ASPLOS 2009).  So every perfbench child of round i gets its
 ``BENCHPAIR_ENV_PAD`` variable set to (i mod 4) x 1,024 bytes, the same for
 all sides within the round, and each result line records it as ``env_pad``.
+The summary gives, per metric and pad, the median over that pad's rounds of
+the change's and the twin's value minus the parent's from the same round: a
+difference that holds at one pad only is the layout, not the change.
 """
 from __future__ import annotations
 
@@ -139,6 +143,25 @@ def side_quartiles(rows: list[dict], value) -> dict:
     return out
 
 
+def pad_differences(rows: list[dict], metric: str) -> dict:
+    """Per ``env_pad``, the median over its rounds of the change's and the
+    twin's ``metric`` minus the parent's from the same round; rows without
+    ``env_pad`` are skipped."""
+    values: dict = {}
+    for r in rows:
+        if "env_pad" in r and metric in r["metrics"]:
+            pad = values.setdefault(r["env_pad"], {})
+            pad.setdefault(r["side"], {})[r["round"]] = r["metrics"][metric]["value"]
+    out = {}
+    for pad, sides in sorted(values.items()):
+        parent = sides.get("parent", {})
+        diffs = {s: round(statistics.median(v[i] - parent[i] for i in v.keys() & parent.keys()), 4)
+                 for s in ("change", "twin-p") if (v := sides.get(s, {})).keys() & parent.keys()}
+        if diffs:
+            out[pad] = diffs
+    return out
+
+
 def raw_ratios(rows: list[dict], metric: str, side: str) -> list[float]:
     """``side``'s raw median of ``metric`` over the parent's from the same
     round, for each round where both have one."""
@@ -155,8 +178,9 @@ def summarize(rows: list[dict], claim: tuple[str, str] | None = None) -> dict:
     and may have ``raw`` ({name: unscaled median}) and ``host_speed``, whose
     quartiles per side go under the metric's ``raw`` and the entry's
     ``host_speed``; the quartiles of :func:`raw_ratios` for the change and
-    the twin go under ``raw_ratio``.  ``claim`` is (workload, metric): that
-    entry also gets ``claim_met``.
+    the twin go under ``raw_ratio``, and :func:`pad_differences` under
+    ``by_env_pad``.  ``claim`` is (workload, metric): that entry also gets
+    ``claim_met``.
     """
     out: dict[str, dict] = {}
     for key in sorted({(r["workload"], r["seed"]) for r in rows}):
@@ -187,6 +211,8 @@ def summarize(rows: list[dict], claim: tuple[str, str] | None = None) -> dict:
                 m["raw"] = raw
                 m["raw_ratio"] = {s: quartiles(ratios) for s in ("change", "twin-p")
                                   if (ratios := raw_ratios(mine, metric, s))}
+            if by_pad := pad_differences(mine, metric):
+                m["by_env_pad"] = by_pad
             entry[metric] = m
         speed = side_quartiles(mine, lambda r: r.get("host_speed"))
         if speed:
@@ -200,14 +226,20 @@ def summarize(rows: list[dict], claim: tuple[str, str] | None = None) -> dict:
 
 
 def traced_medians(rows: list[dict]) -> dict:
-    """Median of every metric of the traced rows, per workload and side."""
+    """Median of every metric of the traced rows, per "workload seed S" and side."""
     out: dict[str, dict] = {}
     for r in rows:
-        side = out.setdefault(r["workload"], {}).setdefault(r["side"], {})
+        key = f"{r['workload']} seed {r['seed']}"
+        side = out.setdefault(key, {}).setdefault(r["side"], {})
         for name, m in r["metrics"].items():
             side.setdefault(name, []).append(m["value"])
     return {w: {s: {name: round(statistics.median(v), 6) for name, v in metrics.items()}
                 for s, metrics in sides.items()} for w, sides in out.items()}
+
+
+def seed_list(spec: str) -> list[int]:
+    """The seeds of ``--seed``: one integer, or several comma-separated."""
+    return [int(seed) for seed in spec.split(",")]
 
 
 def main(argv=None) -> int:
@@ -215,7 +247,8 @@ def main(argv=None) -> int:
     ap.add_argument("--parent", required=True, help="parent revision")
     ap.add_argument("--change", required=True, help="change revision")
     ap.add_argument("--workloads", default="plan-allpairs,trace-fleet,oracle-gate")
-    ap.add_argument("--seed", type=int, required=True)
+    ap.add_argument("--seed", type=seed_list, required=True,
+                    help="perfbench seed, or comma-separated seeds, each run for all rounds")
     ap.add_argument("--rounds", type=int, default=10)
     ap.add_argument("--seconds", default="30",
                     help="run length: seconds, or workload=seconds entries (comma-separated)")
@@ -237,15 +270,16 @@ def main(argv=None) -> int:
                for side, root in roots.items()}
     runs: list[dict] = []
     for workload in workloads:
-        for trace, count in ((0, args.rounds), (1, args.traced)):
-            for i in range(count):
-                for side in rotation(i):
-                    result = run_once(roots[side], workload, args.seed, seconds[workload], trace,
-                                      env_pad(i))
-                    runs.append({"round": i, "side": side, "workload": workload,
-                                 "seed": args.seed, "trace": trace, "env_pad": env_pad(i),
-                                 **result})
-                    print(json.dumps(runs[-1]), flush=True)
+        for seed in args.seed:
+            for trace, count in ((0, args.rounds), (1, args.traced)):
+                for i in range(count):
+                    for side in rotation(i):
+                        result = run_once(roots[side], workload, seed, seconds[workload], trace,
+                                          env_pad(i))
+                        runs.append({"round": i, "side": side, "workload": workload,
+                                     "seed": seed, "trace": trace, "env_pad": env_pad(i),
+                                     **result})
+                        print(json.dumps(runs[-1]), flush=True)
     import numpy
 
     report = {
@@ -257,7 +291,8 @@ def main(argv=None) -> int:
         "protocol": [
             f"parent = {commits['parent']}, change = {commits['change']}; "
             "twin-p is a second export of the parent",
-            f"{args.rounds} rounds per workload at seed {args.seed}, --seconds "
+            f"{args.rounds} rounds per workload at each seed of "
+            + ", ".join(map(str, args.seed)) + ", --seconds "
             + ", ".join(f"{w} {s:g}" for w, s in seconds.items()) + ", "
             "trace 0, sides rotating (round i starts with side i mod 3 of parent, change, "
             f"twin-p); then {args.traced} traced rounds the same way; one process at a time",
