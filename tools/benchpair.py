@@ -25,12 +25,12 @@ workload and seed, gives each side's median and inclusive quartiles per
 end-to-end metric, the change's wins over the parent in the same round
 (ties count for neither), the parent-twin gap, and, for ``--claim``, whether
 the change won at least nine rounds in ten by more than both the parent's
-IQR and the twin gap.  perfbench scales ``wall_s`` and ``setup_s`` to a reference host speed;
-each run also keeps the raw (unscaled) medians and the host speed from
-perfbench's full report, and the summary gives the raw medians and quartiles
-beside the scaled ones, and the quartiles over rounds of the change's and
-the twin's raw median divided by the parent's from the same round, since
-the host speed can drift from round to round.
+IQR and the twin gap.  perfbench scales ``wall_s`` and ``setup_s`` to a
+reference host speed; each run also keeps the raw (unscaled) medians and the
+host speed from perfbench's full report, and the summary gives the raw
+medians and quartiles beside the scaled ones, and the quartiles over rounds
+of the change's and the twin's raw median divided by the parent's from the
+same round, since the host speed can drift from round to round.
 
 The size of the environment moves a process's stack, and with it timings
 (Mytkowicz et al., "Producing wrong data without doing anything obviously
@@ -143,20 +143,19 @@ def side_quartiles(rows: list[dict], value) -> dict:
     return out
 
 
-def pad_differences(rows: list[dict], metric: str) -> dict:
+def pad_differences(by_side: dict[str, dict[int, float]], pads: dict[int, int]) -> dict:
     """Per ``env_pad``, the median over its rounds of the change's and the
-    twin's ``metric`` minus the parent's from the same round; rows without
-    ``env_pad`` are skipped."""
-    values: dict = {}
-    for r in rows:
-        if "env_pad" in r and metric in r["metrics"]:
-            pad = values.setdefault(r["env_pad"], {})
-            pad.setdefault(r["side"], {})[r["round"]] = r["metrics"][metric]["value"]
+    twin's value minus the parent's from the same round.  ``by_side`` maps
+    each side to {round: value} and ``pads`` each round to its pad; rounds
+    without a pad are skipped."""
     out = {}
-    for pad, sides in sorted(values.items()):
-        parent = sides.get("parent", {})
-        diffs = {s: round(statistics.median(v[i] - parent[i] for i in v.keys() & parent.keys()), 4)
-                 for s in ("change", "twin-p") if (v := sides.get(s, {})).keys() & parent.keys()}
+    for pad in sorted(set(pads.values())):
+        diffs = {}
+        for side in ("change", "twin-p"):
+            d = [v - by_side["parent"][i] for i, v in by_side[side].items()
+                 if pads.get(i) == pad and i in by_side["parent"]]
+            if d:
+                diffs[side] = round(statistics.median(d), 4)
         if diffs:
             out[pad] = diffs
     return out
@@ -185,6 +184,7 @@ def summarize(rows: list[dict], claim: tuple[str, str] | None = None) -> dict:
     out: dict[str, dict] = {}
     for key in sorted({(r["workload"], r["seed"]) for r in rows}):
         mine = [r for r in rows if (r["workload"], r["seed"]) == key]
+        pads = {r["round"]: r["env_pad"] for r in mine if "env_pad" in r}
         entry: dict = {}
         for metric, better in END_TO_END:
             by_side = {s: {r["round"]: r["metrics"][metric]["value"] for r in mine
@@ -211,7 +211,7 @@ def summarize(rows: list[dict], claim: tuple[str, str] | None = None) -> dict:
                 m["raw"] = raw
                 m["raw_ratio"] = {s: quartiles(ratios) for s in ("change", "twin-p")
                                   if (ratios := raw_ratios(mine, metric, s))}
-            if by_pad := pad_differences(mine, metric):
+            if by_pad := pad_differences(by_side, pads):
                 m["by_env_pad"] = by_pad
             entry[metric] = m
         speed = side_quartiles(mine, lambda r: r.get("host_speed"))
