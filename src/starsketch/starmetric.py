@@ -322,8 +322,8 @@ def _kept_enumeration(n: int, k: int) -> np.ndarray | _PrefixTrie:
     return _PrefixTrie(kept, k) if len(kept) > _BLOCK_ROWS else kept
 
 
-# The last pair's cell sums over a kept enumeration: (the enumeration, the
-# block size, the pair's bytes) and the blocks of :func:`_kept_sums`.
+# The last pair's cell sums over a kept enumeration, as (the enumeration,
+# (the block size, the pair's bytes), the blocks of :func:`_kept_sums`).
 _last_sums: tuple | None = None
 
 
