@@ -82,13 +82,27 @@ def is_integer(value) -> bool:
 
 
 def item_ids(items, what: str = "item ids") -> np.ndarray:
-    """``items`` as a uint64 array, rejecting negative and non-integer ids.
+    """``items`` as a uint64 array, rejecting negative and non-integer ids
+    (a bool is not one).
 
     This is the one id check at every boundary that takes item ids, and for
     the item counts that come with them (``what`` names them in errors).  A
     uint64 array is returned as it is, with no pass over its data.
     """
     ids = np.asarray(items)
+    # A 1-D list is checked element by element, whatever dtype numpy would
+    # infer: it reads [True, 2] as int64, and ints above 2^63 beside smaller
+    # or numpy integers as float64 or object.  A bool is not an id, and each
+    # element goes through int, since numpy would wrap a negative numpy
+    # integer into uint64.
+    if not isinstance(items, np.ndarray) and ids.ndim == 1:
+        for v in items:
+            if not is_integer(v):
+                raise ValueError(f"{what} must be integers, got {type(v).__name__} {v!r}")
+        try:
+            return np.array([int(v) for v in items], dtype=np.uint64)
+        except OverflowError:
+            raise ValueError(f"{what} must lie in [0, 2^64)") from None
     if ids.dtype == np.uint64:
         return ids
     if ids.size == 0:
@@ -97,16 +111,6 @@ def item_ids(items, what: str = "item ids") -> np.ndarray:
         if ids.dtype.kind == "i" and ids.min() < 0:
             raise ValueError(f"{what} must be nonnegative, found {ids.min()}")
         return ids.astype(np.uint64)
-    # A list mixing Python ints above 2^63 with smaller or numpy integers is
-    # inferred as float64 or object; convert it exactly once every element
-    # is known to be an integer (a bool is not one).  Each goes through int,
-    # since numpy would wrap a negative numpy integer into uint64.
-    if (not isinstance(items, np.ndarray) and ids.ndim == 1
-            and all(is_integer(v) for v in items)):
-        try:
-            return np.array([int(v) for v in items], dtype=np.uint64)
-        except OverflowError:
-            raise ValueError(f"{what} must lie in [0, 2^64)") from None
     raise ValueError(f"{what} must be integers, got dtype {ids.dtype}")
 
 

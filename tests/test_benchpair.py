@@ -81,7 +81,8 @@ def test_failures_and_incorrect_runs_are_reported():
 
 def test_raw_medians_read_and_summarized(tmp_path):
     # perfbench writes its full report beside the export; the run keeps the
-    # unscaled medians and the host speed, and the summary their quartiles.
+    # unscaled medians and the host speed, and the summary compares the raw
+    # medians only within a round, as ratios.
     report = {"wall_raw_s": {"n": 3, "p50": 0.061}, "setup_raw_s": {"n": 4, "p50": 0.31},
               "wall_s": {"n": 3, "p50": 0.05}, "host_speed": 0.82}
     (tmp_path / ".perfbench").mkdir()
@@ -96,17 +97,13 @@ def test_raw_medians_read_and_summarized(tmp_path):
         line.update(raw={"wall_s": scaled / speed, "setup_s": 0.25 / speed}, host_speed=speed)
     s = benchpair.summarize(r)["oracle-gate seed 9"]
     assert s["wall_s"]["change"] == s["wall_s"]["parent"]
-    assert s["wall_s"]["raw"]["parent"] == {"median": 0.0945, "q1": 0.091, "q3": 0.098, "n": 10}
-    assert s["wall_s"]["raw"]["change"]["median"] == round(0.0945 / 0.8, 4)
-    assert s["setup_s"]["raw"]["change"] == {"median": 0.3125, "q1": 0.3125, "q3": 0.3125,
-                                             "n": 10}
     assert s["wall_s"]["raw_ratio"]["change"] == {"median": 1.25, "q1": 1.25, "q3": 1.25, "n": 10}
     assert s["wall_s"]["raw_ratio"]["twin-p"]["n"] == 10
-    assert "raw" not in s["peak_rss_mb"] and "raw_ratio" not in s["peak_rss_mb"]
-    assert s["host_speed"]["twin-p"]["median"] == 1.0 and s["host_speed"]["change"]["q1"] == 0.8
+    assert "raw_ratio" not in s["peak_rss_mb"]
+    assert "raw" not in s["wall_s"] and "host_speed" not in s
     # Result lines without them (a failed run) leave the summary as before.
-    assert "raw" not in benchpair.summarize(rows(PARENT, PARENT, TWIN))["oracle-gate seed 9"][
-        "wall_s"]
+    assert "raw_ratio" not in benchpair.summarize(rows(PARENT, PARENT, TWIN))[
+        "oracle-gate seed 9"]["wall_s"]
 
 
 def test_raw_ratio_pairs_each_round():
@@ -117,7 +114,7 @@ def test_raw_ratio_pairs_each_round():
     for line in r:
         line["raw"] = {m: line["metrics"][m]["value"] for m in ("wall_s", "setup_s")}
     wall = benchpair.summarize(r)["oracle-gate seed 9"]["wall_s"]
-    assert wall["raw"]["parent"]["q3"] - wall["raw"]["parent"]["q1"] > 0.01
+    assert wall["parent"]["q3"] - wall["parent"]["q1"] > 0.01
     assert wall["raw_ratio"]["change"] == {"median": 0.9, "q1": 0.9, "q3": 0.9, "n": 10}
     assert wall["raw_ratio"]["twin-p"]["median"] == 1.0
     assert benchpair.summarize(r)["oracle-gate seed 9"]["setup_s"]["raw_ratio"]["change"][
@@ -240,3 +237,39 @@ def test_each_seed_runs_its_own_rounds(tmp_path, monkeypatch):
     with pytest.raises(SystemExit):
         benchpair.main(["--parent", "p", "--change", "c", "--seed", "9,x",
                         "--workdir", str(tmp_path / "w2"), "--out", str(out)])
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--claim", "oracle-gate:wal_s"], "--claim wants workload:metric"),
+    (["--claim", "oracle-gate"], "--claim wants workload:metric"),
+    (["--claim", "trace-fleet:wall_s"], "--claim wants workload:metric"),
+    (["--seed", "9,11,9"], "--seed repeats a seed"),
+])
+def test_bad_claim_or_repeated_seed_rejected_before_export(tmp_path, monkeypatch, capsys, args,
+                                                           message):
+    # A claim no summary entry can carry, or a seed run twice, whose rows
+    # the summary would key by round and overwrite, stops before any export.
+    exported = []
+    monkeypatch.setattr(benchpair, "export", lambda rev, dest: exported.append(rev))
+    argv = ["--parent", "p", "--change", "c", "--workloads", "oracle-gate", "--seed", "9",
+            "--workdir", str(tmp_path / "work"), "--out", str(tmp_path / "bench.json")]
+    with pytest.raises(SystemExit):
+        benchpair.main(argv + args)
+    assert message in capsys.readouterr().err
+    assert exported == [] and not (tmp_path / "bench.json").exists()
+
+
+def test_summary_of_a_committed_bench_file():
+    # The summary of BENCH_34.json's untraced runs, with its claim, is the
+    # one stored beside them, less the per-side raw and host-speed quartiles
+    # that the summary no longer gives (the run lines still hold both).
+    bench = json.loads((_PATH.parents[1] / "BENCH_34.json").read_text())
+    stored = bench["summary"]
+    for entry in stored.values():
+        del entry["host_speed"]
+        for metric in ("wall_s", "setup_s"):
+            del entry[metric]["raw"]
+    claim = (bench["claimed"]["workload"], bench["claimed"]["metric"])
+    summary = benchpair.summarize([r for r in bench["runs"] if r["trace"] == 0], claim)
+    assert json.loads(json.dumps(summary)) == stored
+    assert all("raw" in r and "host_speed" in r for r in bench["runs"])

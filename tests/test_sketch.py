@@ -74,10 +74,12 @@ class TestUpdate:
 
     @pytest.mark.parametrize("bad", [np.array([-1, 3]), [2.7, 3.2], np.array([1.0, 2.0]),
                                      [1, 2 ** 64], ["a"], [True, False], np.array([True]),
-                                     [np.int64(-5), 2 ** 63]])
+                                     [np.int64(-5), 2 ** 63], [True, 2], [True, 2 ** 63],
+                                     (5, True), [np.True_, 3]])
     def test_bad_ids_rejected(self, family, bad):
-        # A bool is not an id, in a list or an array; a negative numpy
-        # integer beside an id above 2^63 is not wrapped into uint64.
+        # A bool is not an id, in a list or an array, also where numpy would
+        # read the list as int64 or uint64; a negative numpy integer beside an
+        # id above 2^63 is not wrapped into uint64.
         with pytest.raises(ValueError, match="item ids"):
             sketch_stream(family, bad)
 
@@ -155,7 +157,7 @@ class TestCounts:
             sketch_stream(family, [1, 2, 3], [2 ** 63, 2 ** 62, 2 ** 62])
 
     @pytest.mark.parametrize("bad", [np.array([-1, 3]), [2.0, 1.0], np.array([1.5, 2.5]),
-                                     ["a", "b"], [1, 2 ** 64]])
+                                     ["a", "b"], [1, 2 ** 64], [True, 1]])
     def test_bad_counts_rejected(self, family, bad):
         with pytest.raises(ValueError, match="item counts"):
             sketch_stream(family, [1, 2], bad)

@@ -15,31 +15,32 @@ second export of the parent: the gap between the parent's and the twin's
 medians is the noise floor of one commit against itself.
 
 For each workload and each seed of ``--seed`` (one seed, or several
-comma-separated) the tool runs ``perfbench/run.py`` once per side per round
-for that workload's run length, rotating which side runs first (parent,
-change, twin; then change, twin, parent; ...), one process at a time, and
-then ``--traced`` rounds with ``--trace 1``.  ``--seconds`` is one number for
-every workload, or ``workload=seconds`` entries with an optional bare number
-for the rest.  Every result line is kept under ``runs``.  The summary, per
-workload and seed, gives each side's median and inclusive quartiles per
-end-to-end metric, the change's wins over the parent in the same round
-(ties count for neither), the parent-twin gap, and, for ``--claim``, whether
+comma-separated, none repeated) the tool runs ``perfbench/run.py`` once per
+side per round for that workload's run length, rotating which side runs
+first (parent, change, twin; then change, twin, parent; ...), one process at
+a time, and then ``--traced`` rounds with ``--trace 1``.  ``--seconds`` is
+one number for every workload, or ``workload=seconds`` entries with an
+optional bare number for the rest.  Every result line is kept under
+``runs``, with the raw (unscaled) ``wall_s`` and ``setup_s`` medians and the
+host speed from perfbench's full report: perfbench scales both to a
+reference host speed, which drifts from round to round.
+
+The summary, per workload and seed, pairs each side's run with the parent's
+run of the same round.  Per end-to-end metric it gives each side's median
+and inclusive quartiles, the change's wins over the parent (ties count for
+neither), the parent-twin gap, the quartiles of the change's and the twin's
+raw median over the parent's (``raw_ratio``), and, for ``--claim``, whether
 the change won at least nine rounds in ten by more than both the parent's
-IQR and the twin gap.  perfbench scales ``wall_s`` and ``setup_s`` to a
-reference host speed; each run also keeps the raw (unscaled) medians and the
-host speed from perfbench's full report, and the summary gives the raw
-medians and quartiles beside the scaled ones, and the quartiles over rounds
-of the change's and the twin's raw median divided by the parent's from the
-same round, since the host speed can drift from round to round.
+IQR and the twin gap.
 
 The size of the environment moves a process's stack, and with it timings
 (Mytkowicz et al., "Producing wrong data without doing anything obviously
 wrong!", ASPLOS 2009).  So every perfbench child of round i gets its
 ``BENCHPAIR_ENV_PAD`` variable set to (i mod 4) x 1,024 bytes, the same for
 all sides within the round, and each result line records it as ``env_pad``.
-The summary gives, per metric and pad, the median over that pad's rounds of
-the change's and the twin's value minus the parent's from the same round: a
-difference that holds at one pad only is the layout, not the change.
+The summary gives, per metric and pad (``by_env_pad``), the median of the
+change's and the twin's value minus the parent's: a difference that holds
+at one pad only is the layout, not the change.
 """
 from __future__ import annotations
 
@@ -133,94 +134,65 @@ def quartiles(values: list[float]) -> dict:
     return out
 
 
-def side_quartiles(rows: list[dict], value) -> dict:
-    """:func:`quartiles` of ``value(row)`` per side, over the rows where it is not None."""
-    out = {}
-    for side in SIDES:
-        values = [v for r in rows if r["side"] == side and (v := value(r)) is not None]
-        if values:
-            out[side] = quartiles(values)
-    return out
+def columns(table: dict[int, dict[str, dict]], get) -> dict[str, dict[int, float]]:
+    """{side: {round: get(row)}} over the rows of ``table`` where get(row) is not None."""
+    return {s: {i: v for i, row in table.items() if s in row and (v := get(row[s])) is not None}
+            for s in SIDES}
 
 
-def pad_differences(by_side: dict[str, dict[int, float]], pads: dict[int, int]) -> dict:
-    """Per ``env_pad``, the median over its rounds of the change's and the
-    twin's value minus the parent's from the same round.  ``by_side`` maps
-    each side to {round: value} and ``pads`` each round to its pad; rounds
-    without a pad are skipped."""
-    out = {}
-    for pad in sorted(set(pads.values())):
-        diffs = {}
-        for side in ("change", "twin-p"):
-            d = [v - by_side["parent"][i] for i, v in by_side[side].items()
-                 if pads.get(i) == pad and i in by_side["parent"]]
-            if d:
-                diffs[side] = round(statistics.median(d), 4)
-        if diffs:
-            out[pad] = diffs
-    return out
-
-
-def raw_ratios(rows: list[dict], metric: str, side: str) -> list[float]:
-    """``side``'s raw median of ``metric`` over the parent's from the same
-    round, for each round where both have one."""
-    raw = {s: {r["round"]: r["raw"][metric] for r in rows
-               if r["side"] == s and metric in r.get("raw", {})} for s in ("parent", side)}
-    return [raw[side][i] / raw["parent"][i] for i in sorted(raw["parent"].keys() & raw[side].keys())]
+def paired(cols: dict[str, dict[int, float]], op) -> dict[str, dict[int, float]]:
+    """{round: op(side's value, the parent's)} for the change and the twin, where both have one."""
+    return {s: {i: op(v, cols["parent"][i]) for i, v in cols[s].items() if i in cols["parent"]}
+            for s in ("change", "twin-p")}
 
 
 def summarize(rows: list[dict], claim: tuple[str, str] | None = None) -> dict:
-    """Summary per "workload seed S" of the untraced result rows.
-
-    Each row has ``round``, ``side``, ``workload``, ``seed``, ``correct``,
-    ``attempted``, ``failed`` and ``metrics`` ({name: {"value", "unit"}}),
-    and may have ``raw`` ({name: unscaled median}) and ``host_speed``, whose
-    quartiles per side go under the metric's ``raw`` and the entry's
-    ``host_speed``; the quartiles of :func:`raw_ratios` for the change and
-    the twin go under ``raw_ratio``, and :func:`pad_differences` under
-    ``by_env_pad``.  ``claim`` is (workload, metric): that entry also gets
-    ``claim_met``.
-    """
+    """Summary per "workload seed S" of the untraced result rows: each has
+    ``round``, ``side``, ``workload``, ``seed``, ``correct``, ``attempted``,
+    ``failed`` and ``metrics`` ({name: {"value", "unit"}}), and may have
+    ``env_pad`` and ``raw`` ({name: unscaled median}).  Each key's rows form
+    one table, {round: {side: row}}, that feeds every paired number.
+    ``claim`` is (workload, metric): that entry also gets ``claim_met``."""
+    tables: dict[tuple, dict[int, dict[str, dict]]] = {}
+    for r in rows:
+        tables.setdefault((r["workload"], r["seed"]), {}).setdefault(r["round"], {})[r["side"]] = r
     out: dict[str, dict] = {}
-    for key in sorted({(r["workload"], r["seed"]) for r in rows}):
-        mine = [r for r in rows if (r["workload"], r["seed"]) == key]
-        pads = {r["round"]: r["env_pad"] for r in mine if "env_pad" in r}
+    for key, table in sorted(tables.items()):
         entry: dict = {}
         for metric, better in END_TO_END:
-            by_side = {s: {r["round"]: r["metrics"][metric]["value"] for r in mine
-                           if r["side"] == s and metric in r["metrics"]} for s in SIDES}
-            stats = {s: quartiles(list(v.values())) for s, v in by_side.items() if v}
-            if "parent" not in stats or "change" not in stats:
+            value = columns(table, lambda r: r["metrics"].get(metric, {}).get("value"))
+            if not (value["parent"] and value["change"]):
                 continue
+            m = {s: quartiles(list(v.values())) for s, v in value.items() if v}
+            median = {s: statistics.median(v.values()) for s, v in value.items() if v}
             sign = 1.0 if better == "lower" else -1.0
-            rounds = sorted(set(by_side["parent"]) & set(by_side["change"]))
-            wins = sum(sign * (by_side["parent"][i] - by_side["change"][i]) > 0 for i in rounds)
-            m = dict(stats)
-            m["change_wins"] = f"{wins}/{len(rounds)}"
-            parent_median = statistics.median(by_side["parent"].values())
-            gain = sign * (parent_median - statistics.median(by_side["change"].values()))
-            iqr = stats["parent"].get("q3", 0.0) - stats["parent"].get("q1", 0.0)
-            if by_side["twin-p"]:
-                m["twin_gap"] = round(abs(statistics.median(by_side["twin-p"].values())
-                                          - parent_median), 4)
+            diff = paired(value, lambda v, p: v - p)
+            wins = sum(sign * d < 0 for d in diff["change"].values())
+            m["change_wins"] = f"{wins}/{len(diff['change'])}"
+            if "twin-p" in median:
+                m["twin_gap"] = round(abs(median["twin-p"] - median["parent"]), 4)
             if claim == (key[0], metric):
-                m["claim_met"] = (10 * wins >= 9 * len(rounds) and gain > iqr
+                gain = sign * (median["parent"] - median["change"])
+                iqr = m["parent"].get("q3", 0.0) - m["parent"].get("q1", 0.0)
+                m["claim_met"] = (10 * wins >= 9 * len(diff["change"]) and gain > iqr
                                   and gain > m.get("twin_gap", 0.0))
-            raw = side_quartiles(mine, lambda r: r.get("raw", {}).get(metric))
-            if raw:
-                m["raw"] = raw
-                m["raw_ratio"] = {s: quartiles(ratios) for s in ("change", "twin-p")
-                                  if (ratios := raw_ratios(mine, metric, s))}
-            if by_pad := pad_differences(by_side, pads):
-                m["by_env_pad"] = by_pad
+            raw = columns(table, lambda r: r.get("raw", {}).get(metric))
+            if ratios := {s: quartiles(list(v.values()))
+                          for s, v in paired(raw, lambda v, p: v / p).items() if v}:
+                m["raw_ratio"] = ratios
+            by_pad: dict[int, dict[str, list[float]]] = {}
+            for side, d in diff.items():
+                for i, v in d.items():
+                    if (pad := table[i]["parent"].get("env_pad")) is not None:
+                        by_pad.setdefault(pad, {}).setdefault(side, []).append(v)
+            if by_pad:
+                m["by_env_pad"] = {p: {s: round(statistics.median(v), 4) for s, v in sides.items()}
+                                   for p, sides in sorted(by_pad.items())}
             entry[metric] = m
-        speed = side_quartiles(mine, lambda r: r.get("host_speed"))
-        if speed:
-            entry["host_speed"] = speed
-        entry["ops_failed"] = {s: f"{sum(r['failed'] for r in mine if r['side'] == s)}/"
-                                  f"{sum(r['attempted'] for r in mine if r['side'] == s)}"
-                               for s in SIDES if any(r["side"] == s for r in mine)}
-        entry["correct"] = all(r["correct"] for r in mine)
+        runs = {s: [row[s] for row in table.values() if s in row] for s in SIDES}
+        entry["ops_failed"] = {s: f"{sum(r['failed'] for r in v)}/{sum(r['attempted'] for r in v)}"
+                               for s, v in runs.items() if v}
+        entry["correct"] = all(r["correct"] for v in runs.values() for r in v)
         out[f"{key[0]} seed {key[1]}"] = entry
     return out
 
@@ -264,6 +236,10 @@ def main(argv=None) -> int:
         seconds = run_lengths(args.seconds, workloads)
     except ValueError as e:
         ap.error(str(e))
+    if claim and (len(claim) != 2 or claim[0] not in workloads or claim[1] not in dict(END_TO_END)):
+        ap.error(f"--claim wants workload:metric of --workloads and {list(dict(END_TO_END))}")
+    if len(set(args.seed)) != len(args.seed):
+        ap.error(f"--seed repeats a seed: {args.seed}")
 
     roots = {side: os.path.join(os.path.abspath(args.workdir), side) for side in SIDES}
     commits = {side: export(args.change if side == "change" else args.parent, root)
