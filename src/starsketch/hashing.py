@@ -90,11 +90,11 @@ def item_ids(items, what: str = "item ids") -> np.ndarray:
     uint64 array is returned as it is, with no pass over its data.
     """
     ids = np.asarray(items)
-    # A 1-D list is checked element by element, whatever dtype numpy would
-    # infer: it reads [True, 2] as int64, and ints above 2^63 beside smaller
-    # or numpy integers as float64 or object.  A bool is not an id, and each
-    # element goes through int, since numpy would wrap a negative numpy
-    # integer into uint64.
+    # A 1-D sequence that is not an array is checked element by element,
+    # whatever dtype numpy would infer: it reads [True, 2] as int64, and ints
+    # above 2^63 beside smaller or numpy integers as float64 or object.  A
+    # bool is not an id, and each element goes through int, since numpy would
+    # wrap a negative numpy integer into uint64.
     if not isinstance(items, np.ndarray) and ids.ndim == 1:
         for v in items:
             if not is_integer(v):

@@ -69,6 +69,10 @@ def test_claim_must_beat_the_twin_gap():
         "oracle-gate seed 9"]["wall_s"]["claim_met"]
     assert met(parent) is True
     assert met(far_twin) is False
+    # The gain is read from unrounded medians: 0.00003 s rounds away in both.
+    tiny = benchpair.summarize(rows([0.10004] * 10, [0.10001] * 10, [0.10004] * 10),
+                               ("oracle-gate", "wall_s"))["oracle-gate seed 9"]["wall_s"]
+    assert tiny["parent"]["median"] == tiny["change"]["median"] and tiny["claim_met"] is True
 
 
 def test_failures_and_incorrect_runs_are_reported():

@@ -189,10 +189,10 @@ def summarize(rows: list[dict], claim: tuple[str, str] | None = None) -> dict:
                 m["by_env_pad"] = {p: {s: round(statistics.median(v), 4) for s, v in sides.items()}
                                    for p, sides in sorted(by_pad.items())}
             entry[metric] = m
-        runs = {s: [row[s] for row in table.values() if s in row] for s in SIDES}
+        side_rows = {s: [row[s] for row in table.values() if s in row] for s in SIDES}
         entry["ops_failed"] = {s: f"{sum(r['failed'] for r in v)}/{sum(r['attempted'] for r in v)}"
-                               for s, v in runs.items() if v}
-        entry["correct"] = all(r["correct"] for v in runs.values() for r in v)
+                               for s, v in side_rows.items() if v}
+        entry["correct"] = all(r["correct"] for v in side_rows.values() for r in v)
         out[f"{key[0]} seed {key[1]}"] = entry
     return out
 
