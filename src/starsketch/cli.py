@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import os
 import sys
 
@@ -98,6 +99,7 @@ def _cmd_experiment_summarize(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A fresh parser on every call; ``main`` parses with one built on first use."""
     parser = argparse.ArgumentParser(
         prog="starsketch",
         description="Summarize data streams into counter-matrix sketches and "
@@ -161,8 +163,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # main's one parser per process: a caller may run hundreds of verbs in one
+    # process, and building the tree costs more than a distance query.  Sharing
+    # it is safe: parse_args returns a new Namespace and leaves the parser and
+    # every (immutable) default as they were.
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     return args.func(args)
 
 

@@ -152,8 +152,8 @@ class HashFamily:
             raise ValueError(f"p = {self.p} is not a prime of PRIME_TABLE")
         if not is_integer(self.k):
             raise ValueError(f"k must be an integer, got {self.k!r}")
-        if self.k < 1:
-            raise ValueError("require k >= 1")
+        if not 1 <= self.k < 2 ** 32:  # a sketch file stores k as uint32
+            raise ValueError(f"require 1 <= k < 2^32, got k = {self.k}")
         if not is_integer(self.seed):  # the header stores it as an integer
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if not self.a:
@@ -208,6 +208,8 @@ def new_family(t: int, k: int, universe_bound: int, seed: int) -> HashFamily:
         raise ValueError(f"t must be an integer, got {t!r}")
     if not is_integer(seed):
         raise ValueError(f"seed must be an integer, got {seed!r}")
+    if seed < 0:  # random.Random would seed from |seed|, drawing seed -s's family as s's
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     seed = int(seed)  # random.Random takes a numpy integer only as an int
     p = select_prime(universe_bound)
     master = random.Random(seed)

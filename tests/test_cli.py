@@ -454,6 +454,42 @@ def test_experiment_run_prints_the_path_it_wrote(tmp_path, capsys):
     assert out == f"wrote 1 rows to {tmp_path}/results/results.csv\n"
 
 
+def test_main_builds_its_parser_once(tmp_path, capsys, monkeypatch):
+    built = []
+    factory = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or factory())
+    cli._parser.cache_clear()
+    try:
+        a, b = build_two_sketches(tmp_path, capsys)  # two generate, two sketch build
+        run_cli(capsys, "distance", "--phi", "js", "--a", a, "--b", b)
+        run_cli(capsys, "stats", "--in", str(tmp_path / "u.stream"))
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
+
+
+def test_shared_parser_keeps_no_state_between_calls(tmp_path, capsys):
+    a, b = build_two_sketches(tmp_path, capsys)
+    plain = ["distance", "--phi", "js", "--a", a, "--b", b]
+    cli._parser.cache_clear()
+    first = run_cli(capsys, *plain)
+    assert first[0] == 0 and first[1].endswith(",0.0\n")
+    code, out = run_cli(capsys, *plain, "--alpha", "0.5")
+    assert code == 0 and out.endswith(",0.5\n")
+    assert run_cli(capsys, *plain) == first
+    # A usage error leaves the parser as it was for the next call.
+    with pytest.raises(SystemExit) as exc:
+        main(["distance", "--phi", "js", "--a", a])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert run_cli(capsys, *plain) == first
+
+
+def test_build_parser_returns_a_fresh_parser():
+    assert cli.build_parser() is not cli.build_parser()
+    assert cli.build_parser() is not cli._parser()
+
+
 def test_version(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

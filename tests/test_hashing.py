@@ -93,6 +93,25 @@ class TestNewFamily:
         assert type(fam.seed) is int
         assert HashFamily.from_header(fam.header()) == fam
 
+    @pytest.mark.parametrize("seed", [-5, -1, np.int64(-5)])
+    def test_rejects_negative_seed(self, seed):
+        # random.Random seeds from |seed|, so -5 drew seed 5's (a, b) under
+        # another header seed, and the two families' sketches refused to compare.
+        with pytest.raises(ValueError, match=f"^seed must be nonnegative, got {int(seed)}$"):
+            new_family(4, 8, 100, seed)
+
+    def test_seed_zero_accepted(self):
+        assert new_family(4, 8, 100, 0).seed == 0
+
+    def test_k_bounded_by_the_sketch_header(self):
+        # A sketch file stores k as uint32: k = 2^32 would only fail in save,
+        # after sketch_stream had allocated t * k counters.
+        with pytest.raises(ValueError, match=r"^require 1 <= k < 2\^32, got k = 4294967296$"):
+            new_family(1, 2 ** 32, 100, 1)
+        with pytest.raises(ValueError, match="k < 2"):
+            HashFamily((3,), (5,), 131, 2 ** 32, 0)
+        assert new_family(1, 2 ** 32 - 1, 100, 1).k == 2 ** 32 - 1
+
 
 class TestEvaluate:
     def test_repeated_calls_agree(self):
