@@ -198,7 +198,7 @@ class HashFamily:
 
 
 def new_family(t: int, k: int, universe_bound: int, seed: int) -> HashFamily:
-    """Draw t functions [0, universe_bound) -> [0, k) from one master seed.
+    """Draw t functions [0, universe_bound) -> [0, k) from one nonnegative master seed.
 
     Per-function sub-seeds are split off the master seed, then a is drawn
     uniformly from [1, P) and b from [0, P).  Reconstruction from the same
